@@ -24,7 +24,6 @@ from .search import SearchProblem, SearchResult, landscape_rows, search
 from .spaces import (AtomSet, DiscreteSpace, SimpleFunction, center,
                      equal_space, integrate, pos_neg_parts, support)
 from .verify import (TrialConfig, VerificationReport, generate_instance,
-                     run_suite, verify_lemma31, verify_rearrange_suite,
-                     verify_thm32, verify_thm41, verify_thm43)
+                     run_suite)
 
 __version__ = "0.1.0"

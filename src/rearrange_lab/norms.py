@@ -23,10 +23,10 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactUnavailable, InputError, NonEqualAtomSpace
-from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
-    profile_integrate_product
+from .rearrange import StepProfile, _values_on_grid, decreasing_rearrangement, \
+    make_profile, profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, format_exponent, \
-    format_scalar, parse_exponent, parse_scalar, to_binary
+    format_scalar, in_family, parse_exponent, parse_scalar, to_binary
 from .spaces import DiscreteSpace, SimpleFunction
 
 
@@ -58,9 +58,10 @@ class ConcaveWeight:
             raise InputError("weight must be concave (nonincreasing slopes)")
 
     def __call__(self, t):
+        """phi(t), in the arithmetic family of t."""
+        pts = [(in_family(a, t), in_family(v, t)) for a, v in self.breakpoints]
         if t <= 0:
-            return Fraction(0)
-        pts = self.breakpoints
+            return pts[0][1]
         if t >= 1:
             return pts[-1][1]
         for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
@@ -253,23 +254,37 @@ def _lp_norm(p, f, precision):
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
     """Stieltjes sum of the profile against d(phi)."""
     total = Fraction(0)
+    one = in_family(Fraction(1), prof.total_length)
     cuts = prof.boundaries()
     for (v, _), a, b in zip(prof.segments, cuts, cuts[1:]):
-        total = total + v * (phi(min(b, 1)) - phi(min(a, 1)))
+        total = total + v * (phi(min(b, one)) - phi(min(a, one)))
     return total
 
 
+def _unit_grid(phi: ConcaveWeight, prof: StepProfile) -> list:
+    """The profile's boundaries clipped to [0, 1] merged with phi's
+    breakpoints (which include 0 and 1), ascending and in the arithmetic
+    family of the profile."""
+    one = in_family(Fraction(1), prof.total_length)
+    return sorted(
+        {min(b, one) for b in prof.boundaries()}
+        | {in_family(t, one) for t, _ in phi.breakpoints}
+    )
+
+
 def _partial_integrals(prof: StepProfile, cuts):
-    """H(s) = integral of the profile over [0, s] for each cut s."""
-    out = []
+    """H(s) = integral of the profile over [0, s] for each of the
+    ascending cuts s, from one walk over the segments."""
+    bounds = prof.boundaries()
+    out, prefix, seg = [], Fraction(0), 0  # prefix: segments ending by s
     for s in cuts:
-        total = Fraction(0)
-        bounds = prof.boundaries()
-        for (v, _), a, b in zip(prof.segments, bounds, bounds[1:]):
-            if s <= a:
-                break
-            total = total + v * (min(b, s) - a)
-        out.append(total)
+        while seg < len(prof.segments) and bounds[seg + 1] <= s:
+            prefix = prefix + prof.segments[seg][0] * (bounds[seg + 1] - bounds[seg])
+            seg += 1
+        if seg < len(prof.segments) and bounds[seg] < s:
+            out.append(prefix + prof.segments[seg][0] * (s - bounds[seg]))
+        else:
+            out.append(prefix)
     return out
 
 
@@ -281,15 +296,9 @@ def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
     partial-sum formula max_k (sum of the k largest |h| values / n) /
     phi(k/n).
     """
-    cuts = sorted(
-        {min(b, Fraction(1)) for b in prof.boundaries()}
-        | {t for t, _ in phi.breakpoints}
-        | {Fraction(1)}
-    )
-    cuts = [c for c in cuts if c > 0]
-    best = Fraction(0)
-    hs = _partial_integrals(prof, cuts)
-    for s, h in zip(cuts, hs):
+    cuts = _unit_grid(phi, prof)[1:]  # drop s = 0
+    best = 0
+    for s, h in zip(cuts, _partial_integrals(prof, cuts)):
         ratio = h / phi(s)
         if ratio > best:
             best = ratio
@@ -308,16 +317,10 @@ def _second_associate_lp(phi: ConcaveWeight, prof: StepProfile, precision):
         raise ExactUnavailable("the second-associate LP is float-based")
     from scipy.optimize import linprog
 
-    grid = sorted(
-        {min(b, Fraction(1)) for b in prof.boundaries()}
-        | {t for t, _ in phi.breakpoints}
-        | {Fraction(0), Fraction(1)}
-    )
+    grid = _unit_grid(phi, prof)
     lengths = [float(b - a) for a, b in zip(grid, grid[1:])]
     m = len(lengths)
-    fvals = []
-    for a in grid[:-1]:
-        fvals.append(float(prof(a)))
+    fvals = [float(v) for v in _values_on_grid(prof, grid)]
     c = [-(fv * l) for fv, l in zip(fvals, lengths)]  # maximize sum f*_j L_j h_j
     a_ub, b_ub = [], []
     for j in range(m):  # cumulative mass caps at every grid point

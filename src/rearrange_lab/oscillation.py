@@ -344,7 +344,7 @@ def lemma31_bound(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     lhs = bilinear_form(Gc, G, f, g, h) + bilinear_form(G, Gc, f, g, h)
 
     F, H = support(f), support(h)
-    rhs = Fraction(0)
+    rhs = 0  # an int, so an empty sum still mixes with mpf
     for y in G:
         wy = abs(g.values[y]) * space.weights[y]
         for x in Gc:

@@ -6,7 +6,9 @@ equimeasurable with |f|.  It is represented canonically as a
 `StepProfile`: strictly decreasing positive values with positive segment
 lengths, zero beyond the total length.  Products, sums, and L^p integrals
 of profiles are computed on the merged breakpoint grid, exactly when the
-scalars are exact.
+scalars are exact.  `align` is the one builder of that grid: it returns the
+width of every grid interval and each profile's value on it, and every
+pairwise profile operation here is a single pass over its output.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class StepProfile:
         return self.segments[0][0] if self.segments else Fraction(0)
 
     def boundaries(self) -> list:
-        """Cumulative segment boundaries [0, l1, l1+l2, ...]."""
-        cuts = [Fraction(0)]
+        """Cumulative segment boundaries [0, l1, l1+l2, ...]; the int 0
+        mixes with every arithmetic family (mpf does not with Fraction)."""
+        cuts = [0]
         for _, l in self.segments:
             cuts.append(cuts[-1] + l)
         return cuts
@@ -103,14 +106,6 @@ def profile_level_measure(profile: StepProfile, t):
 # ---------------------------------------------------------------------------
 # merged-grid arithmetic
 
-def merged_cuts(profiles) -> list:
-    cuts = set()
-    for p in profiles:
-        cuts.update(p.boundaries())
-    cuts.add(Fraction(0))
-    return sorted(cuts)
-
-
 def _values_on_grid(profile: StepProfile, cuts):
     """Value of the profile on each interval [cuts[j], cuts[j+1])."""
     out = []
@@ -126,17 +121,28 @@ def _values_on_grid(profile: StepProfile, cuts):
     return out
 
 
-def profile_integrate_product(profiles) -> Fraction:
-    """Integral over [0, infinity) of the pointwise product of profiles."""
+def align(*profiles):
+    """Put profiles on their merged breakpoint grid.
+
+    Returns (widths, rows): the width of each grid interval, and for each
+    profile the list of its values on those intervals.
+    """
+    cuts = sorted(set().union(*(p.boundaries() for p in profiles)))
+    widths = [b - a for a, b in zip(cuts, cuts[1:])]
+    return widths, [_values_on_grid(p, cuts) for p in profiles]
+
+
+def profile_integrate_product(profiles):
+    """Integral over [0, infinity) of the pointwise product of profiles
+    (the int 0, which mixes with every arithmetic family, if one is empty)."""
     if not profiles:
         raise InputError("need at least one profile")
     if any(not p.segments for p in profiles):
-        return Fraction(0)
-    cuts = merged_cuts(profiles)
-    rows = [_values_on_grid(p, cuts) for p in profiles]
+        return 0
+    widths, rows = align(*profiles)
     total = Fraction(0)
-    for j in range(len(cuts) - 1):
-        term = cuts[j + 1] - cuts[j]
+    for j, width in enumerate(widths):
+        term = width
         for row in rows:
             term = term * row[j]
         total = total + term
@@ -145,19 +151,13 @@ def profile_integrate_product(profiles) -> Fraction:
 
 def profile_add(p: StepProfile, q: StepProfile) -> StepProfile:
     """Pointwise sum (still nonincreasing, hence a valid profile)."""
-    cuts = merged_cuts([p, q])
-    pv = _values_on_grid(p, cuts)
-    qv = _values_on_grid(q, cuts)
-    return make_profile(
-        (pv[j] + qv[j], cuts[j + 1] - cuts[j]) for j in range(len(cuts) - 1)
-    )
+    widths, (pv, qv) = align(p, q)
+    return make_profile((a + b, w) for a, b, w in zip(pv, qv, widths))
 
 
 def profile_leq(p: StepProfile, q: StepProfile) -> bool:
     """Pointwise p <= q on [0, infinity)."""
-    cuts = merged_cuts([p, q])
-    pv = _values_on_grid(p, cuts)
-    qv = _values_on_grid(q, cuts)
+    _, (pv, qv) = align(p, q)
     return all(a <= b for a, b in zip(pv, qv))
 
 
@@ -167,14 +167,11 @@ def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
     Both running integrals are piecewise linear with kinks only at the
     merged segment boundaries, so checking the boundaries is enough.
     """
-    cuts = merged_cuts([p, q])
-    pv = _values_on_grid(p, cuts)
-    qv = _values_on_grid(q, cuts)
+    widths, (pv, qv) = align(p, q)
     run_p = run_q = Fraction(0)
-    for j in range(len(cuts) - 1):
-        width = cuts[j + 1] - cuts[j]
-        run_p = run_p + pv[j] * width
-        run_q = run_q + qv[j] * width
+    for a, b, width in zip(pv, qv, widths):
+        run_p = run_p + a * width
+        run_q = run_q + b * width
         if run_p > run_q:
             return False
     return True
@@ -188,25 +185,33 @@ def profile_moment(profile: StepProfile, p) -> Fraction:
 
 def profile_difference_moment(p: StepProfile, q: StepProfile, k: int):
     """Integral of |p - q|^k on the merged grid."""
-    cuts = merged_cuts([p, q])
-    pv = _values_on_grid(p, cuts)
-    qv = _values_on_grid(q, cuts)
+    widths, (pv, qv) = align(p, q)
     return sum(
-        (abs(pv[j] - qv[j]) ** k * (cuts[j + 1] - cuts[j]) for j in range(len(cuts) - 1)),
+        (abs(a - b) ** k * w for a, b, w in zip(pv, qv, widths)),
         start=Fraction(0),
     )
 
 
 def profile_difference_sup(p: StepProfile, q: StepProfile):
-    cuts = merged_cuts([p, q])
-    pv = _values_on_grid(p, cuts)
-    qv = _values_on_grid(q, cuts)
-    diffs = [abs(a - b) for a, b in zip(pv, qv)]
-    return max(diffs, default=Fraction(0))
+    _, (pv, qv) = align(p, q)
+    return max((abs(a - b) for a, b in zip(pv, qv)), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # checked identities
+
+def _lp_moments(f: SimpleFunction, p):
+    """The pre-root pair (|f|_p^p, |f*|_p^p) for an integer p, or the two
+    sups for p = inf."""
+    prof = decreasing_rearrangement(f)
+    if p == INF:
+        return max((abs(v) for v in f.values), default=Fraction(0)), prof.sup
+    if Fraction(p).denominator != 1:
+        raise InputError("Lp preservation is checked for integer p or inf")
+    k = int(p)
+    m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
+    return m_f, profile_moment(prof, k)
+
 
 def rearrangement_preserves_Lp(f: SimpleFunction, p):
     """Return (|f|_p, |f*|_p) computed down the two independent routes.
@@ -214,30 +219,16 @@ def rearrangement_preserves_Lp(f: SimpleFunction, p):
     The agreement of the underlying p-th moments is exact for integer p in
     exact mode; the returned norms are floats when the root is inexact.
     """
-    prof = decreasing_rearrangement(f)
-    if p == INF:
-        lhs = max((abs(v) for v in f.values), default=Fraction(0))
-        return lhs, prof.sup
-    num = Fraction(p) if not isinstance(p, Fraction) else p
-    if num.denominator != 1:
-        raise InputError("rearrangement_preserves_Lp expects integer p or inf")
-    k = num.numerator
-    m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
-    m_p = profile_moment(prof, k)
-    if k == 1:
+    m_f, m_p = _lp_moments(f, p)
+    if p == INF or p == 1:
         return m_f, m_p
-    return float(m_f) ** (1.0 / k), float(m_p) ** (1.0 / k)
+    return float(m_f) ** (1.0 / int(p)), float(m_p) ** (1.0 / int(p))
 
 
 def lp_moments_agree(f: SimpleFunction, p) -> bool:
     """Exact check that |f|_p = |f*|_p, comparing pre-root quantities."""
-    prof = decreasing_rearrangement(f)
-    if p == INF:
-        lhs = max((abs(v) for v in f.values), default=Fraction(0))
-        return lhs == prof.sup
-    k = int(p)
-    m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
-    return m_f == profile_moment(prof, k)
+    m_f, m_p = _lp_moments(f, p)
+    return m_f == m_p
 
 
 def indicator_difference_rearrangement(f: SimpleFunction, t):
@@ -258,43 +249,37 @@ def indicator_difference_rearrangement(f: SimpleFunction, t):
     return left, right
 
 
-def nonexpansive_check(f: SimpleFunction, g: SimpleFunction, p):
-    """Return (|f* - g*|_{L^p[0,inf)}, |f - g|_p); the first must not
-    exceed the second."""
+def _nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
+    """The pre-root pair (|f* - g*|^p integral, |f - g|_p^p) for integer
+    p, or the two sups for p = inf."""
     if f.space.weights != g.space.weights:
         raise InputError("functions live on different spaces")
     pf, pg = decreasing_rearrangement(f), decreasing_rearrangement(g)
     if p == INF:
-        lhs = profile_difference_sup(pf, pg)
         rhs = max(
             (abs(a - b) for a, b in zip(f.values, g.values)), default=Fraction(0)
         )
-        return lhs, rhs
+        return profile_difference_sup(pf, pg), rhs
     k = int(p)
-    lhs_m = profile_difference_moment(pf, pg, k)
-    rhs_m = sum(
+    rhs = sum(
         abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, f.space.weights)
     )
-    if k == 1:
-        return lhs_m, rhs_m
-    return float(lhs_m) ** (1.0 / k), float(rhs_m) ** (1.0 / k)
+    return profile_difference_moment(pf, pg, k), rhs
+
+
+def nonexpansive_check(f: SimpleFunction, g: SimpleFunction, p):
+    """Return (|f* - g*|_{L^p[0,inf)}, |f - g|_p); the first must not
+    exceed the second."""
+    lhs, rhs = _nonexpansive_moments(f, g, p)
+    if p == INF or int(p) == 1:
+        return lhs, rhs
+    return float(lhs) ** (1.0 / int(p)), float(rhs) ** (1.0 / int(p))
 
 
 def nonexpansive_holds(f: SimpleFunction, g: SimpleFunction, p) -> bool:
     """Exact comparison of the non-expansiveness inequality for
     p in {1, 2, ...} or inf (compares p-th moments, no roots)."""
-    pf, pg = decreasing_rearrangement(f), decreasing_rearrangement(g)
-    if p == INF:
-        lhs = profile_difference_sup(pf, pg)
-        rhs = max(
-            (abs(a - b) for a, b in zip(f.values, g.values)), default=Fraction(0)
-        )
-        return lhs <= rhs
-    k = int(p)
-    lhs = profile_difference_moment(pf, pg, k)
-    rhs = sum(
-        abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, f.space.weights)
-    )
+    lhs, rhs = _nonexpansive_moments(f, g, p)
     return lhs <= rhs
 
 

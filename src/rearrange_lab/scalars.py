@@ -114,6 +114,15 @@ def to_binary(q, precision: int):
         return mpmath.mpf(q.numerator) / q.denominator
 
 
+def in_family(q, x):
+    """The rational q as a scalar that compares and combines with x: q
+    itself, which ints, Fractions and floats mix with exactly, or for an
+    mpf x (which does neither with a Fraction) q rounded to mpf."""
+    if isinstance(x, mpmath.mpf):
+        return mpmath.mpf(q.numerator) / q.denominator
+    return q
+
+
 @contextlib.contextmanager
 def binary_context(precision: int):
     """Arithmetic context for float-mode computations.

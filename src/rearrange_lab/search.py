@@ -20,9 +20,10 @@ from fractions import Fraction
 from .errors import InfeasibleProblem, InputError, TooManyFreeParameters
 from .norms import Lp
 from .scalars import DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context, \
-    format_exponent, to_binary
+    format_exponent
 from . import norms as norms_mod
-from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
+from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json, \
+    to_binary_function, to_binary_space
 from .verify import thm32_sides, thm41_sides, thm43_sides, validate_exponents
 
 TARGETS = ("thm32-ratio", "thm41-ratio", "thm43-ratio")
@@ -207,15 +208,9 @@ def _excess_certificate(problem, state, space, ratio):
         mode = "exact"
     else:
         with binary_context(QUAD_PRECISION):
-            quad_space = DiscreteSpace(tuple(
-                to_binary(Fraction(w), QUAD_PRECISION) for w in space.weights
-            ))
-            quad = {
-                k: SimpleFunction(tuple(
-                    to_binary(Fraction(v), QUAD_PRECISION) for v in f.values
-                ), quad_space)
-                for k, f in funcs.items()
-            }
+            quad_space = to_binary_space(space, QUAD_PRECISION)
+            quad = {k: to_binary_function(f, quad_space, QUAD_PRECISION)
+                    for k, f in funcs.items()}
             if problem.target == "thm41-ratio":
                 lhs, rhs = thm41_sides(quad["f"], quad["g"],
                                        problem.exponents,
@@ -239,8 +234,8 @@ def search(problem: SearchProblem, iters: int, restarts: int,
     """Coordinate hill climbing from seeded restarts; deterministic in
     (problem, iters, restarts, seed) and independent of restart order or
     thread schedule (results reduce in restart order)."""
-    if iters < 1 or restarts < 1:
-        raise InputError("iters and restarts must be >= 1")
+    if iters < 1 or restarts < 1 or threads < 1:
+        raise InputError("iters, restarts and threads must be >= 1")
     space = problem.space()
 
     def one(restart: int):

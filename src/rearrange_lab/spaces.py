@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .scalars import check_one_family, format_scalar, parse_scalar, to_binary
+from .scalars import (check_one_family, format_scalar, in_family,
+                      parse_scalar, to_binary)
 
 #: relative slack allowed on the weight sum for binary-float inputs
 WEIGHT_SUM_TOLERANCE = Fraction(1, 2**40)
@@ -36,7 +37,8 @@ class DiscreteSpace:
         if any(w <= 0 for w in weights):
             raise InputError("atom weights must be positive")
         total = sum(weights)
-        if total != 1 and abs(total - 1) > WEIGHT_SUM_TOLERANCE:
+        if total != 1 and \
+                abs(total - 1) > in_family(WEIGHT_SUM_TOLERANCE, total):
             raise InputError(f"atom weights sum to {total!r}, not 1")
 
     @property
@@ -166,7 +168,7 @@ def space_to_json(space: DiscreteSpace) -> dict:
 def space_from_json(obj: dict) -> DiscreteSpace:
     try:
         weights = [parse_scalar(w) for w in obj["weights"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad space object: {exc}") from exc
     return DiscreteSpace(tuple(weights))
 
@@ -190,7 +192,9 @@ def instance_from_json(obj: dict):
     for name, values in obj.get("functions", {}).items():
         if not isinstance(values, list):
             raise InputError(f"function {name!r} must be a list of literals")
-        functions[name] = SimpleFunction(
-            tuple(parse_scalar(v) for v in values), space
-        )
+        try:
+            values = tuple(parse_scalar(v) for v in values)
+        except ValueError as exc:
+            raise InputError(f"bad function {name!r}: {exc}") from exc
+        functions[name] = SimpleFunction(values, space)
     return space, functions

@@ -8,6 +8,12 @@ point and re-check any negative gap at 113-bit precision before
 certifying a violation, so floating-point grazes are logged rather than
 reported as counterexamples.
 
+One runner serves the inequality suites: the table `_TRIALS` gives each
+the (LHS, RHS) pairs of its forms as a function of (config, functions,
+precision) and its judge, root-free (a negative gap is rechecked exactly)
+or rooted (rechecked at 113 bits).  The rearrange suite checks properties
+rather than an inequality and has its own trial function.
+
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
 lemma31 (its off-support cross-term bound), thm41 (the Lp product rule),
 thm43 (the rearrangement-invariant-norm product rule, both forms), and
@@ -25,7 +31,8 @@ from fractions import Fraction
 
 from . import norms as norms_mod
 from .errors import InputError
-from .norms import Associate, Lp, exactly_evaluable, norm
+from .norms import (Associate, Lp, exactly_evaluable, hardy_littlewood_check,
+                    norm)
 from .oscillation import bilinear_form, lemma31_bound
 from .rearrange import (decreasing_rearrangement, equimeasurable,
                         indicator_difference_rearrangement, layer_decompose,
@@ -88,6 +95,10 @@ class TrialConfig:
             raise InputError(f"unknown suite {self.suite!r}")
         if self.atoms < 1:
             raise InputError("need at least one atom")
+        if self.trials < 1:
+            raise InputError("need at least one trial")
+        if self.threads < 1:
+            raise InputError("need at least one thread")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
         if self.mode not in ("exact", "float"):
@@ -296,12 +307,9 @@ def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None):
 @dataclass
 class TrialOutcome:
     gap: object = None
-    lhs: object = None
-    rhs: object = None
     graze: bool = False
     violation: dict = None
     form_gaps: dict = None
-    failed_properties: tuple = ()
     passed_properties: tuple = ()
 
 
@@ -322,7 +330,7 @@ def _certificate(inst: Instance, label, lhs, rhs, recheck_mode, re_lhs, re_rhs):
 def _judge_rootfree(cfg, inst, label, lhs, rhs, exact_sides):
     """Gap handling for suites whose recheck can run in exact arithmetic."""
     gap = rhs - lhs
-    out = TrialOutcome(gap=gap, lhs=lhs, rhs=rhs)
+    out = TrialOutcome(gap=gap)
     if gap < 0:
         e_lhs, e_rhs = exact_sides()
         if e_rhs - e_lhs < 0:
@@ -338,7 +346,7 @@ def _judge_rooted(cfg, inst, label, lhs, rhs, quad_sides):
     """Gap handling for the product-rule suites: negative float gaps are
     re-evaluated at 113-bit precision before certification."""
     gap = rhs - lhs
-    out = TrialOutcome(gap=gap, lhs=lhs, rhs=rhs)
+    out = TrialOutcome(gap=gap)
     if cfg.mode == "exact":
         if gap < 0:
             out.violation = _certificate(inst, label, lhs, rhs, "exact", lhs, rhs)
@@ -356,74 +364,62 @@ def _judge_rooted(cfg, inst, label, lhs, rhs, quad_sides):
     return out
 
 
+def _thm32_forms(cfg, fns, precision):
+    return {None: thm32_sides(fns["f"], fns["g"], fns["h"])}
+
+
+def _lemma31_forms(cfg, fns, precision):
+    return {None: lemma31_bound(fns["f"], fns["g"], fns["h"])}
+
+
+def _thm41_forms(cfg, fns, precision):
+    return {None: thm41_sides(fns["f"], fns["g"], cfg.exponents,
+                              precision=precision)}
+
+
+def _thm43_forms(cfg, fns, precision):
+    return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision)
+
+
+#: suite -> (forms, judge).  forms(cfg, functions, precision) returns
+#: {label: (lhs, rhs)}, label None for a suite with a single form;
+#: precision None means exact arithmetic.
+_TRIALS = {
+    "thm32": (_thm32_forms, _judge_rootfree),
+    "lemma31": (_lemma31_forms, _judge_rootfree),
+    "thm41": (_thm41_forms, _judge_rooted),
+    "thm43": (_thm43_forms, _judge_rooted),
+}
+
+
 def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
     inst = generate_instance(cfg, index)
-    if cfg.suite == "thm32":
-        work = inst if cfg.mode == "exact" else _binary_instance(inst, cfg.precision)
-        lhs, rhs = thm32_sides(work.functions["f"], work.functions["g"],
-                               work.functions["h"])
-        return _judge_rootfree(
-            cfg, inst, "thm32", lhs, rhs,
-            lambda: thm32_sides(inst.functions["f"], inst.functions["g"],
-                                inst.functions["h"]),
+    if cfg.suite == "rearrange":
+        return _run_rearrange_trial(cfg, inst)
+    forms, judge = _TRIALS[cfg.suite]
+
+    def evaluate(precision):
+        work = inst if precision is None else _binary_instance(inst, precision)
+        with binary_context(precision or DOUBLE_PRECISION):
+            return forms(cfg, work.functions, precision)
+
+    # the root-free judge rechecks exactly, the rooted one at 113 bits
+    recheck = None if judge is _judge_rootfree else QUAD_PRECISION
+    sides = evaluate(None if cfg.mode == "exact" else cfg.precision)
+    judged = {
+        label: judge(
+            cfg, inst, cfg.suite if label is None else f"{cfg.suite}-{label}",
+            lhs, rhs, lambda label=label: evaluate(recheck)[label],
         )
-    if cfg.suite == "lemma31":
-        work = inst if cfg.mode == "exact" else _binary_instance(inst, cfg.precision)
-        lhs, rhs = lemma31_bound(work.functions["f"], work.functions["g"],
-                                 work.functions["h"])
-        return _judge_rootfree(
-            cfg, inst, "lemma31", lhs, rhs,
-            lambda: lemma31_bound(inst.functions["f"], inst.functions["g"],
-                                  inst.functions["h"]),
-        )
-    if cfg.suite == "thm41":
-        return _run_thm41_trial(cfg, inst)
-    if cfg.suite == "thm43":
-        return _run_thm43_trial(cfg, inst)
-    return _run_rearrange_trial(cfg, inst)
-
-
-def _run_thm41_trial(cfg, inst):
-    f, g = inst.functions["f"], inst.functions["g"]
-    precision = None if cfg.mode == "exact" else cfg.precision
-    if cfg.mode == "exact":
-        lhs, rhs = thm41_sides(f, g, cfg.exponents, precision=None)
-    else:
-        work = _binary_instance(inst, cfg.precision)
-        with binary_context(cfg.precision):
-            lhs, rhs = thm41_sides(work.functions["f"], work.functions["g"],
-                                   cfg.exponents, precision=cfg.precision)
-    def quad_sides():
-        work = _binary_instance(inst, QUAD_PRECISION)
-        return thm41_sides(work.functions["f"], work.functions["g"],
-                           cfg.exponents, precision=QUAD_PRECISION)
-    return _judge_rooted(cfg, inst, "thm41", lhs, rhs, quad_sides)
-
-
-def _run_thm43_trial(cfg, inst):
-    f, g = inst.functions["f"], inst.functions["g"]
-    if cfg.mode == "exact":
-        forms = thm43_sides(f, g, cfg.norm, precision=None)
-    else:
-        work = _binary_instance(inst, cfg.precision)
-        with binary_context(cfg.precision):
-            forms = thm43_sides(work.functions["f"], work.functions["g"],
-                                cfg.norm, precision=cfg.precision)
-    out = TrialOutcome(form_gaps={})
-    for label, (lhs, rhs) in forms.items():
-        def quad_sides(label=label):
-            work = _binary_instance(inst, QUAD_PRECISION)
-            quad = thm43_sides(work.functions["f"], work.functions["g"],
-                               cfg.norm, precision=QUAD_PRECISION)
-            return quad[label]
-        judged = _judge_rooted(cfg, inst, f"thm43-{label}", lhs, rhs, quad_sides)
-        out.form_gaps[label] = judged.gap
-        if out.gap is None or judged.gap < out.gap:
-            out.gap, out.lhs, out.rhs = judged.gap, lhs, rhs
-        out.graze = out.graze or judged.graze
-        if judged.violation and out.violation is None:
-            out.violation = judged.violation
-    return out
+        for label, (lhs, rhs) in sides.items()
+    }
+    outs = judged.values()
+    return TrialOutcome(
+        gap=min(out.gap for out in outs),
+        graze=any(out.graze for out in outs),
+        violation=next((out.violation for out in outs if out.violation), None),
+        form_gaps={label: out.gap for label, out in judged.items()},
+    )
 
 
 _REARRANGE_PROPERTIES = (
@@ -443,7 +439,6 @@ def _run_rearrange_trial(cfg, inst):
     non-expansiveness)."""
     f, g = inst.functions["f"], inst.functions["g"]
     passed, failed = [], []
-    gaps = []
 
     prof = decreasing_rearrangement(f)
     _record(passed, failed, "equimeasurability", equimeasurable(f, prof))
@@ -474,20 +469,15 @@ def _run_rearrange_trial(cfg, inst):
     ) and ladder[-1] == prof
     _record(passed, failed, "monotone_ladder", ladder_ok)
 
-    hl_lhs = sum(
-        abs(a * b) * w for a, b, w in zip(f.values, g.values, f.space.weights)
-    )
-    hl_rhs = profile_integrate_product([prof, decreasing_rearrangement(g)])
+    hl_lhs, hl_rhs = hardy_littlewood_check(f, g)
     sup_g = decreasing_rearrangement(g).sup
     l1_f = sum(abs(v) * w for v, w in zip(f.values, f.space.weights))
     chain_ok = hl_lhs <= hl_rhs <= sup_g * l1_f
     _record(passed, failed, "hardy_littlewood", chain_ok)
-    gaps.append(hl_rhs - hl_lhs)
 
     out = TrialOutcome(
-        gap=min(gaps),
+        gap=hl_rhs - hl_lhs,
         passed_properties=tuple(passed),
-        failed_properties=tuple(failed),
     )
     if failed:
         out.violation = {
@@ -523,7 +513,7 @@ def _bin_gap(outcome: TrialOutcome) -> str:
         return "violation"
     if outcome.graze:
         return "graze"
-    g = float(outcome.gap) if outcome.gap is not None else 0.0
+    g = float(outcome.gap)
     if g <= 0:
         return "zero"
     for label, upper in _HISTOGRAM_BINS[3:]:
@@ -550,7 +540,7 @@ class VerificationReport:
         out = {
             "suite": self.suite,
             "trials": self.trials,
-            "min_gap": format_scalar(self.min_gap) if self.min_gap is not None else None,
+            "min_gap": format_scalar(self.min_gap),
             "argmin_instance": self.argmin_instance,
             "violations": self.violations,
             "grazes": self.grazes,
@@ -601,7 +591,7 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
 
     for i, out in enumerate(outcomes):
         histogram[_bin_gap(out)] += 1
-        if out.gap is not None and (min_gap is None or out.gap < min_gap):
+        if min_gap is None or out.gap < min_gap:
             min_gap, argmin_index = out.gap, i
         if out.violation is not None:
             violations.append(dict(out.violation, trial_index=i))
@@ -610,21 +600,17 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
         if prop_passes is not None:
             for name in out.passed_properties:
                 prop_passes[name] += 1
-        if form_min is not None and out.form_gaps:
+        if form_min is not None:
             for label, gap in out.form_gaps.items():
                 if label not in form_min or gap < form_min[label]:
                     form_min[label] = gap
 
-    argmin_doc = (
-        generate_instance(cfg, argmin_index).to_json()
-        if argmin_index is not None else None
-    )
     return VerificationReport(
         suite=cfg.suite,
         trials=cfg.trials,
         min_gap=min_gap,
-        argmin_index=argmin_index if argmin_index is not None else -1,
-        argmin_instance=argmin_doc,
+        argmin_index=argmin_index,
+        argmin_instance=generate_instance(cfg, argmin_index).to_json(),
         violations=violations,
         grazes=grazes,
         histogram=histogram,
@@ -632,25 +618,3 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
         properties=prop_passes,
         form_min_gaps=form_min,
     )
-
-
-def verify_thm32(cfg: TrialConfig) -> VerificationReport:
-    return run_suite(cfg)
-
-
-def verify_lemma31(cfg: TrialConfig) -> VerificationReport:
-    return run_suite(cfg)
-
-
-def verify_thm41(cfg: TrialConfig) -> VerificationReport:
-    return run_suite(cfg)
-
-
-def verify_thm43(cfg: TrialConfig, X=None) -> VerificationReport:
-    if X is not None and cfg.norm is not X:
-        cfg = TrialConfig(**{**cfg.__dict__, "norm": X})
-    return run_suite(cfg)
-
-
-def verify_rearrange_suite(cfg: TrialConfig) -> VerificationReport:
-    return run_suite(cfg)

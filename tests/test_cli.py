@@ -173,3 +173,23 @@ def test_verify_all_aggregates(capsys):
     doc = json.loads(capsys.readouterr().out)
     suites = [entry["suite"] for entry in doc["suites"]]
     assert suites == ["thm32", "lemma31", "thm41", "thm43", "rearrange"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rearrange", "--function", "f"],
+    ["verify", "--suite", "thm32", "--trials", "-5"],
+    ["verify", "--suite", "thm32", "--trials", "5", "--threads", "0"],
+    ["search", "--target", "thm32-ratio", "--iters", "5", "--threads", "0"],
+], ids=["non-string-weight", "negative-trials", "zero-threads",
+        "search-zero-threads"])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    if argv[0] == "rearrange":
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"space": {"weights": [1]},
+                                    "functions": {"f": ["1"]}}))
+        argv = argv + ["--input", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError:")
+    assert captured.err.count("\n") == 1

@@ -68,6 +68,9 @@ def test_lp_preservation_fixtures():
     assert a == b == 3
     zero = simple((0, 0, 0), WEIGHTED3)
     assert rearrangement_preserves_Lp(zero, 2) == (0.0, 0.0)
+    for check in (rearrangement_preserves_Lp, lp_moments_agree):
+        with pytest.raises(InputError):  # a truncated p would check p = 1
+            check(f, F(3, 2))
 
 
 def test_indicator_difference_fixtures():

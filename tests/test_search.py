@@ -6,8 +6,8 @@ from rearrange_lab.errors import (InfeasibleProblem, InputError,
                                   TooManyFreeParameters)
 from rearrange_lab.norms import L1, Lp
 from rearrange_lab.scalars import INF
-from rearrange_lab.search import (SearchProblem, landscape_csv,
-                                  landscape_rows, search)
+from rearrange_lab.search import (SearchProblem, _excess_certificate,
+                                  landscape_csv, landscape_rows, search)
 from rearrange_lab.spaces import instance_from_json, integrate
 
 
@@ -18,6 +18,8 @@ def test_problem_validation():
         SearchProblem(target="thm99-ratio")
     with pytest.raises(InputError):
         search(SearchProblem(target="thm32-ratio"), iters=0, restarts=1)
+    with pytest.raises(InputError):
+        search(SearchProblem(target="thm32-ratio"), 10, 1, threads=0)
 
 
 def test_thm41_canonical_dict_exponents_are_rational_literals():
@@ -112,3 +114,14 @@ def test_landscape_needs_two_atoms():
     prob = SearchProblem(target="thm32-ratio", atoms=3)
     with pytest.raises(TooManyFreeParameters):
         landscape_rows(prob, 11)
+
+
+@pytest.mark.parametrize("target", ["thm41-ratio", "thm43-ratio"])
+def test_excess_recheck_runs_at_113_bits_on_five_atoms(target):
+    """A forced excess on a true five-atom instance goes through the
+    113-bit recheck (whose weights do not sum to exactly 1) and is not
+    confirmed."""
+    problem = SearchProblem(target, atoms=5)
+    state = {name: [0.5, -1.0, 0.25, 1.0, -0.75]
+             for name in problem.free_functions}
+    assert _excess_certificate(problem, state, problem.space(), 2.0) is None

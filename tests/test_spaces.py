@@ -6,10 +6,12 @@ from hypothesis import given
 
 from conftest import functions, lattice_values, spaces
 from rearrange_lab.errors import InputError
+from rearrange_lab.scalars import to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
                                   equal_space, instance_from_json,
                                   instance_to_json, integrate, multiply,
-                                  pos_neg_parts, scale, simple, support)
+                                  pos_neg_parts, scale, simple, support,
+                                  to_binary_space)
 
 
 def test_integrate_fixtures():
@@ -54,6 +56,8 @@ def test_weight_validation():
         DiscreteSpace((F(3, 2), F(-1, 2)))
     with pytest.raises(InputError):
         DiscreteSpace(())
+    with pytest.raises(InputError):  # an mpf sum far from 1
+        DiscreteSpace(tuple(to_binary(F(1, 3), 113) for _ in range(2)))
     with pytest.raises(InputError):
         SimpleFunction((F(1),), equal_space(2))
 
@@ -100,3 +104,20 @@ def test_instance_json_roundtrip(f):
 def test_multiply_pointwise():
     sp = equal_space(2)
     assert multiply(simple((2, 0), sp), simple((1, -1), sp)).values == (2, 0)
+
+
+@pytest.mark.parametrize("weights", [
+    (F(1, 5),) * 5,
+    (F(1, 6),) * 6,
+    tuple(F(k, 157) for k in (3, 41, 17, 64, 32)),  # random-rational
+], ids=["5-equal", "6-equal", "random-rational"])
+def test_weight_sum_guard_at_113_bits(weights):
+    space = to_binary_space(DiscreteSpace(weights), 113)
+    assert sum(space.weights) != 1  # the guard's tolerance is what admits it
+
+
+def test_non_string_literals_are_input_errors():
+    with pytest.raises(InputError):
+        instance_from_json({"space": {"weights": [1]}})
+    with pytest.raises(InputError):
+        instance_from_json({"space": {"weights": ["1"]}, "functions": {"f": [1]}})

@@ -4,15 +4,24 @@ from fractions import Fraction as F
 import pytest
 
 from rearrange_lab.errors import InputError
-from rearrange_lab.norms import ConcaveWeight, L1, LorentzLambda, Lp
-from rearrange_lab.scalars import INF
+from rearrange_lab.norms import (ConcaveWeight, L1, LorentzLambda, Lp,
+                                 norm_from_json)
+from rearrange_lab.scalars import INF, QUAD_PRECISION, binary_context
+from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import integrate
-from rearrange_lab.verify import (TrialConfig, canonical_hash, canonical_json,
-                                  generate_instance, run_suite, thm32_sides,
-                                  thm41_sides, thm43_sides,
-                                  validate_exponents)
+from rearrange_lab.verify import (TrialConfig, _binary_instance,
+                                  _judge_rooted, canonical_hash,
+                                  canonical_json, generate_instance,
+                                  run_suite, thm32_sides, thm41_sides,
+                                  thm43_sides, validate_exponents)
 
 PHI = ConcaveWeight(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
+LORENTZ = norm_from_json(
+    {"kind": "lorentz", "phi": [["0", "0"], ["1/4", "1/2"], ["1", "1"]]})
+#: the norm of the thm43-lorentz-float benchmark workload
+LORENTZ_ASSOCIATE = norm_from_json(
+    {"kind": "associate", "base": {"kind": "lorentz", "phi": [
+        ["0", "0"], ["1/2", "3/4"], ["1", "1"]]}})
 
 
 def test_exponent_validation():
@@ -185,3 +194,99 @@ def test_judges_certify_real_violations():
     real = _judge_rooted(fcfg, inst, "thm41", 2.0, 1.0, lambda: (F(2), F(1)))
     assert real.violation is not None
     assert "float113" in real.violation["recheck"]["mode"]
+
+
+# canonical report hashes; a change to any of them changes a report
+GOLDEN_HASHES = [
+    (dict(suite="thm32", atoms=8, trials=160, seed=1),
+     "dcd34d26be882723ead3f9367c5ff9520aa6aea13b8d6835c34c0794c6a8c365"),
+    (dict(suite="thm32", mode="float", atoms=8, trials=160, seed=2),
+     "60c1bc3d123415e7cfcd1b6edcb503f9247e7f0c8852c14c53ed8aafe41ed8b4"),
+    (dict(suite="lemma31", atoms=6, trials=60, seed=3),
+     "db958cf93436d9d5fe03fdef0e6416ebda64fb58913135e5b2e87d1416c7ac32"),
+    (dict(suite="thm41", mode="float", atoms=6, trials=60, seed=4,
+          exponents=(F(2), F(4), F(4), F(4), F(4))),
+     "33df6d1d3c9ce5e1bf21bd91c633aafb3905a4b81c2bf84be89ac98f673f5e76"),
+    (dict(suite="thm43", mode="exact", norm=LORENTZ, atoms=6, trials=40,
+          seed=5),
+     "f2616b6da3e1dd49b8e8f6282389dd3cef11e1f53d86a5cbc9524dfee5132726"),
+    (dict(suite="thm43", mode="float", norm=LORENTZ_ASSOCIATE, atoms=6,
+          trials=20, seed=6),
+     "87c44364204bba63b2994e4990dc4f77d83df0c2879d3f0704e80d9496c87064"),
+    (dict(suite="rearrange", weight_scheme="random-rational", atoms=6,
+          trials=20, seed=7),
+     "97afadb1053c963497ba0ada3311db2a6224786cac950cb7f023402683866182"),
+    (None,
+     "7eb82abcb89866a5700d20dd8ba44f79724fb054da8a436faf34f5ea9e76dcb7"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,expected", GOLDEN_HASHES,
+    ids=[k["suite"] + "-" + str(k["seed"]) if k else "search"
+         for k, _ in GOLDEN_HASHES],
+)
+def test_report_hashes_are_stable(kwargs, expected):
+    if kwargs is None:
+        doc = search(SearchProblem("thm32-ratio", atoms=3), 60, 2,
+                     seed=1).to_json_dict()
+    else:
+        doc = run_suite(TrialConfig(**kwargs)).to_json_dict()
+    assert canonical_hash(doc) == expected
+
+
+@pytest.mark.parametrize("X", [LORENTZ, LORENTZ_ASSOCIATE],
+                         ids=["lorentz", "lorentz-associate"])
+@pytest.mark.parametrize("atoms", [5, 8])
+def test_thm43_sides_at_113_bits_match_double(X, atoms):
+    cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms, norm=X,
+                      trials=1)
+    inst = generate_instance(cfg, 0)
+    quad = _binary_instance(inst, QUAD_PRECISION)
+    with binary_context(QUAD_PRECISION):
+        high = thm43_sides(quad.functions["f"], quad.functions["g"], X,
+                           precision=QUAD_PRECISION)
+    double = _binary_instance(inst, 53)
+    low = thm43_sides(double.functions["f"], double.functions["g"], X,
+                      precision=53)
+    for label, sides in high.items():
+        for hi, lo in zip(sides, low[label]):
+            assert abs(float(hi) - float(lo)) <= 1e-9 * max(1.0, abs(lo))
+
+
+@pytest.mark.parametrize("atoms", [5, 8])
+def test_forced_float_graze_is_rechecked_at_113_bits(atoms):
+    """A negative float gap on a true instance goes through the real
+    113-bit recheck and comes out a graze."""
+    cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms,
+                      norm=LORENTZ_ASSOCIATE, trials=1)
+    inst = generate_instance(cfg, 0)
+
+    def quad_sides():
+        quad = _binary_instance(inst, QUAD_PRECISION)
+        return thm43_sides(quad.functions["f"], quad.functions["g"],
+                           cfg.norm, precision=QUAD_PRECISION)["norm_form"]
+
+    work = _binary_instance(inst, 53)
+    _, rhs = thm43_sides(work.functions["f"], work.functions["g"], cfg.norm,
+                         precision=53)["norm_form"]
+    out = _judge_rooted(cfg, inst, "thm43-norm_form", rhs + 1.0, rhs,
+                        quad_sides)
+    assert out.gap < 0
+    assert out.graze and out.violation is None
+
+
+@pytest.mark.parametrize("suite,atoms", [("thm32", 5), ("lemma31", 4)])
+def test_root_free_suites_run_at_200_bits(suite, atoms):
+    cfg = TrialConfig(suite=suite, mode="float", precision=200, atoms=atoms,
+                      trials=130, seed=3)
+    rep = run_suite(cfg)
+    assert not rep.violations and rep.grazes == 0
+    assert rep.min_gap >= 0
+
+
+def test_trials_and_threads_must_be_positive():
+    with pytest.raises(InputError):
+        TrialConfig(suite="thm32", trials=0)
+    with pytest.raises(InputError):
+        TrialConfig(suite="thm32", threads=0)
