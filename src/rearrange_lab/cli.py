@@ -24,7 +24,7 @@ import sys
 from .errors import (ExactUnavailable, InfeasibleProblem, InputError,
                      PreconditionViolated, RearrangeLabError,
                      TooManyFreeParameters)
-from .norms import Lp, norm_from_json
+from .norms import norm_from_json
 from .oscillation import decomposition_to_json, zero_mean_decompose
 from .rearrange import decreasing_rearrangement, profile_to_json
 from .scalars import DOUBLE_PRECISION, parse_exponent
@@ -187,7 +187,7 @@ def _verify_command(args) -> int:
             mode=mode,
             precision=precision,
             exponents=exps_flag if suite == "thm41" else None,
-            norm=(norm_flag or Lp(2)) if suite == "thm43" else None,
+            norm=norm_flag if suite == "thm43" else None,
             threads=args.threads,
         )
         reports.append(run_suite(cfg))

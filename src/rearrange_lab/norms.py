@@ -117,12 +117,15 @@ def dual_exponent(p):
 
 
 def _simplify(X):
-    """Collapse Associate(Lp) chains to their closed-form Lp descriptor."""
+    """Collapse Associate(Lp) chains, also inside Generated, to their
+    closed-form Lp descriptor."""
     if isinstance(X, Associate):
         base = _simplify(X.base)
         if isinstance(base, Lp):
             return Lp(dual_exponent(base.p))
         return Associate(base)
+    if isinstance(X, Generated):
+        return Generated(_simplify(X.base), X.p)
     return X
 
 
@@ -196,7 +199,7 @@ def _check_space(X, f):
     if isinstance(f, SimpleFunction) and requires_equal_atoms(X) \
             and not f.space.equal_atoms:
         raise NonEqualAtomSpace(
-            f"{type(_simplify(X)).__name__} norms need equal atom weights"
+            f"{type(X).__name__} norms need equal atom weights"
         )
 
 
@@ -210,8 +213,8 @@ def norm(X, f, *, precision=None):
     ExactUnavailable when a fractional root or an LP step is involved;
     an integer selects the binary significand width for those steps.
     """
-    _check_space(X, f)  # the descriptor as written, not its simplification
     X = _simplify(X)
+    _check_space(X, f)  # Associate(Lp(p)) is an Lp norm, fine on any space
     with binary_context(precision or DOUBLE_PRECISION):
         return _norm(X, f, precision)
 
@@ -226,7 +229,7 @@ def _norm(X, f, precision):
         powered = make_profile(
             (_power(v, X.p, precision), l) for v, l in prof.segments
         )
-        return _root(_norm(_simplify(X.base), powered, precision), X.p, precision)
+        return _root(_norm(X.base, powered, precision), X.p, precision)
     if isinstance(X, Associate):
         base = X.base  # already simplified; not an Lp
         if isinstance(base, LorentzLambda):
@@ -562,6 +565,9 @@ def norm_from_json(obj) -> object:
         if kind == "lp":
             return Lp(parse_exponent(obj["p"]))
         if kind == "lorentz":
+            if not isinstance(obj["phi"], list) or \
+                    not all(isinstance(point, list) for point in obj["phi"]):
+                raise InputError("phi must be a list of [t, phi(t)] pairs")
             return LorentzLambda(ConcaveWeight(
                 tuple((parse_scalar(t), parse_scalar(v)) for t, v in obj["phi"])
             ))

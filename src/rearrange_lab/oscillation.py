@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile
-from .scalars import format_scalar, parse_scalar
-from .spaces import (AtomSet, DiscreteSpace, SimpleFunction, center,
-                     integrate, multiply, support)
+from .scalars import format_scalar, in_family, parse_scalar
+from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
+                     SimpleFunction, center, integrate, multiply, support)
 
 
 def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
@@ -319,6 +319,17 @@ def _grid_indicator(S: AtomSet, x: int, y: int) -> int:
     return 1 if (x in S or y in S) else 0
 
 
+def _zero_mean(g: SimpleFunction) -> bool:
+    """Zero mean in g's arithmetic: exactly for exact values; for binary
+    floats, which round an exactly centered g, up to WEIGHT_SUM_TOLERANCE
+    relative to the integral of |g|."""
+    mean = integrate(g)
+    if isinstance(mean, (int, Fraction)):
+        return mean == 0
+    mass = sum(abs(v) * w for v, w in zip(g.values, g.space.weights))
+    return abs(mean) <= in_family(WEIGHT_SUM_TOLERANCE, mean) * mass
+
+
 def lemma31_bound(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     """The two sides of the off-support cross-term bound.
 
@@ -332,7 +343,7 @@ def lemma31_bound(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     where 1_F(x, y) = 1 if x or y lies in F.  LHS <= RHS always.
     """
     space = _common_space(f, g, h)
-    if integrate(g) != 0:
+    if not _zero_mean(g):
         raise PreconditionViolated("g must have zero mean")
     if any(v not in (-1, 0, 1) for v in f.values):
         raise PreconditionViolated("f must take values in {-1, 0, 1}")

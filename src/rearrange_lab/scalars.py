@@ -106,8 +106,11 @@ def format_exponent(p) -> str:
     return "inf" if p == INF else str(Fraction(p))
 
 
-def to_binary(q, precision: int):
-    """Round an exact rational to the float mode of the given precision."""
+def to_binary(q, precision):
+    """Round an exact rational to the float mode of the given precision;
+    None keeps it exact."""
+    if precision is None:
+        return q
     if precision == DOUBLE_PRECISION:
         return float(q)
     with mpmath.workprec(precision):

@@ -4,29 +4,32 @@ The search maximizes LHS/RHS over function values with additive,
 multiplicative, and sign-flip coordinate moves, re-centering the
 zero-mean variable after every move where the hypothesis requires it.
 The objective is scale-invariant in each function separately, so the
-climb works inside a fixed box.  Ratios certified above 1 would indicate
-an implementation bug; any excess beyond 1e-9 is re-checked (exactly for
-the root-free target, at 113-bit precision otherwise) before being
-reported as a violation certificate.
+climb works inside a fixed box.  Each target is a form of a suite in
+verify's table `_TRIALS`.  Ratios certified above 1 would indicate an
+implementation bug; any excess beyond 1e-9 is re-checked with verify's
+recheck and certification rule before being reported as a violation
+certificate.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InfeasibleProblem, InputError, TooManyFreeParameters
 from .norms import Lp
-from .scalars import DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context, \
-    format_exponent
+from .scalars import DOUBLE_PRECISION, format_exponent
 from . import norms as norms_mod
-from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json, \
-    to_binary_function, to_binary_space
-from .verify import thm32_sides, thm41_sides, thm43_sides, validate_exponents
+from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
+from .verify import (DEFAULT_EXPONENTS, _TRIALS, Instance, _certified,
+                     _evaluate, _keyed_rng, _recheck, _recheck_mode,
+                     validate_exponents)
 
-TARGETS = ("thm32-ratio", "thm41-ratio", "thm43-ratio")
+#: target -> (verify suite, form label of that suite)
+TARGETS = {
+    "thm32-ratio": ("thm32", None),
+    "thm41-ratio": ("thm41", None),
+    "thm43-ratio": ("thm43", "norm_form"),
+}
 
 RATIO_CAP_SLACK = 1e-9
 VALUE_BOX = 4.0
@@ -54,10 +57,14 @@ class SearchProblem:
                 "a single atom forces RHS = 0 on every admissible instance"
             )
         if self.target == "thm41-ratio":
-            exps = self.exponents or (Fraction(1), INF, Fraction(1), INF, Fraction(1))
+            exps = self.exponents or DEFAULT_EXPONENTS
             object.__setattr__(self, "exponents", validate_exponents(exps))
         if self.target == "thm43-ratio" and self.norm is None:
             object.__setattr__(self, "norm", Lp(2))
+
+    @property
+    def suite(self) -> str:
+        return TARGETS[self.target][0]
 
     @property
     def free_functions(self):
@@ -111,14 +118,8 @@ def _state_functions(problem: SearchProblem, state: dict, space: DiscreteSpace):
 
 
 def _sides(problem: SearchProblem, funcs):
-    if problem.target == "thm32-ratio":
-        return thm32_sides(funcs["f"], funcs["g"], funcs["h"])
-    if problem.target == "thm41-ratio":
-        return thm41_sides(funcs["f"], funcs["g"], problem.exponents,
-                           precision=DOUBLE_PRECISION)
-    forms = thm43_sides(funcs["f"], funcs["g"], problem.norm,
-                        precision=DOUBLE_PRECISION)
-    return forms["norm_form"]
+    _, form = TARGETS[problem.target]
+    return _evaluate(problem, funcs, DOUBLE_PRECISION)[form]
 
 
 def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace):
@@ -129,11 +130,6 @@ def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace):
     if rhs <= RHS_FLOOR:
         return None
     return float(lhs) / float(rhs)
-
-
-def _search_rng(seed: int, restart: int) -> random.Random:
-    digest = hashlib.sha256(f"search:{seed}:{restart}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def _initial_state(problem, rng, space):
@@ -194,38 +190,18 @@ def _climb(problem, rng, space, iters):
 
 
 def _excess_certificate(problem, state, space, ratio):
-    """Re-check a ratio beyond 1 + 1e-9; a confirmed excess is a bug
-    certificate, not a discovery."""
+    """Re-check a ratio beyond 1 + 1e-9 under verify's certification
+    rule; a confirmed excess is a bug certificate, not a discovery."""
     funcs = _state_functions(problem, state, space)
-    if problem.target == "thm32-ratio":
-        exact_space = DiscreteSpace(tuple(Fraction(w) for w in space.weights))
-        exact = {
-            k: SimpleFunction(tuple(Fraction(v) for v in f.values), exact_space)
-            for k, f in funcs.items()
-        }
-        lhs, rhs = thm32_sides(exact["f"], exact["g"], exact["h"])
-        confirmed = lhs > rhs
-        mode = "exact"
-    else:
-        with binary_context(QUAD_PRECISION):
-            quad_space = to_binary_space(space, QUAD_PRECISION)
-            quad = {k: to_binary_function(f, quad_space, QUAD_PRECISION)
-                    for k, f in funcs.items()}
-            if problem.target == "thm41-ratio":
-                lhs, rhs = thm41_sides(quad["f"], quad["g"],
-                                       problem.exponents,
-                                       precision=QUAD_PRECISION)
-            else:
-                lhs, rhs = thm43_sides(quad["f"], quad["g"], problem.norm,
-                                       precision=QUAD_PRECISION)["norm_form"]
-            confirmed = float(lhs) > float(rhs) * (1.0 + 1e-25)
-        mode = f"float{QUAD_PRECISION}"
-    if not confirmed:
+    suite, form = TARGETS[problem.target]
+    precision = _TRIALS[suite][1]
+    lhs, rhs = _recheck(problem, Instance(space, funcs, None), form)
+    if not _certified(lhs, rhs, precision):
         return None
     return {
         "ratio": repr(ratio),
         "instance": instance_to_json(space, funcs),
-        "recheck_mode": mode,
+        "recheck_mode": _recheck_mode(precision),
     }
 
 
@@ -239,7 +215,8 @@ def search(problem: SearchProblem, iters: int, restarts: int,
     space = problem.space()
 
     def one(restart: int):
-        return _climb(problem, _search_rng(seed, restart), space, iters)
+        return _climb(problem, _keyed_rng(f"search:{seed}:{restart}"), space,
+                      iters)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -166,11 +166,14 @@ def space_to_json(space: DiscreteSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> DiscreteSpace:
+    literals = obj.get("weights") if isinstance(obj, dict) else None
+    if not isinstance(literals, list):
+        raise InputError("a space object needs a 'weights' list of literals")
     try:
-        weights = [parse_scalar(w) for w in obj["weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        weights = tuple(parse_scalar(w) for w in literals)
+    except ValueError as exc:
         raise InputError(f"bad space object: {exc}") from exc
-    return DiscreteSpace(tuple(weights))
+    return DiscreteSpace(weights)
 
 
 def instance_to_json(space: DiscreteSpace, functions: dict) -> dict:
@@ -188,8 +191,11 @@ def instance_from_json(obj: dict):
     if not isinstance(obj, dict) or "space" not in obj:
         raise InputError("instance JSON must contain a 'space' object")
     space = space_from_json(obj["space"])
+    documents = obj.get("functions", {})
+    if not isinstance(documents, dict):
+        raise InputError("instance 'functions' must be an object")
     functions = {}
-    for name, values in obj.get("functions", {}).items():
+    for name, values in documents.items():
         if not isinstance(values, list):
             raise InputError(f"function {name!r} must be a list of literals")
         try:

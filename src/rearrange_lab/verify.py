@@ -2,17 +2,15 @@
 
 Every suite draws deterministic instances from (seed, trial index),
 evaluates both sides of its inequality, and reduces the per-trial gaps
-(RHS - LHS) into a `VerificationReport`.  Exact mode is the authority for
-the root-free suites; the product-rule suites run in binary floating
-point and re-check any negative gap at 113-bit precision before
-certifying a violation, so floating-point grazes are logged rather than
-reported as counterexamples.
+(RHS - LHS) into a `VerificationReport`.
 
-One runner serves the inequality suites: the table `_TRIALS` gives each
-the (LHS, RHS) pairs of its forms as a function of (config, functions,
-precision) and its judge, root-free (a negative gap is rechecked exactly)
-or rooted (rechecked at 113 bits).  The rearrange suite checks properties
-rather than an inequality and has its own trial function.
+Certification is per suite.  The table `_TRIALS`, which the extremal
+search reads too, defines each inequality by its forms and by the
+arithmetic that certifies it: exact for the root-free thm32 and lemma31,
+113 bits for the product rules thm41 and thm43.  A negative float gap is
+re-evaluated in that arithmetic and certified by the one rule
+`_certified`; otherwise it is logged as a graze.  The rearrange suite
+checks properties rather than an inequality and has its own trial.
 
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
 lemma31 (its off-support cross-term bound), thm41 (the Lp product rule),
@@ -153,9 +151,9 @@ class Instance:
         return doc
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
-    key = f"{seed}:{index}".encode()
-    digest = hashlib.sha256(key).digest()
+def _keyed_rng(key: str) -> random.Random:
+    """A reproducible generator seeded by the SHA-256 of key."""
+    digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -217,7 +215,7 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
              "g": SimpleFunction((Fraction(1), Fraction(0), Fraction(-1)), space)},
             index,
         )
-    rng = _trial_rng(cfg.seed, index)
+    rng = _keyed_rng(f"{cfg.seed}:{index}")
     space = DiscreteSpace(_draw_weights(cfg, rng))
     n = cfg.atoms
     functions = {}
@@ -241,7 +239,9 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
     return Instance(space, functions, index)
 
 
-def _binary_instance(inst: Instance, precision: int) -> Instance:
+def _binary_instance(inst: Instance, precision) -> Instance:
+    """inst rounded to binary floats of `precision` bits, or for None
+    converted to exact rationals (binary floats convert exactly)."""
     space = to_binary_space(inst.space, precision)
     funcs = {
         name: to_binary_function(f, space, precision)
@@ -313,54 +313,43 @@ class TrialOutcome:
     passed_properties: tuple = ()
 
 
-def _certificate(inst: Instance, label, lhs, rhs, recheck_mode, re_lhs, re_rhs):
-    return {
-        "form": label,
-        "instance": inst.to_json(),
-        "lhs": format_scalar(lhs),
-        "rhs": format_scalar(rhs),
-        "recheck": {
-            "mode": recheck_mode,
-            "lhs": format_scalar(re_lhs),
-            "rhs": format_scalar(re_rhs),
-        },
-    }
+def _recheck_mode(precision) -> str:
+    return "exact" if precision is None else f"float{precision}"
 
 
-def _judge_rootfree(cfg, inst, label, lhs, rhs, exact_sides):
-    """Gap handling for suites whose recheck can run in exact arithmetic."""
+def _certified(lhs, rhs, precision) -> bool:
+    """The one certification rule: sides in the arithmetic `precision`
+    names (None: exact) confirm LHS > RHS when exact ones differ at all,
+    binary ones by more than QUAD_CERTIFY_RTOL relative to their scale."""
+    if precision is None:
+        return rhs - lhs < 0
+    with binary_context(precision):
+        scale = max(1.0, abs(float(lhs)), abs(float(rhs)))
+        return float(rhs - lhs) < -float(QUAD_CERTIFY_RTOL) * scale
+
+
+def _judge(cfg, inst, label, lhs, rhs, recheck_sides):
+    """A negative exact gap is a violation; a negative float gap is one
+    only if recheck_sides(), the sides in the suite's certifying
+    arithmetic, pass `_certified`, and a graze otherwise."""
     gap = rhs - lhs
     out = TrialOutcome(gap=gap)
     if gap < 0:
-        e_lhs, e_rhs = exact_sides()
-        if e_rhs - e_lhs < 0:
-            out.violation = _certificate(
-                inst, label, lhs, rhs, "exact", e_lhs, e_rhs
-            )
+        exact = cfg.mode == "exact"
+        precision = None if exact else _TRIALS[cfg.suite][1]
+        re_lhs, re_rhs = (lhs, rhs) if exact else recheck_sides()
+        if _certified(re_lhs, re_rhs, precision):
+            out.violation = {
+                "form": label,
+                "instance": inst.to_json(),
+                "lhs": format_scalar(lhs),
+                "rhs": format_scalar(rhs),
+                "recheck": {"mode": _recheck_mode(precision),
+                            "lhs": format_scalar(re_lhs),
+                            "rhs": format_scalar(re_rhs)},
+            }
         else:
             out.graze = True
-    return out
-
-
-def _judge_rooted(cfg, inst, label, lhs, rhs, quad_sides):
-    """Gap handling for the product-rule suites: negative float gaps are
-    re-evaluated at 113-bit precision before certification."""
-    gap = rhs - lhs
-    out = TrialOutcome(gap=gap)
-    if cfg.mode == "exact":
-        if gap < 0:
-            out.violation = _certificate(inst, label, lhs, rhs, "exact", lhs, rhs)
-        return out
-    if gap < 0:
-        with binary_context(QUAD_PRECISION):
-            q_lhs, q_rhs = quad_sides()
-            scale = max(1.0, abs(float(q_lhs)), abs(float(q_rhs)))
-            if float(q_rhs - q_lhs) < -float(QUAD_CERTIFY_RTOL) * scale:
-                out.violation = _certificate(
-                    inst, label, lhs, rhs, f"float{QUAD_PRECISION}", q_lhs, q_rhs
-                )
-            else:
-                out.graze = True
     return out
 
 
@@ -381,37 +370,44 @@ def _thm43_forms(cfg, fns, precision):
     return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision)
 
 
-#: suite -> (forms, judge).  forms(cfg, functions, precision) returns
-#: {label: (lhs, rhs)}, label None for a suite with a single form;
-#: precision None means exact arithmetic.
+#: suite -> (forms, certifying precision; None is exact).  forms(cfg,
+#: functions, precision) returns {label: (lhs, rhs)}, label None for a
+#: single-form suite; cfg supplies the exponents or the norm.
 _TRIALS = {
-    "thm32": (_thm32_forms, _judge_rootfree),
-    "lemma31": (_lemma31_forms, _judge_rootfree),
-    "thm41": (_thm41_forms, _judge_rooted),
-    "thm43": (_thm43_forms, _judge_rooted),
+    "thm32": (_thm32_forms, None),
+    "lemma31": (_lemma31_forms, None),
+    "thm41": (_thm41_forms, QUAD_PRECISION),
+    "thm43": (_thm43_forms, QUAD_PRECISION),
 }
+
+
+def _evaluate(cfg, functions, precision) -> dict:
+    """Every form of cfg.suite on functions in `precision`'s arithmetic."""
+    forms, _ = _TRIALS[cfg.suite]
+    with binary_context(precision or DOUBLE_PRECISION):
+        return forms(cfg, functions, precision)
+
+
+def _recheck(cfg, inst: Instance, label):
+    """One form of inst re-evaluated in cfg.suite's certifying arithmetic."""
+    precision = _TRIALS[cfg.suite][1]
+    work = _binary_instance(inst, precision)
+    return _evaluate(cfg, work.functions, precision)[label]
 
 
 def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
     inst = generate_instance(cfg, index)
     if cfg.suite == "rearrange":
         return _run_rearrange_trial(cfg, inst)
-    forms, judge = _TRIALS[cfg.suite]
-
-    def evaluate(precision):
-        work = inst if precision is None else _binary_instance(inst, precision)
-        with binary_context(precision or DOUBLE_PRECISION):
-            return forms(cfg, work.functions, precision)
-
-    # the root-free judge rechecks exactly, the rooted one at 113 bits
-    recheck = None if judge is _judge_rootfree else QUAD_PRECISION
-    sides = evaluate(None if cfg.mode == "exact" else cfg.precision)
+    precision = None if cfg.mode == "exact" else cfg.precision
+    work = inst if precision is None else _binary_instance(inst, precision)
     judged = {
-        label: judge(
+        label: _judge(
             cfg, inst, cfg.suite if label is None else f"{cfg.suite}-{label}",
-            lhs, rhs, lambda label=label: evaluate(recheck)[label],
+            lhs, rhs, lambda label=label: _recheck(cfg, inst, label),
         )
-        for label, (lhs, rhs) in sides.items()
+        for label, (lhs, rhs) in _evaluate(cfg, work.functions,
+                                           precision).items()
     }
     outs = judged.values()
     return TrialOutcome(

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from rearrange_lab.cli import run
 from rearrange_lab.oscillation import decomposition_from_json
@@ -193,3 +199,180 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: InputError:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc,norm", [
+    ({"space": {"weights": ["1"]}, "functions": []}, None),
+    ({"space": {"weights": "1"}, "functions": {"f": ["2"]}}, None),
+    (None, {"kind": "lorentz", "phi": {"00": "x", "11": "y"}}),
+], ids=["functions-list", "weights-string", "phi-object"])
+def test_misshapen_documents_are_input_errors(doc, norm, tmp_path, capsys):
+    """A list or string where an object belongs, or the reverse, was
+    read through its items, characters or keys."""
+    if doc is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        argv = ["rearrange", "--input", str(path), "--function", "f"]
+    else:
+        argv = ["verify", "--suite", "thm43", "--trials", "3",
+                "--norm", json.dumps(norm)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError:")
+    assert captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every malformed document ends in exit 2 or 3 with one error line
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-9, 9)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_NON_OBJECTS = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                            max_leaves=6)
+_LITERALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "0.25", "2", "7/3"])
+#: a string or an object standing where a list belongs, also one whose
+#: characters or keys are literals
+_NON_LISTS = (_JSON_SCALARS | _LITERALS | st.text("01/", max_size=4)
+              | st.dictionaries(_LITERALS | st.text("01", max_size=2), _JSON,
+                                max_size=3))
+#: strings and values that are never a scalar literal
+_BAD_LITERALS = (st.sampled_from(["", "x", "1/0", "nan", "1//2", "--1",
+                                  "0x1", "1 2"])
+                 | st.none() | st.booleans() | st.integers(-9, 9)
+                 | st.floats(allow_nan=False) | st.lists(_JSON, max_size=2))
+
+
+@st.composite
+def _malformed_instances(draw):
+    """A valid n-atom instance of f, g with exactly one defect injected."""
+    n = draw(st.integers(1, 4))
+    doc = {"space": {"weights": [f"1/{n}"] * n},
+           "functions": {name: draw(st.lists(_LITERALS, min_size=n, max_size=n))
+                         for name in ("f", "g")}}
+    defect = draw(st.sampled_from([
+        "document", "no-space", "space", "weights", "weight-literal",
+        "weight-sign", "weight-sum", "no-weights", "functions", "values",
+        "value-literal", "length", "missing-f",
+    ]))
+    weights, f = doc["space"]["weights"], doc["functions"]["f"]
+    if defect == "document":
+        return draw(_NON_OBJECTS)
+    if defect == "no-space":
+        del doc["space"]
+    elif defect == "space":
+        doc["space"] = draw(_NON_OBJECTS)
+    elif defect == "weights":
+        doc["space"]["weights"] = draw(_NON_LISTS)
+    elif defect == "weight-literal":
+        weights[draw(st.integers(0, n - 1))] = draw(_BAD_LITERALS)
+    elif defect == "weight-sign":
+        weights[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["0", "-1/2"]))
+    elif defect == "weight-sum":
+        weights.append(draw(st.sampled_from(["1/7", "1", "0.5"])))
+    elif defect == "no-weights":
+        doc["space"]["weights"] = []
+    elif defect == "functions":
+        doc["functions"] = draw(_NON_OBJECTS)
+    elif defect == "values":
+        doc["functions"]["f"] = draw(_NON_LISTS)
+    elif defect == "value-literal":
+        f[draw(st.integers(0, n - 1))] = draw(_BAD_LITERALS)
+    elif defect == "length":
+        doc["functions"]["f"] = f[:-1] if draw(st.booleans()) else f + ["1"]
+    else:
+        doc["functions"]["h"] = doc["functions"].pop("f")
+    return doc
+
+
+_PHI = [["0", "0"], ["1/2", "3/4"], ["1", "1"]]
+
+
+@st.composite
+def _malformed_norms(draw):
+    """A norm descriptor that is invalid, or valid only up to one defect,
+    possibly wrapped in valid associate and generated layers."""
+    defect = draw(st.sampled_from([
+        "non-object", "no-kind", "kind", "lp-p", "phi", "phi-point",
+        "phi-shape", "generated-p", "no-evaluation",
+    ]))
+    if defect == "non-object":
+        return draw(_NON_OBJECTS)
+    if defect == "no-kind":
+        doc = draw(st.dictionaries(st.sampled_from(["p", "phi", "base", "Kind"]),
+                                   _JSON, max_size=3))
+    elif defect == "kind":
+        doc = {"kind": draw(st.sampled_from(["", "LP", "sup", "dual"])
+                            | st.none() | st.integers() | st.lists(_JSON_SCALARS)),
+               "p": "2"}
+    elif defect == "lp-p":
+        doc = {"kind": "lp", "p": draw(_BAD_LITERALS | st.sampled_from(["1/2", "0"]))}
+    elif defect == "phi":
+        doc = {"kind": "lorentz", "phi": draw(_NON_LISTS)}
+    elif defect == "phi-point":
+        phi = [list(point) for point in _PHI]
+        phi[draw(st.integers(0, 2))] = draw(
+            _BAD_LITERALS | st.lists(_LITERALS, max_size=1)
+            | st.lists(_LITERALS, min_size=3, max_size=4))
+        doc = {"kind": "lorentz", "phi": phi}
+    elif defect == "phi-shape":
+        doc = {"kind": "lorentz", "phi": draw(st.sampled_from([
+            [["0", "0"], ["1", "1/2"]],                   # does not end at (1, 1)
+            [["0", "1/4"], ["1", "1"]],                   # does not start at (0, 0)
+            [["0", "0"], ["1/2", "1/4"], ["1", "1"]],     # convex
+            [["0", "0"], ["1/2", "1"], ["1/2", "1"], ["1", "1"]],
+            [["0", "0"], ["1/2", "1"], ["1", "3/4"]],     # decreasing
+            [["0", "0"]],
+        ]))}
+    elif defect == "generated-p":
+        doc = {"kind": "generated", "base": {"kind": "lp", "p": "2"},
+               "p": draw(_BAD_LITERALS | st.sampled_from(["1/2", "0"]))}
+    else:
+        doc = {"kind": "associate", "base": {
+            "kind": "generated", "base": {"kind": "lorentz", "phi": _PHI},
+            "p": "2"}}
+    for layer in draw(st.lists(st.sampled_from(["associate", "generated"]),
+                               max_size=2)):
+        doc = ({"kind": "associate", "base": doc} if layer == "associate"
+               else {"kind": "generated", "base": doc, "p": "2"})
+    return doc
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_error(code, out, err):
+    assert code in (2, 3), err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["rearrange", "decompose"])
+@given(doc=_malformed_instances())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_malformed_instances(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        _assert_clean_error(*_run_quietly(
+            [command, "--input", path, "--function", "f"]))
+
+
+@given(doc=_malformed_norms())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_malformed_norm_descriptors(doc):
+    _assert_clean_error(*_run_quietly(
+        ["verify", "--suite", "thm43", "--trials", "3",
+         "--norm", json.dumps(doc)]))

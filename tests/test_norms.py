@@ -65,9 +65,18 @@ def test_equal_atom_requirement():
     sp = DiscreteSpace((F(1, 4), F(3, 4)))
     f = simple((1, 2), sp)
     norm(L2, f, precision=53)  # Lp accepts weighted spaces
-    for X in (LAMBDA, Associate(L2), Generated(LAMBDA, 2)):
+    # Associate(L2) is L2, so it accepts them too
+    assert norm(Associate(L2), f, precision=53) == norm(L2, f, precision=53)
+    for X in (LAMBDA, Generated(LAMBDA, 2), Associate(LAMBDA)):
         with pytest.raises(NonEqualAtomSpace):
             norm(X, f, precision=53)
+
+
+def test_generated_norm_of_lp_associate_accepts_weighted_spaces():
+    sp = DiscreteSpace((F(1, 4), F(3, 4)))
+    f = simple((1, 2), sp)
+    assert norm(Generated(Associate(L2), 3), f, precision=53) == \
+        norm(Generated(L2, 3), f, precision=53)
 
 
 def test_concave_weight_validation():

@@ -18,8 +18,9 @@ from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
                                        variance_identity_check,
                                        zero_mean_decompose)
 from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
-from rearrange_lab.spaces import (SimpleFunction, center, equal_space,
-                                  integrate, multiply, scale, simple, support)
+from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
+                                  equal_space, integrate, multiply, scale,
+                                  simple, support)
 
 
 def bilinear_oracle(A, B, f, g, h):
@@ -375,3 +376,36 @@ def test_lemma31_zero_f():
     g = center(simple((2, -1, 0, 1), sp))
     lhs, rhs = lemma31_bound(f, g, simple((1, -1, 1, -1), sp))
     assert lhs <= rhs
+
+
+def test_lemma31_mean_is_checked_in_g_arithmetic():
+    exact = equal_space(2)
+    with pytest.raises(PreconditionViolated, match="zero mean"):
+        lemma31_bound(simple((1, 0), exact),
+                      simple((F(1, 1000), F(1, 1000)), exact),
+                      simple((1, 0), exact))
+    binary = DiscreteSpace((0.5, 0.5))
+    f, h = simple((1.0, 0.0), binary), simple((1.0, 0.0), binary)
+    with pytest.raises(PreconditionViolated, match="zero mean"):
+        lemma31_bound(f, simple((0.6, -0.4), binary), h)
+    # the rounding of an exactly centered g passes, though its mean is not 0
+    fifths = DiscreteSpace((0.2,) * 5)
+    g = simple((1.05, 0.05, 0.05, 0.8, -1.95), fifths)
+    assert integrate(g) != 0
+    lemma31_bound(simple((1.0, 0.0, -1.0, 0.0, 1.0), fifths), g,
+                  simple((1.0, 1.0, 0.25, 0.0, -0.5), fifths))
+
+
+@pytest.mark.parametrize("flags,precision", [
+    (["--atoms", "5"], None),
+    (["--atoms", "6", "--weights", "random-rational"], None),
+    (["--atoms", "5"], "113"),
+], ids=["5-atoms", "6-atoms-random-rational", "5-atoms-113-bits"])
+def test_lemma31_runs_in_float_mode(flags, precision, monkeypatch, capsys):
+    from rearrange_lab.cli import run
+    if precision is not None:
+        monkeypatch.setenv("REARRANGE_LAB_PRECISION", precision)
+    argv = ["verify", "--suite", "lemma31", "--mode", "float",
+            "--trials", "150", "--seed", "1", *flags]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -9,11 +9,12 @@ from rearrange_lab.norms import (ConcaveWeight, L1, LorentzLambda, Lp,
 from rearrange_lab.scalars import INF, QUAD_PRECISION, binary_context
 from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import integrate
-from rearrange_lab.verify import (TrialConfig, _binary_instance,
-                                  _judge_rooted, canonical_hash,
-                                  canonical_json, generate_instance,
-                                  run_suite, thm32_sides, thm41_sides,
-                                  thm43_sides, validate_exponents)
+from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, TrialConfig,
+                                  _binary_instance, _evaluate, _judge,
+                                  canonical_hash, canonical_json,
+                                  generate_instance, run_suite, thm32_sides,
+                                  thm41_sides, thm43_sides,
+                                  validate_exponents)
 
 PHI = ConcaveWeight(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
 LORENTZ = norm_from_json(
@@ -178,20 +179,19 @@ def test_thm43_lp2_matches_thm41_tuple_on_shared_instances():
 def test_judges_certify_real_violations():
     """Feed the judges an impossible pair of sides to confirm the
     certificate machinery emits (and that grazes stay uncertified)."""
-    from rearrange_lab.verify import _judge_rootfree, _judge_rooted
     cfg = TrialConfig(suite="thm32", atoms=2, trials=1, seed=0)
     inst = generate_instance(cfg, 0)
-    out = _judge_rootfree(cfg, inst, "thm32", F(3), F(1), lambda: (F(3), F(1)))
+    out = _judge(cfg, inst, "thm32", F(3), F(1), lambda: (F(3), F(1)))
     assert out.violation is not None
     assert out.violation["recheck"]["mode"] == "exact"
-    out = _judge_rootfree(cfg, inst, "thm32", F(1), F(3), lambda: (F(1), F(3)))
+    out = _judge(cfg, inst, "thm32", F(1), F(3), lambda: (F(1), F(3)))
     assert out.violation is None and not out.graze
 
     fcfg = TrialConfig(suite="thm41", atoms=2, trials=1, seed=0, mode="float")
-    graze = _judge_rooted(fcfg, inst, "thm41", 1.0 + 1e-13, 1.0,
-                          lambda: (F(1), F(1)))
+    graze = _judge(fcfg, inst, "thm41", 1.0 + 1e-13, 1.0,
+                   lambda: (F(1), F(1)))
     assert graze.graze and graze.violation is None
-    real = _judge_rooted(fcfg, inst, "thm41", 2.0, 1.0, lambda: (F(2), F(1)))
+    real = _judge(fcfg, inst, "thm41", 2.0, 1.0, lambda: (F(2), F(1)))
     assert real.violation is not None
     assert "float113" in real.violation["recheck"]["mode"]
 
@@ -270,8 +270,7 @@ def test_forced_float_graze_is_rechecked_at_113_bits(atoms):
     work = _binary_instance(inst, 53)
     _, rhs = thm43_sides(work.functions["f"], work.functions["g"], cfg.norm,
                          precision=53)["norm_form"]
-    out = _judge_rooted(cfg, inst, "thm43-norm_form", rhs + 1.0, rhs,
-                        quad_sides)
+    out = _judge(cfg, inst, "thm43-norm_form", rhs + 1.0, rhs, quad_sides)
     assert out.gap < 0
     assert out.graze and out.violation is None
 
@@ -290,3 +289,33 @@ def test_trials_and_threads_must_be_positive():
         TrialConfig(suite="thm32", trials=0)
     with pytest.raises(InputError):
         TrialConfig(suite="thm32", threads=0)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("suite,kwargs", [
+    ("thm32", {}), ("lemma31", {}), ("thm41", {}), ("thm43", {"norm": LORENTZ}),
+], ids=["thm32", "lemma31", "thm41", "thm43-lorentz"])
+@pytest.mark.parametrize("atoms", [5, 8])
+def test_exact_double_and_quad_gaps_agree(suite, kwargs, atoms):
+    """Differential check on 40 seeded instances: the exact, 53-bit and
+    113-bit gaps of every form agree in sign wherever the 53-bit gap is
+    beyond the certification margin, and the binary gaps agree closely."""
+    cfg = TrialConfig(suite=suite, atoms=atoms, trials=1, seed=11, **kwargs)
+    for index in range(200, 240):  # past the thm32 fixtures
+        inst = generate_instance(cfg, index)
+        sides = {precision: _evaluate(
+            cfg, (inst if precision is None
+                  else _binary_instance(inst, precision)).functions, precision)
+            for precision in (None, 53, QUAD_PRECISION)}
+        for label, (e_lhs, e_rhs) in sides[None].items():
+            lhs, rhs = sides[53][label]
+            q_lhs, q_rhs = sides[QUAD_PRECISION][label]
+            with binary_context(QUAD_PRECISION):
+                quad_gap = q_rhs - q_lhs
+            gap, scale = rhs - lhs, max(1.0, abs(lhs), abs(rhs))
+            assert abs(gap - float(quad_gap)) <= 1e-12 * scale
+            if abs(gap) > float(QUAD_CERTIFY_RTOL) * scale:
+                assert _sign(e_rhs - e_lhs) == _sign(gap) == _sign(quad_gap)
