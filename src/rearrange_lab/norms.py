@@ -163,17 +163,24 @@ def _as_binary(x, precision):
 
 
 def _power(x, p, precision):
-    """x^p for x >= 0; integer p stays in the input arithmetic."""
+    """x^p for x >= 0; integer p stays in the input arithmetic.  A power
+    beyond the double range is an input error (the exponent is too large
+    for float mode), not an OverflowError."""
     p = Fraction(p)
-    if p.denominator == 1:
-        return x ** p.numerator
-    if precision is None and isinstance(x, (int, Fraction)):
-        raise ExactUnavailable(f"fractional power {p} has no exact value")
     prec = precision or DOUBLE_PRECISION
-    xb = _as_binary(x, prec)
-    if isinstance(xb, mpmath.mpf):
-        return xb ** (mpmath.mpf(p.numerator) / p.denominator)
-    return xb ** (p.numerator / p.denominator)
+    try:
+        if p.denominator == 1:
+            return x ** p.numerator
+        if precision is None and isinstance(x, (int, Fraction)):
+            raise ExactUnavailable(f"fractional power {p} has no exact value")
+        xb = _as_binary(x, prec)
+        if isinstance(xb, mpmath.mpf):
+            return xb ** (mpmath.mpf(p.numerator) / p.denominator)
+        return xb ** (p.numerator / p.denominator)
+    except OverflowError:
+        raise InputError(
+            f"the power x^p with p = {format_exponent(p)} overflows "
+            f"{prec}-bit floats") from None
 
 
 def _root(x, p, precision):

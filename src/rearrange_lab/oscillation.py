@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile
-from .scalars import format_scalar, in_family, parse_scalar
+from .scalars import (format_scalar, in_family, over_common_denominator,
+                      parse_scalar)
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
                      SimpleFunction, center, integrate, multiply, support)
 
@@ -31,31 +32,34 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
 
     Computed through the expansion into one-dimensional integrals over A
     and B, which is exact and linear in each function; the quadratic
-    double sum is kept in the test suite as the defining oracle.
+    double sum is kept in the test suite as the defining oracle.  Every
+    term has degree one in f, g and h and two in the weights, so the four
+    integrals run on int numerators over common denominators and the
+    result is scaled once by unit_f unit_g unit_h unit_w^2.
     """
     space = _common_space(f, g, h)
     A = space.check_atoms(A)
     B = space.check_atoms(B)
-
-    def over(atoms, *funcs):
-        return sum(
-            (_product_at(i, funcs) * space.weights[i] for i in atoms),
-            start=Fraction(0),
-        )
-
-    return (
-        over(B, f, g) * over(A, h)
-        - over(B, f) * over(A, g, h)
-        + over(B, g) * over(A, f, h)
-        - over(B) * over(A, f, g, h)
+    (fv, f_unit), (gv, g_unit), (hv, h_unit), (w, w_unit) = (
+        over_common_denominator(x)
+        for x in (f.values, g.values, h.values, space.weights)
     )
 
+    def over(atoms, *rows):
+        total = 0
+        for i in atoms:
+            term = 1
+            for row in rows:
+                term = term * row[i]
+            total = total + term * w[i]
+        return total
 
-def _product_at(i, funcs):
-    out = Fraction(1)
-    for fn in funcs:
-        out = out * fn.values[i]
-    return out
+    return (
+        over(B, fv, gv) * over(A, hv)
+        - over(B, fv) * over(A, gv, hv)
+        + over(B, gv) * over(A, fv, hv)
+        - over(B) * over(A, fv, gv, hv)
+    ) * (f_unit * g_unit * h_unit * w_unit * w_unit)
 
 
 def _common_space(*funcs) -> DiscreteSpace:

@@ -9,6 +9,13 @@ of profiles are computed on the merged breakpoint grid, exactly when the
 scalars are exact.  `align` is the one builder of that grid: it returns the
 width of every grid interval and each profile's value on it, and every
 pairwise profile operation here is a single pass over its output.
+
+The two kernels of the thm32 bound, `decreasing_rearrangement` and
+`profile_integrate_product`, sort, merge and integrate exact scalars as
+int numerators over a common denominator (`over_common_denominator`) and
+scale back once: to the few merged segments, or to the one integral.
+Binary scalars run the same code with the unit 1, in their own
+arithmetic and in the order of operations of a plain loop.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .scalars import INF, format_scalar, parse_scalar
+from .scalars import (INF, format_scalar, over_common_denominator,
+                      parse_scalar)
 from .spaces import AtomSet, DiscreteSpace, SimpleFunction, support
 
 
@@ -71,8 +79,8 @@ class StepProfile:
         return self.segments[idx][0]
 
 
-def make_profile(pairs) -> StepProfile:
-    """Canonicalize (value, length) pairs: drop zeros, merge equal values."""
+def _merge(pairs) -> list:
+    """Drop zero pairs and merge runs of equal values into [value, length]."""
     merged = []
     for value, length in pairs:
         if length == 0 or value == 0:
@@ -83,14 +91,27 @@ def make_profile(pairs) -> StepProfile:
             merged[-1][1] += length
         else:
             merged.append([value, length])
-    return StepProfile(tuple((v, l) for v, l in merged))
+    return merged
+
+
+def make_profile(pairs) -> StepProfile:
+    """Canonicalize (value, length) pairs: drop zeros, merge equal values."""
+    return StepProfile(tuple((v, l) for v, l in _merge(pairs)))
 
 
 def decreasing_rearrangement(f: SimpleFunction) -> StepProfile:
     """Sort atoms by |value| descending (ties by atom index) and lay their
-    weights out from 0; equal values merge, zeros are dropped."""
-    order = sorted(range(len(f.values)), key=lambda i: (-abs(f.values[i]), i))
-    return make_profile((abs(f.values[i]), f.space.weights[i]) for i in order)
+    weights out from 0; equal values merge, zeros are dropped.
+
+    Values and weights are sorted and merged as numerators over their
+    common denominators; only the merged segments are scaled back.
+    """
+    values, value_unit = over_common_denominator(f.values)
+    weights, length_unit = over_common_denominator(f.space.weights)
+    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))
+    merged = _merge((abs(values[i]), weights[i]) for i in order)
+    return StepProfile(tuple(
+        (v * value_unit, l * length_unit) for v, l in merged))
 
 
 def distribution_measure(f: SimpleFunction, t):
@@ -134,19 +155,32 @@ def align(*profiles):
 
 def profile_integrate_product(profiles):
     """Integral over [0, infinity) of the pointwise product of profiles
-    (the int 0, which mixes with every arithmetic family, if one is empty)."""
+    (the int 0, which mixes with every arithmetic family, if one is empty).
+
+    Each profile's values are scaled by their own unit and all lengths by
+    one shared unit, so the grid is built and integrated in ints and the
+    integral is multiplied by the product of the units once.
+    """
     if not profiles:
         raise InputError("need at least one profile")
     if any(not p.segments for p in profiles):
         return 0
-    widths, rows = align(*profiles)
-    total = Fraction(0)
+    lengths, unit = over_common_denominator(
+        [l for p in profiles for _, l in p.segments])
+    scaled, start = [], 0
+    for p in profiles:
+        values, value_unit = over_common_denominator([v for v, _ in p.segments])
+        stop = start + len(values)
+        scaled.append(StepProfile(tuple(zip(values, lengths[start:stop]))))
+        start, unit = stop, unit * value_unit
+    widths, rows = align(*scaled)
+    total = 0
     for j, width in enumerate(widths):
         term = width
         for row in rows:
             term = term * row[j]
         total = total + term
-    return total
+    return total * unit
 
 
 def profile_add(p: StepProfile, q: StepProfile) -> StepProfile:

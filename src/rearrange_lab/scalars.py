@@ -10,14 +10,23 @@ rejected at construction time by the container types in `spaces`.
 
 All JSON interfaces carry numbers as strings: "p/q" rational literals or
 plain decimal literals, both of which parse to exact rationals without
-rounding.  Floats serialize with shortest round-trip `repr`.  Exponents
-are never rendered as decimals: they serialize as bare integers, "p/q"
-literals or "inf".
+rounding; a decimal exponent beyond +-MAX_DECIMAL_EXPONENT is refused,
+since its integer would only cost time and memory.  Floats serialize with
+shortest round-trip `repr`.  Exponents are never rendered as decimals:
+they serialize as bare integers, "p/q" literals or "inf".
+
+The exact kernels do their sums and products in Python ints: the helper
+`over_common_denominator` writes a sequence of rationals as int
+numerators over their least common denominator D and returns the unit
+1/D, so a kernel computes on the numerators and multiplies its result by
+the product of the units once.  Binary values pass through unchanged
+with the unit int 1, so the same code runs them in their own arithmetic.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -34,11 +43,25 @@ INF = float("inf")
 Scalar = Union[int, Fraction, float]
 Exponent = Union[Fraction, float]  # a rational >= 1, or INF
 
+#: largest decimal exponent magnitude a literal may carry; far beyond the
+#: double and 113-bit ranges
+MAX_DECIMAL_EXPONENT = 1000
+
 
 def parse_scalar(text: str) -> Fraction:
     """Parse a "p/q" or decimal string literal into an exact rational."""
     if not isinstance(text, str):
         raise ValueError(f"scalar literals must be strings, got {text!r}")
+    _, marker, exponent = text.lower().partition("e")
+    if marker and "/" not in text:
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_large = False  # not an integer exponent: Fraction refuses it
+        if too_large:
+            raise ValueError(
+                f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: "
+                f"{text[:40]!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -87,6 +110,15 @@ def format_scalar(x) -> str:
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 
+def approximate_scalar(x) -> str:
+    """A short decimal rendering of any scalar for messages: 12
+    significant digits, never the digits of a huge exact value."""
+    if isinstance(x, (int, Fraction)):
+        with mpmath.workprec(DOUBLE_PRECISION):
+            return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 12)
+    return mpmath.nstr(x, 12) if isinstance(x, mpmath.mpf) else repr(x)
+
+
 def parse_exponent(text: str) -> Exponent:
     """Parse an exponent literal; "inf" (any case) means infinity."""
     if isinstance(text, str) and text.strip().lower() in ("inf", "infinity", "oo"):
@@ -124,6 +156,28 @@ def in_family(q, x):
     if isinstance(x, mpmath.mpf):
         return mpmath.mpf(q.numerator) / q.denominator
     return q
+
+
+def over_common_denominator(values):
+    """Write a sequence of scalars as (numerators, unit), values[i] ==
+    numerators[i] * unit.
+
+    Exact values (ints and Fractions) give int numerators over their
+    least common denominator D and the unit Fraction(1, D), so sums and
+    products of numerators stay exact in int arithmetic and a kernel
+    multiplies its result by the product of its units once.  Binary
+    values (floats, mpfs), or a sequence holding any, come back
+    unchanged with the unit int 1: multiplying by it is exact at the
+    precision the values were rounded to, so the kernel's order of
+    operations, and its result bit for bit, is that of the values.
+    """
+    try:
+        dens = [v.denominator for v in values]
+    except AttributeError:  # floats and mpfs have no denominator
+        return values, 1
+    den = math.lcm(*dens)
+    return ([v.numerator * (den // d) for v, d in zip(values, dens)],
+            Fraction(1, den))
 
 
 @contextlib.contextmanager

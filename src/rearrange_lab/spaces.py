@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .scalars import (check_one_family, format_scalar, in_family,
-                      parse_scalar, to_binary)
+from .scalars import (approximate_scalar, check_one_family, format_scalar,
+                      in_family, over_common_denominator, parse_scalar,
+                      to_binary)
 
 #: relative slack allowed on the weight sum for binary-float inputs
 WEIGHT_SUM_TOLERANCE = Fraction(1, 2**40)
@@ -39,7 +40,8 @@ class DiscreteSpace:
         total = sum(weights)
         if total != 1 and \
                 abs(total - 1) > in_family(WEIGHT_SUM_TOLERANCE, total):
-            raise InputError(f"atom weights sum to {total!r}, not 1")
+            raise InputError(
+                f"atom weights sum to {approximate_scalar(total)}, not 1")
 
     @property
     def n(self) -> int:
@@ -96,8 +98,12 @@ def simple(values: Sequence, space: DiscreteSpace) -> SimpleFunction:
 
 
 def integrate(f: SimpleFunction):
-    """The expected value of f: sum of value * weight over atoms."""
-    return sum(v * w for v, w in zip(f.values, f.space.weights))
+    """The expected value of f: sum of value * weight over atoms, in int
+    numerators for exact scalars."""
+    values, value_unit = over_common_denominator(f.values)
+    weights, weight_unit = over_common_denominator(f.space.weights)
+    return sum(v * w for v, w in zip(values, weights)) \
+        * (value_unit * weight_unit)
 
 
 def center(f: SimpleFunction) -> SimpleFunction:

@@ -1,8 +1,10 @@
-"""Shared hypothesis strategies: small spaces and lattice-valued functions."""
+"""Shared hypothesis strategies: small spaces and lattice-valued functions,
+and off-lattice exact inputs for differential tests."""
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 
 from rearrange_lab.spaces import DiscreteSpace, SimpleFunction, equal_space
 
@@ -47,3 +49,51 @@ def function_triples(draw, **space_kwargs):
     g = SimpleFunction(draw(lattice_values(sp.n)), sp)
     h = SimpleFunction(draw(lattice_values(sp.n)), sp)
     return f, g, h
+
+
+# ---------------------------------------------------------------------------
+# off-lattice exact inputs and their binary roundings, for the differential
+# tests of the integer-numerator kernels
+
+#: pairwise-coprime denominators, so common denominators grow as products
+COPRIME_DENOMINATORS = (1, 7, 11, 13, 17 * 19)
+
+
+def off_lattice_scalars(lo=-(10**30), hi=10**30):
+    return st.builds(
+        Fraction, st.integers(lo, hi), st.sampled_from(COPRIME_DENOMINATORS)
+    )
+
+
+@st.composite
+def off_lattice_spaces(draw, min_atoms=1, max_atoms=7):
+    n = draw(st.integers(min_atoms, max_atoms))
+    raw = draw(st.lists(off_lattice_scalars(1, 10**6), min_size=n, max_size=n))
+    total = sum(raw)
+    return DiscreteSpace(tuple(r / total for r in raw))
+
+
+@st.composite
+def off_lattice_functions(draw, space):
+    """Values over coprime denominators with large numerators; about a
+    third are 0 or repeat an earlier value, so merges and empty supports
+    happen."""
+    values = []
+    for _ in range(space.n):
+        choice = draw(st.integers(0, 5))
+        if choice == 0:
+            values.append(Fraction(0))
+        elif choice == 1 and values:
+            values.append(-draw(st.sampled_from(values)))
+        else:
+            values.append(draw(off_lattice_scalars()))
+    return SimpleFunction(tuple(values), space)
+
+
+def same_bits(a, b) -> bool:
+    """a and b are the same binary scalar, type and every bit alike."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, mpmath.mpf):
+        return a._mpf_ == b._mpf_
+    return repr(a) == repr(b)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -198,6 +199,44 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: InputError:")
+    assert captured.err.count("\n") == 1
+
+
+_NEAR_TEN_TO_2999 = 10**2999
+
+
+@pytest.mark.parametrize("weights", [
+    ["1e3000000"],
+    ["1e5000"],
+    [f"1/{_NEAR_TEN_TO_2999 + 7}", f"1/{_NEAR_TEN_TO_2999 + 9}"],
+], ids=["exponent-3000000", "exponent-5000", "3000-digit-denominators"])
+def test_huge_scalar_literals_are_input_errors(weights, tmp_path, capsys):
+    """A far-out decimal exponent is refused at parse time, and a weight
+    sum of thousands of digits is reported in a short rendering."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"space": {"weights": weights},
+                                "functions": {"f": ["1"] * len(weights)}}))
+    started = time.perf_counter()
+    code = run(["rearrange", "--input", str(path), "--function", "f"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("norm", [
+    {"kind": "lp", "p": "2000"},
+    {"kind": "generated", "base": {"kind": "lp", "p": "1"}, "p": "2000"},
+], ids=["lp", "generated"])
+def test_float_power_overflow_is_an_input_error(norm, capsys):
+    assert run(["verify", "--suite", "thm43", "--trials", "3",
+                "--norm", json.dumps(norm)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError:")
+    assert "p = 2000" in captured.err and "53-bit" in captured.err
     assert captured.err.count("\n") == 1
 
 

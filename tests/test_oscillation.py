@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
+import mpmath
 from hypothesis import given, settings
 
-from conftest import function_pairs, function_triples, functions, \
-    lattice_values
+from conftest import (function_pairs, function_triples, functions,
+                      lattice_values, off_lattice_functions,
+                      off_lattice_spaces, same_bits)
 from rearrange_lab.errors import (EmptyInput, InputError, NotZeroMean,
                                   PreconditionViolated)
 from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
@@ -18,9 +20,11 @@ from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
                                        variance_identity_check,
                                        zero_mean_decompose)
 from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
+from rearrange_lab.scalars import binary_context
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
                                   equal_space, integrate, multiply, scale,
-                                  simple, support)
+                                  simple, support, to_binary_function,
+                                  to_binary_space)
 
 
 def bilinear_oracle(A, B, f, g, h):
@@ -35,6 +39,68 @@ def bilinear_oracle(A, B, f, g, h):
                 * h.values[y] * w[x] * w[y]
             )
     return total
+
+
+def bilinear_reference(A, B, f, g, h):
+    """The one-dimensional expansion as plain scalar loops, in the order of
+    operations of the former Fraction kernel: each product starts from
+    Fraction(1) and each integral from Fraction(0)."""
+    w = f.space.weights
+
+    def over(atoms, *funcs):
+        total = F(0)
+        for i in atoms:
+            term = F(1)
+            for fn in funcs:
+                term = term * fn.values[i]
+            total = total + term * w[i]
+        return total
+
+    return (
+        over(B, f, g) * over(A, h)
+        - over(B, f) * over(A, g, h)
+        + over(B, g) * over(A, f, h)
+        - over(B) * over(A, f, g, h)
+    )
+
+
+@st.composite
+def off_lattice_cases(draw):
+    """(A, B, f, g, h) with off-lattice exact values and weights; either
+    set may be empty."""
+    space = draw(off_lattice_spaces())
+    f, g, h = (draw(off_lattice_functions(space)) for _ in range(3))
+    A, B = (frozenset(draw(st.sets(st.integers(0, space.n - 1))))
+            for _ in range(2))
+    return A, B, f, g, h
+
+
+@given(off_lattice_cases())
+@settings(max_examples=80)
+def test_bilinear_kernel_matches_oracle_off_lattice(case):
+    A, B, f, g, h = case
+    result = bilinear_form(A, B, f, g, h)
+    assert type(result) is F
+    assert result == bilinear_oracle(A, B, f, g, h)
+    assert result == bilinear_reference(A, B, f, g, h)
+
+
+@given(off_lattice_cases(), st.sampled_from([53, 113]))
+@settings(max_examples=60)
+def test_bilinear_kernel_is_the_scalar_loop_in_binary(case, precision):
+    """Binary values take the kernel's one path with unit 1: the result is
+    the former Fraction-seeded loop's, bit for bit, in the input's type."""
+    A, B, *exact = case
+    with binary_context(precision):
+        space = to_binary_space(exact[0].space, precision)
+        f, g, h = (to_binary_function(fn, space, precision) for fn in exact)
+        result = bilinear_form(A, B, f, g, h)
+        expected = bilinear_reference(A, B, f, g, h)
+    if not (A or B):  # no term at all: an exact zero either way
+        assert result == expected == 0
+        return
+    assert type(result) is (float if precision == 53 else mpmath.mpf)
+    assert same_bits(result, expected)
 
 
 def test_bilinear_fixtures():

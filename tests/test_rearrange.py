@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+import mpmath
+from hypothesis import given, settings
 
-from conftest import function_pairs, functions
+from conftest import (function_pairs, functions, off_lattice_functions,
+                      off_lattice_scalars, off_lattice_spaces, same_bits)
 from rearrange_lab.errors import InputError
 from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      distribution_measure, equimeasurable,
@@ -18,8 +20,9 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      profile_level_measure, profile_to_json,
                                      rearrangement_preserves_Lp,
                                      truncation_ladder)
-from rearrange_lab.scalars import INF
-from rearrange_lab.spaces import DiscreteSpace, equal_space, simple
+from rearrange_lab.scalars import INF, binary_context, to_binary
+from rearrange_lab.spaces import (DiscreteSpace, equal_space, simple,
+                                  to_binary_function, to_binary_space)
 
 WEIGHTED3 = DiscreteSpace((F(1, 5), F(3, 10), F(1, 2)))
 
@@ -183,3 +186,120 @@ def test_profile_json_roundtrip():
     doc = profile_to_json(prof)
     assert doc == {"segments": [["3", "0.2"], ["2", "0.5"], ["1", "0.3"]]}
     assert profile_from_json(doc) == prof
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator kernels against plain scalar loops
+
+def rearrangement_reference(f):
+    """Sort, drop zeros and merge equal values in the input's own scalars,
+    in the order of operations of the former Fraction kernel."""
+    order = sorted(range(f.space.n), key=lambda i: (-abs(f.values[i]), i))
+    segments = []
+    for i in order:
+        value, weight = abs(f.values[i]), f.space.weights[i]
+        if value == 0:
+            continue
+        if segments and segments[-1][0] == value:
+            segments[-1][1] += weight
+        else:
+            segments.append([value, weight])
+    return tuple((v, l) for v, l in segments)
+
+
+def product_integral_reference(profiles):
+    """The product integral over the merged cuts, each term started from
+    the width and the total from Fraction(0), as the former kernel did."""
+    if any(not p.segments for p in profiles):
+        return 0
+    bounds = []
+    for p in profiles:
+        cuts = [0]
+        for _, l in p.segments:
+            cuts.append(cuts[-1] + l)
+        bounds.append(cuts)
+    grid = sorted(set().union(*bounds))
+
+    def value_at(p, cuts, t):
+        for (v, _), a, b in zip(p.segments, cuts, cuts[1:]):
+            if a <= t < b:
+                return v
+        return F(0)
+
+    total = F(0)
+    for a, b in zip(grid, grid[1:]):
+        term = b - a
+        for p, cuts in zip(profiles, bounds):
+            term = term * value_at(p, cuts, a)
+        total = total + term
+    return total
+
+
+@st.composite
+def off_lattice_profile_lists(draw):
+    """One to three profiles from off-lattice (value, length) pairs; a
+    profile is empty when all its values are 0."""
+    profiles = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 5))
+        values = draw(st.lists(off_lattice_scalars(0, 10**30),
+                               min_size=n, max_size=n))
+        lengths = draw(st.lists(off_lattice_scalars(1, 10**6),
+                                min_size=n, max_size=n))
+        profiles.append(make_profile(
+            sorted(zip(values, lengths), key=lambda pair: -pair[0])))
+    return profiles
+
+
+def _binary_profile(profile, precision):
+    return make_profile(
+        (to_binary(v, precision), to_binary(l, precision))
+        for v, l in profile.segments)
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions))
+@settings(max_examples=80)
+def test_rearrangement_kernel_off_lattice(f):
+    prof = decreasing_rearrangement(f)
+    assert prof.segments == rearrangement_reference(f)
+    assert all(type(v) is F and type(l) is F for v, l in prof.segments)
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([53, 113]))
+@settings(max_examples=60)
+def test_rearrangement_kernel_is_the_scalar_loop_in_binary(f, precision):
+    with binary_context(precision):
+        space = to_binary_space(f.space, precision)
+        fb = to_binary_function(f, space, precision)
+        segments = decreasing_rearrangement(fb).segments
+        expected = rearrangement_reference(fb)
+    kind = float if precision == 53 else mpmath.mpf
+    assert len(segments) == len(expected)
+    for (v, l), (ev, el) in zip(segments, expected):
+        assert type(v) is type(l) is kind
+        assert same_bits(v, ev) and same_bits(l, el)
+
+
+@given(off_lattice_profile_lists())
+@settings(max_examples=80)
+def test_product_integral_kernel_off_lattice(profiles):
+    result = profile_integrate_product(profiles)
+    assert result == product_integral_reference(profiles)
+    if all(p.segments for p in profiles):
+        assert type(result) is F
+
+
+@given(off_lattice_profile_lists(), st.sampled_from([53, 113]))
+@settings(max_examples=60)
+def test_product_integral_kernel_is_the_scalar_loop_in_binary(profiles,
+                                                              precision):
+    with binary_context(precision):
+        binary = [_binary_profile(p, precision) for p in profiles]
+        result = profile_integrate_product(binary)
+        expected = product_integral_reference(binary)
+    if not all(p.segments for p in binary):
+        assert result == expected == 0
+        return
+    assert type(result) is (float if precision == 53 else mpmath.mpf)
+    assert same_bits(result, expected)

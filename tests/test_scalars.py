@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from rearrange_lab.scalars import (check_one_family, format_exponent,
-                                   format_scalar, is_rational_literal,
-                                   parse_exponent, parse_scalar, to_binary)
+from rearrange_lab.scalars import (approximate_scalar, check_one_family,
+                                   format_exponent, format_scalar,
+                                   is_rational_literal,
+                                   over_common_denominator, parse_exponent,
+                                   parse_scalar, to_binary)
 from rearrange_lab.scalars import INF
 
 
@@ -78,3 +81,38 @@ def test_mixed_families_rejected():
         check_one_family([Fraction(1, 2), 0.5], "values")
     check_one_family([Fraction(1, 2), 3], "values")
     check_one_family([0.5, 3], "values")
+
+
+def test_decimal_exponent_is_bounded():
+    assert parse_scalar("1e1000") == 10**1000
+    assert parse_scalar("2.5E-3") == Fraction(1, 400)
+    for bad in ("1e1001", "1E-1001", "1e3000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
+def test_approximate_scalar_is_short_for_huge_values():
+    tiny = Fraction(1, 10**2999 + 7) + Fraction(1, 10**2999 + 9)
+    assert approximate_scalar(tiny) == "2.0e-2999"
+    assert approximate_scalar(Fraction(10**5000, 3)).endswith("e+4999")
+    assert approximate_scalar(Fraction(3, 2)) == "1.5"
+    assert approximate_scalar(0.25) == "0.25"
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=8))
+def test_over_common_denominator_exact(values):
+    numerators, unit = over_common_denominator(values)
+    assert type(unit) is Fraction and unit.numerator == 1
+    assert all(type(n) is int for n in numerators)
+    assert [n * unit for n in numerators] == values
+    assert unit.denominator == math.lcm(*(v.denominator for v in values))
+
+
+def test_over_common_denominator_binary_is_unchanged():
+    import mpmath
+
+    for values in ([0.5, 3], [mpmath.mpf(1) / 3, Fraction(1, 2)]):
+        numerators, unit = over_common_denominator(values)
+        assert numerators is values and unit == 1 and type(unit) is int
+    assert over_common_denominator([3, Fraction(1, 6), Fraction(-1, 4)]) == \
+        ([36, 2, -3], Fraction(1, 12))

@@ -1,17 +1,19 @@
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import functions, lattice_values, spaces
+from conftest import (functions, lattice_values, off_lattice_functions,
+                      off_lattice_spaces, same_bits, spaces)
 from rearrange_lab.errors import InputError
-from rearrange_lab.scalars import to_binary
+from rearrange_lab.scalars import binary_context, to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
                                   equal_space, instance_from_json,
                                   instance_to_json, integrate, multiply,
                                   pos_neg_parts, scale, simple, support,
-                                  to_binary_space)
+                                  to_binary_function, to_binary_space)
 
 
 def test_integrate_fixtures():
@@ -121,3 +123,34 @@ def test_non_string_literals_are_input_errors():
         instance_from_json({"space": {"weights": [1]}})
     with pytest.raises(InputError):
         instance_from_json({"space": {"weights": ["1"]}, "functions": {"f": [1]}})
+
+
+def integral_reference(f):
+    """sum of value * weight as a plain loop from the int 0, the order of
+    operations of the former kernel."""
+    total = 0
+    for v, w in zip(f.values, f.space.weights):
+        total = total + v * w
+    return total
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions))
+@settings(max_examples=80)
+def test_integrate_kernel_off_lattice(f):
+    mean = integrate(f)
+    assert type(mean) is F
+    assert mean == integral_reference(f)
+    assert center(f).values == tuple(v - mean for v in f.values)
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([53, 113]))
+@settings(max_examples=60)
+def test_integrate_kernel_is_the_scalar_loop_in_binary(f, precision):
+    with binary_context(precision):
+        space = to_binary_space(f.space, precision)
+        fb = to_binary_function(f, space, precision)
+        mean = integrate(fb)
+        expected = integral_reference(fb)
+    assert type(mean) is (float if precision == 53 else mpmath.mpf)
+    assert same_bits(mean, expected)
