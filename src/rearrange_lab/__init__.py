@@ -7,9 +7,8 @@ from .errors import (EmptyInput, ExactUnavailable, InfeasibleProblem,
                      PreconditionViolated, RearrangeLabError,
                      TooManyFreeParameters)
 from .norms import (Associate, ConcaveWeight, Generated, L1, L2, LINF,
-                    LorentzLambda, Lp, associate_norm, associate_norm_oracle,
-                    hardy_littlewood_check, holder_check,
-                    lorentz_luxemburg_check, norm)
+                    LorentzLambda, Lp, associate_norm, hardy_littlewood_check,
+                    holder_check, norm)
 from .oscillation import (BlockDecomposition, ProductKernel, ZeroMeanBlock,
                           bilinear_form, derivation, derivation_adjoint,
                           lemma31_bound, product_identity_check,

@@ -7,27 +7,24 @@ kind evaluates both on simple functions and on step profiles; the value
 depends only on the decreasing rearrangement.
 
 Lorentz and associate kinds insist on equal atom weights.  Associate
-norms of Lp and Lorentz kinds use closed forms; the second associate of a
-Lorentz norm is evaluated by linear programming over its polytope unit
-ball, which keeps it independent of the closed forms it is checked
-against.  A derivative-free pairing maximizer is included as a separate
-oracle for the closed forms.
+norms of Lp and Lorentz kinds use closed forms.  The second associate of
+a Lorentz norm is the Lorentz norm itself (the Lorentz-Luxemburg theorem
+X'' = X), so it is evaluated exactly like one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .errors import ExactUnavailable, InputError, NonEqualAtomSpace
-from .rearrange import StepProfile, _values_on_grid, decreasing_rearrangement, \
-    make_profile, profile_integrate_product
+from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
+    profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, format_exponent, \
     format_scalar, in_family, parse_exponent, parse_scalar, to_binary
-from .spaces import DiscreteSpace, SimpleFunction
+from .spaces import SimpleFunction
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +114,16 @@ def dual_exponent(p):
 
 
 def _simplify(X):
-    """Collapse Associate(Lp) chains, also inside Generated, to their
-    closed-form Lp descriptor."""
+    """Collapse Associate chains, also inside Generated: Associate(Lp) is
+    the dual Lp, and Associate(Associate(Lorentz)) is the Lorentz norm
+    (X'' = X; Bennett and Sharpley, Interpolation of Operators, 1988,
+    ch. 1, Thm 2.7)."""
     if isinstance(X, Associate):
         base = _simplify(X.base)
         if isinstance(base, Lp):
             return Lp(dual_exponent(base.p))
+        if isinstance(base, Associate) and isinstance(base.base, LorentzLambda):
+            return base.base
         return Associate(base)
     if isinstance(X, Generated):
         return Generated(_simplify(X.base), X.p)
@@ -138,7 +139,7 @@ def requires_equal_atoms(X) -> bool:
 
 
 def exactly_evaluable(X) -> bool:
-    """Whether the norm can be computed without an inexact root or an LP."""
+    """Whether the norm can be computed without an inexact root."""
     X = _simplify(X)
     if isinstance(X, Lp):
         return X.p == INF or X.p == 1
@@ -217,8 +218,8 @@ def norm(X, f, *, precision=None):
     """Evaluate the norm described by X on a SimpleFunction or StepProfile.
 
     ``precision=None`` demands exact arithmetic and raises
-    ExactUnavailable when a fractional root or an LP step is involved;
-    an integer selects the binary significand width for those steps.
+    ExactUnavailable when a fractional root is involved; an integer
+    selects the binary significand width for those steps.
     """
     X = _simplify(X)
     _check_space(X, f)  # Associate(Lp(p)) is an Lp norm, fine on any space
@@ -238,11 +239,9 @@ def _norm(X, f, precision):
         )
         return _root(_norm(X.base, powered, precision), X.p, precision)
     if isinstance(X, Associate):
-        base = X.base  # already simplified; not an Lp
+        base = X.base  # already simplified: not an Lp, not Associate(Lorentz)
         if isinstance(base, LorentzLambda):
             return _lorentz_associate_norm(base.phi, _profile_of(f))
-        if isinstance(base, Associate) and isinstance(base.base, LorentzLambda):
-            return _second_associate_lp(base.base.phi, _profile_of(f), precision)
         raise InputError(
             f"no associate evaluation for base kind {type(base).__name__}"
         )
@@ -315,39 +314,6 @@ def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
     return best
 
 
-def _second_associate_lp(phi: ConcaveWeight, prof: StepProfile, precision):
-    """||f|| in the second associate of a Lorentz norm, by maximizing the
-    pairing over the polytope unit ball of the first associate.
-
-    The ball {h nonincreasing >= 0 : integral_0^s h <= phi(s) for all s}
-    admits step-function optimizers on the merged breakpoint grid, so the
-    problem is a finite LP (solved in double precision with HiGHS).
-    """
-    if precision is None:
-        raise ExactUnavailable("the second-associate LP is float-based")
-    from scipy.optimize import linprog
-
-    grid = _unit_grid(phi, prof)
-    lengths = [float(b - a) for a, b in zip(grid, grid[1:])]
-    m = len(lengths)
-    fvals = [float(v) for v in _values_on_grid(prof, grid)]
-    c = [-(fv * l) for fv, l in zip(fvals, lengths)]  # maximize sum f*_j L_j h_j
-    a_ub, b_ub = [], []
-    for j in range(m):  # cumulative mass caps at every grid point
-        row = [lengths[i] if i <= j else 0.0 for i in range(m)]
-        a_ub.append(row)
-        b_ub.append(float(phi(grid[j + 1])))
-    for j in range(m - 1):  # h nonincreasing
-        row = [0.0] * m
-        row[j], row[j + 1] = -1.0, 1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * m, method="highs")
-    if not res.success:
-        raise InputError(f"second-associate LP failed: {res.message}")
-    return -res.fun
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -376,149 +342,6 @@ def holder_check(X, f: SimpleFunction, g: SimpleFunction, *, precision=None):
         Associate(X), g, precision=precision
     )
     return lhs, mid, right
-
-
-def lorentz_luxemburg_check(X, f: SimpleFunction, *, precision=DOUBLE_PRECISION):
-    """Return (||f||_X, ||f||_X'') computed down independent routes."""
-    return (
-        norm(X, f, precision=precision),
-        norm(Associate(Associate(X)), f, precision=precision),
-    )
-
-
-# ---------------------------------------------------------------------------
-# brute-force pairing oracle (independent of the closed forms)
-
-def _primal_ball_norm(X, n):
-    """A self-contained evaluator of ||g||_X for nonincreasing g >= 0 on
-    the equal n-atom space, written from the definitions rather than
-    through `norm` so the oracle shares no code with the closed forms."""
-    X = _simplify(X)
-    if isinstance(X, Lp):
-        if X.p == INF:
-            return lambda g: g[0] if g else 0.0
-        p = float(X.p)
-        return lambda g: (sum(v**p for v in g) / n) ** (1.0 / p)
-    if isinstance(X, LorentzLambda):
-        deltas = [
-            float(X.phi(Fraction(k, n)) - X.phi(Fraction(k - 1, n)))
-            for k in range(1, n + 1)
-        ]
-        return lambda g: sum(v * d for v, d in zip(g, deltas))
-    if isinstance(X, Generated):
-        base = _primal_ball_norm(X.base, n)
-        p = float(X.p)
-        return lambda g: base([v**p for v in g]) ** (1.0 / p)
-    space = DiscreteSpace(tuple(1.0 / n for _ in range(n)))
-    return lambda g: float(
-        norm(X, SimpleFunction(tuple(g), space), precision=DOUBLE_PRECISION)
-    )
-
-
-def _pairing_objective(cvec, n, X, precision):
-    ball_norm = _primal_ball_norm(X, n)
-
-    def ratio(tvec):
-        g = []
-        acc = 0.0
-        for t in reversed(tvec):
-            acc += max(t, 0.0)
-            g.append(acc)
-        g.reverse()
-        denom = ball_norm(g)
-        if denom == 0:
-            return 0.0
-        pairing = sum(c * gi for c, gi in zip(cvec, g)) / n
-        return pairing / denom
-
-    return ratio
-
-
-def _golden_max(fun, lo, hi, iters=60):
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2
-
-
-def associate_norm_oracle(X, h: SimpleFunction, *, starts=32, seed=0,
-                          precision=DOUBLE_PRECISION):
-    """Maximize the pairing (1/n) sum h*_i g_i over nonincreasing g >= 0
-    with ||g||_X <= 1, without using any dual closed form.
-
-    Runs projected coordinate ascent (golden-section line searches over
-    the decrement parameterization) from seeded random starts plus the
-    flat-block candidates, then a Powell polish on the best points.
-    """
-    import random as _random
-
-    from scipy.optimize import minimize
-
-    n = h.space.n
-    if not h.space.equal_atoms:
-        raise NonEqualAtomSpace("the pairing oracle assumes equal atoms")
-    cvec = sorted((abs(float(v)) for v in h.values), reverse=True)
-    ratio = _pairing_objective(cvec, n, X, precision)
-    rng = _random.Random(seed)
-
-    start_points = [[1.0] * n] + [
-        [1.0 if i == k else 0.0 for i in range(n)] for k in range(n)
-    ]
-    for _ in range(starts):
-        start_points.append([rng.random() for _ in range(n)])
-
-    best = 0.0
-    best_points = []
-    for t0 in start_points:
-        t = list(t0)
-        if sum(t) == 0:
-            continue
-        current = ratio(t)
-        for _ in range(60):
-            improved = False
-            for k in range(n):
-                span = sum(t) + 1.0
-                saved = t[k]
-
-                def line(x, k=k, t=t):
-                    t[k] = x
-                    val = ratio(t)
-                    t[k] = saved
-                    return val
-
-                xbest = _golden_max(line, 0.0, 2.0 * span)
-                if line(xbest) > current + 1e-15:
-                    t[k] = xbest
-                    current = ratio(t)
-                    improved = True
-            if not improved:
-                break
-        if current > best:
-            best = current
-        best_points.append((current, list(t)))
-
-    best_points.sort(key=lambda pair: -pair[0])
-    for _, t in best_points[:4]:
-        res = minimize(
-            lambda x: -ratio(list(x)),
-            t,
-            method="Powell",
-            bounds=[(0.0, None)] * n,
-            options={"xtol": 1e-12, "ftol": 1e-14, "maxiter": 4000},
-        )
-        best = max(best, -res.fun)
-    return best
 
 
 def lorentz_associate_exact_lp(phi: ConcaveWeight, h: SimpleFunction):

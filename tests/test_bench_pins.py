@@ -1,9 +1,12 @@
 """Report drift check: each benchmark workload, run in-process at CLI
-seed 0, reproduces the first report hash pinned in bench/pins.json.
-bench/ is only read."""
+seed 0, reproduces the first report hash pinned in bench/pins.json.  Also
+checks that the norm workload runs without scipy.  bench/ is only read."""
 
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +26,23 @@ def test_workload_report_matches_pin(name, capsys):
     assert run(workload.cli_argv(0)) == 0
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == PINS[name]["hashes"][0]
+
+
+def test_norm_workload_runs_without_scipy():
+    """scipy is a test dependency only: a fresh interpreter running the
+    thm43-lorentz-float workload never imports it."""
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        "from rearrange_lab.cli import run\n"
+        f"workloads = runpy.run_path({str(BENCH / 'workloads.py')!r})\n"
+        "argv = workloads['WORKLOADS']['thm43-lorentz-float'].cli_argv(0)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(argv) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

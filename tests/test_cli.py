@@ -129,6 +129,19 @@ def test_verify_norm_flag_inline_and_file(tmp_path, capsys):
     assert json.loads(inline)["config"]["norm"] == descriptor
 
 
+def test_verify_exact_mode_accepts_lorentz_associate(capsys):
+    """Associate(Lorentz) and its associate, the Lorentz norm, are both
+    root-free, so thm43 runs in exact mode with that norm."""
+    descriptor = {"kind": "associate", "base": {"kind": "lorentz", "phi": [
+        ["0", "0"], ["1/2", "3/4"], ["1", "1"]]}}
+    assert run(["verify", "--suite", "thm43", "--mode", "exact", "--atoms",
+                "5", "--trials", "20", "--seed", "3",
+                "--norm", json.dumps(descriptor)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["mode"] == "exact"
+    assert doc["trials"] == 20 and doc["violations"] == []
+
+
 def test_verify_exact_mode_rejects_rooty_exponents(capsys):
     assert run(["verify", "--suite", "thm41", "--mode", "exact",
                 "--trials", "5", "--exponents", "1,2,2,2,2"]) == 2

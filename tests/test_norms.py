@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import function_pairs, functions, lattice_values
+from oracles import associate_norm_oracle, second_associate_lp_oracle
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
                                  LINF, LorentzLambda, Lp, associate_norm,
-                                 associate_norm_oracle, dual_exponent,
+                                 dual_exponent, exactly_evaluable,
                                  hardy_littlewood_check, holder_check,
-                                 lorentz_associate_exact_lp,
-                                 lorentz_luxemburg_check, norm, norm_from_json,
-                                 norm_to_json)
+                                 lorentz_associate_exact_lp, norm,
+                                 norm_from_json, norm_to_json)
 from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.scalars import INF
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
@@ -183,23 +183,49 @@ def test_holder_chain_random(pair):
         assert b <= c + 1e-9 * scale
 
 
-def test_lorentz_luxemburg_fixtures():
+#: phi with breakpoints off the dyadic grid of equal-atom spaces
+PHI_ODD = ConcaveWeight(((0, 0), (F(1, 3), F(1, 2)), (F(5, 7), F(6, 7)), (1, 1)))
+
+
+def _second_associate(X, depth=2):
+    for _ in range(depth):
+        X = Associate(X)
+    return X
+
+
+def test_second_associate_fixtures():
+    """X'' = X (Lorentz-Luxemburg), exactly, where X is evaluable exactly."""
     f = simple((1, 2, 3), equal_space(3))
-    a, b = lorentz_luxemburg_check(Lp(3), f)
-    assert float(a) == pytest.approx(float(b), rel=1e-12)
-    a, b = lorentz_luxemburg_check(L1, f)
-    assert float(a) == pytest.approx(float(b), rel=1e-12) == pytest.approx(2.0)
+    assert norm(_second_associate(L1), f) == norm(L1, f) == 2
+    assert norm(_second_associate(Lp(3), 4), f, precision=53) == \
+        norm(Lp(3), f, precision=53)
+    assert norm(_second_associate(LAMBDA), f) == norm(LAMBDA, f)
+    assert norm(_second_associate(LAMBDA, 4), f) == norm(LAMBDA, f)
+    assert norm(Generated(_second_associate(LAMBDA), 2), f, precision=53) == \
+        norm(Generated(LAMBDA, 2), f, precision=53)
     zero = simple((0, 0, 0), equal_space(3))
-    a, b = lorentz_luxemburg_check(L2, zero)
-    assert float(a) == float(b) == 0.0
+    assert norm(_second_associate(L2), zero, precision=53) == 0
+    assert exactly_evaluable(_second_associate(LAMBDA))
+    assert not exactly_evaluable(_second_associate(L2))
 
 
 @given(functions(equal_only=True, min_atoms=2))
 @settings(max_examples=25, deadline=None)
-def test_lorentz_luxemburg_random(f):
-    for X in (L1, L2, Lp(3), LAMBDA):
-        a, b = lorentz_luxemburg_check(X, f)
-        assert float(a) == pytest.approx(float(b), rel=1e-9, abs=1e-9)
+def test_second_associate_is_the_norm(f):
+    for X, precision in ((L1, None), (L2, 53), (Lp(3), 53), (LAMBDA, None)):
+        for depth in (2, 4):
+            assert norm(_second_associate(X, depth), f, precision=precision) \
+                == norm(X, f, precision=precision)
+
+
+@given(functions(equal_only=True, min_atoms=2, max_atoms=9))
+@settings(max_examples=25, deadline=None)
+def test_lorentz_closed_form_vs_second_associate_lp(f):
+    prof = decreasing_rearrangement(f)
+    for phi in (PHI, PHI_ODD):
+        closed = norm(_second_associate(LorentzLambda(phi)), f)
+        oracle = second_associate_lp_oracle(phi, prof, 53)
+        assert oracle == pytest.approx(float(closed), rel=1e-12, abs=1e-12)
 
 
 @given(functions(equal_only=True, min_atoms=2, max_atoms=5))

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from rearrange_lab.errors import InputError
@@ -212,7 +213,7 @@ GOLDEN_HASHES = [
      "f2616b6da3e1dd49b8e8f6282389dd3cef11e1f53d86a5cbc9524dfee5132726"),
     (dict(suite="thm43", mode="float", norm=LORENTZ_ASSOCIATE, atoms=6,
           trials=20, seed=6),
-     "87c44364204bba63b2994e4990dc4f77d83df0c2879d3f0704e80d9496c87064"),
+     "cbe9feca04c8135c7d1a6f3ef4f365ceef47ec4fa57f36f25af4b7fcac3d90b1"),
     (dict(suite="rearrange", weight_scheme="random-rational", atoms=6,
           trials=20, seed=7),
      "97afadb1053c963497ba0ada3311db2a6224786cac950cb7f023402683866182"),
@@ -252,6 +253,30 @@ def test_thm43_sides_at_113_bits_match_double(X, atoms):
     for label, sides in high.items():
         for hi, lo in zip(sides, low[label]):
             assert abs(float(hi) - float(lo)) <= 1e-9 * max(1.0, abs(lo))
+
+
+def _exact(x):
+    """A binary or exact scalar as the Fraction it equals."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp
+        return F(man) * F(2) ** exp
+    return F(x)
+
+
+@pytest.mark.parametrize("atoms", [5, 8])
+def test_thm43_associate_form_is_certified_at_113_bits(atoms):
+    """With X = Associate(Lorentz), the associate form needs X'' = Lorentz;
+    its 113-bit sides are mpfs within 2^-100 relative of the exact sides."""
+    cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms,
+                      norm=LORENTZ_ASSOCIATE, trials=1, seed=11)
+    for index in range(40):
+        inst = generate_instance(cfg, index)
+        exact = _evaluate(cfg, inst.functions, None)["associate_form"]
+        quad = _evaluate(cfg, _binary_instance(inst, QUAD_PRECISION).functions,
+                         QUAD_PRECISION)["associate_form"]
+        for q, e in zip(quad, exact):
+            assert isinstance(q, mpmath.mpf)
+            assert abs(_exact(q) - e) <= F(1, 2**100) * abs(e)
 
 
 @pytest.mark.parametrize("atoms", [5, 8])
@@ -297,7 +322,8 @@ def _sign(x):
 
 @pytest.mark.parametrize("suite,kwargs", [
     ("thm32", {}), ("lemma31", {}), ("thm41", {}), ("thm43", {"norm": LORENTZ}),
-], ids=["thm32", "lemma31", "thm41", "thm43-lorentz"])
+    ("thm43", {"norm": LORENTZ_ASSOCIATE}),
+], ids=["thm32", "lemma31", "thm41", "thm43-lorentz", "thm43-lorentz-associate"])
 @pytest.mark.parametrize("atoms", [5, 8])
 def test_exact_double_and_quad_gaps_agree(suite, kwargs, atoms):
     """Differential check on 40 seeded instances: the exact, 53-bit and
