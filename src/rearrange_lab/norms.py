@@ -14,6 +14,7 @@ X'' = X), so it is evaluated exactly like one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,10 +70,10 @@ class ConcaveWeight:
 
 @dataclass(frozen=True)
 class Lp:
-    p: object  # Fraction >= 1 or INF
+    p: object  # Fraction >= 1 or the float INF
 
     def __post_init__(self):
-        p = self.p if self.p == INF else Fraction(self.p)
+        p = INF if self.p == INF else Fraction(self.p)
         object.__setattr__(self, "p", p)
         if p != INF and p < 1:
             raise InputError("Lp needs p >= 1")
@@ -103,6 +104,9 @@ L1 = Lp(1)
 L2 = Lp(2)
 LINF = Lp(INF)
 
+#: the sup norm of an empty profile
+_ZERO = Fraction(0)
+
 
 def dual_exponent(p):
     if p == INF:
@@ -113,11 +117,12 @@ def dual_exponent(p):
     return p / (p - 1)
 
 
+@functools.cache
 def _simplify(X):
     """Collapse Associate chains, also inside Generated: Associate(Lp) is
     the dual Lp, and Associate(Associate(Lorentz)) is the Lorentz norm
     (X'' = X; Bennett and Sharpley, Interpolation of Operators, 1988,
-    ch. 1, Thm 2.7)."""
+    ch. 1, Thm 2.7).  Memoized: descriptors are frozen and hashable."""
     if isinstance(X, Associate):
         base = _simplify(X.base)
         if isinstance(base, Lp):
@@ -163,21 +168,21 @@ def _as_binary(x, precision):
     return to_binary(Fraction(x), precision)  # floats convert exactly
 
 
-def _power(x, p, precision):
-    """x^p for x >= 0; integer p stays in the input arithmetic.  A power
-    beyond the double range is an input error (the exponent is too large
-    for float mode), not an OverflowError."""
-    p = Fraction(p)
+def _powers(xs, p, precision):
+    """[x^p for x in xs] for xs >= 0 and a rational p; integer p stays in
+    the input arithmetic.  A power beyond the double range is an input
+    error (the exponent is too large for float mode), not an
+    OverflowError."""
+    num, den = p.numerator, p.denominator
     prec = precision or DOUBLE_PRECISION
     try:
-        if p.denominator == 1:
-            return x ** p.numerator
-        if precision is None and isinstance(x, (int, Fraction)):
+        if den == 1:
+            return [x ** num for x in xs]
+        if precision is None and any(isinstance(x, (int, Fraction)) for x in xs):
             raise ExactUnavailable(f"fractional power {p} has no exact value")
-        xb = _as_binary(x, prec)
-        if isinstance(xb, mpmath.mpf):
-            return xb ** (mpmath.mpf(p.numerator) / p.denominator)
-        return xb ** (p.numerator / p.denominator)
+        exponent, mpf_exponent = num / den, mpmath.mpf(num) / den
+        return [xb ** (mpf_exponent if isinstance(xb, mpmath.mpf) else exponent)
+                for xb in (_as_binary(x, prec) for x in xs)]
     except OverflowError:
         raise InputError(
             f"the power x^p with p = {format_exponent(p)} overflows "
@@ -233,10 +238,10 @@ def _norm(X, f, precision):
     if isinstance(X, LorentzLambda):
         return _lorentz_norm(X.phi, _profile_of(f))
     if isinstance(X, Generated):
-        prof = _profile_of(f)
-        powered = make_profile(
-            (_power(v, X.p, precision), l) for v, l in prof.segments
-        )
+        segments = _profile_of(f).segments
+        powered = make_profile(zip(
+            _powers([v for v, _ in segments], X.p, precision),
+            (l for _, l in segments)))
         return _root(_norm(X.base, powered, precision), X.p, precision)
     if isinstance(X, Associate):
         base = X.base  # already simplified: not an Lp, not Associate(Lorentz)
@@ -249,20 +254,22 @@ def _norm(X, f, precision):
 
 
 def _lp_norm(p, f, precision):
+    """p is a Fraction or the float INF (see Lp)."""
     if isinstance(f, SimpleFunction):
-        pairs = list(zip((abs(v) for v in f.values), f.space.weights))
+        values, weights = [abs(v) for v in f.values], f.space.weights
     else:
-        pairs = list(f.segments)
-    if p == INF:
-        return max((v for v, _ in pairs), default=Fraction(0))
-    p = Fraction(p)
-    total = sum((_power(v, p, precision) * w for v, w in pairs), start=Fraction(0))
+        values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
+    if isinstance(p, float):
+        return max(values, default=_ZERO)
+    total = 0  # a plain loop: sum() compensates float sums from Python 3.12
+    for v, w in zip(_powers(values, p, precision), weights):
+        total = total + v * w
     return _root(total, p, precision)
 
 
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
     """Stieltjes sum of the profile against d(phi)."""
-    total = Fraction(0)
+    total = 0
     one = in_family(Fraction(1), prof.total_length)
     cuts = prof.boundaries()
     for (v, _), a, b in zip(prof.segments, cuts, cuts[1:]):
@@ -285,7 +292,7 @@ def _partial_integrals(prof: StepProfile, cuts):
     """H(s) = integral of the profile over [0, s] for each of the
     ascending cuts s, from one walk over the segments."""
     bounds = prof.boundaries()
-    out, prefix, seg = [], Fraction(0), 0  # prefix: segments ending by s
+    out, prefix, seg = [], 0, 0  # prefix: segments ending by s
     for s in cuts:
         while seg < len(prof.segments) and bounds[seg + 1] <= s:
             prefix = prefix + prof.segments[seg][0] * (bounds[seg + 1] - bounds[seg])

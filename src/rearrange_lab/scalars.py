@@ -180,7 +180,6 @@ def over_common_denominator(values):
             Fraction(1, den))
 
 
-@contextlib.contextmanager
 def binary_context(precision: int):
     """Arithmetic context for float-mode computations.
 
@@ -188,10 +187,8 @@ def binary_context(precision: int):
     precision for the duration of the block.
     """
     if precision == DOUBLE_PRECISION:
-        yield
-    else:
-        with mpmath.workprec(precision):
-            yield
+        return contextlib.nullcontext()
+    return mpmath.workprec(precision)
 
 
 def scalar_family(x) -> str:
@@ -212,8 +209,23 @@ def scalar_family(x) -> str:
     raise TypeError(f"unsupported scalar type {type(x).__name__}")
 
 
+#: the family of each plain scalar type; any other type (bool, a
+#: subclass, an unsupported type) is classified by `scalar_family`
+_TYPE_FAMILIES = {int: "any", Fraction: "exact", float: "float",
+                  mpmath.mpf: "mpf"}
+
+
 def check_one_family(values, what: str) -> None:
-    """Reject collections mixing exact and binary scalars."""
-    families = {scalar_family(v) for v in values} - {"any"}
+    """Reject collections mixing exact and binary scalars.
+
+    Classifies the set of types present, not each value; a type outside
+    the plain four falls back to classifying every value, so a bool or
+    an unsupported scalar raises TypeError as `scalar_family` does.
+    """
+    types = set(map(type, values))
+    if types <= _TYPE_FAMILIES.keys():
+        families = {_TYPE_FAMILIES[t] for t in types} - {"any"}
+    else:
+        families = {scalar_family(v) for v in values} - {"any"}
     if len(families) > 1:
         raise ValueError(f"{what} mixes arithmetic modes {sorted(families)}")

@@ -5,10 +5,13 @@ multiplicative, and sign-flip coordinate moves, re-centering the
 zero-mean variable after every move where the hypothesis requires it.
 The objective is scale-invariant in each function separately, so the
 climb works inside a fixed box.  Each target is a form of a suite in
-verify's table `_TRIALS`.  Ratios certified above 1 would indicate an
-implementation bug; any excess beyond 1e-9 is re-checked with verify's
-recheck and certification rule before being reported as a violation
-certificate.
+verify's table `_TRIALS`, and the objective evaluates that form alone
+(thm43-ratio: the norm form, five float norms; the associate form is
+never evaluated, so a norm without an associate evaluation can be
+searched).  Ratios certified above 1 would indicate an implementation
+bug; any excess beyond 1e-9 is re-checked, again in the target's form
+only, with verify's recheck and certification rule before being
+reported as a violation certificate.
 """
 
 from __future__ import annotations
@@ -118,8 +121,9 @@ def _state_functions(problem: SearchProblem, state: dict, space: DiscreteSpace):
 
 
 def _sides(problem: SearchProblem, funcs):
+    """(LHS, RHS) of the target's form alone, in double precision."""
     _, form = TARGETS[problem.target]
-    return _evaluate(problem, funcs, DOUBLE_PRECISION)[form]
+    return _evaluate(problem, funcs, DOUBLE_PRECISION, (form,))[form]
 
 
 def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace):

@@ -20,6 +20,7 @@ rearrange (the rearrangement machinery bundle).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -29,8 +30,8 @@ from fractions import Fraction
 
 from . import norms as norms_mod
 from .errors import InputError
-from .norms import (Associate, Lp, exactly_evaluable, hardy_littlewood_check,
-                    norm)
+from .norms import (L1, LINF, Associate, Lp, exactly_evaluable,
+                    hardy_littlewood_check, norm)
 from .oscillation import bilinear_form, lemma31_bound
 from .rearrange import (decreasing_rearrangement, equimeasurable,
                         indicator_difference_rearrangement, layer_decompose,
@@ -165,9 +166,18 @@ def _draw_weights(cfg: TrialConfig, rng: random.Random):
     return tuple(Fraction(k, total) for k in numerators)
 
 
+@functools.cache
+def _lattice(lattice_max: int, lattice_den: int) -> tuple:
+    """The lattice values k / lattice_den for k = -lattice_max ..
+    lattice_max, in order."""
+    return tuple(Fraction(k, lattice_den)
+                 for k in range(-lattice_max, lattice_max + 1))
+
+
 def _draw_values(cfg: TrialConfig, rng: random.Random, n: int):
+    lattice = _lattice(cfg.lattice_max, cfg.lattice_den)
     return tuple(
-        Fraction(rng.randint(-cfg.lattice_max, cfg.lattice_max), cfg.lattice_den)
+        lattice[rng.randint(-cfg.lattice_max, cfg.lattice_max) + cfg.lattice_max]
         for _ in range(n)
     )
 
@@ -280,25 +290,33 @@ def thm41_sides(f: SimpleFunction, g: SimpleFunction, exponents,
     return lhs, rhs
 
 
-def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None):
-    """Both conclusions: the X-norm form and the associate form."""
+THM43_FORMS = ("norm_form", "associate_form")
+
+
+def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None,
+                labels=THM43_FORMS):
+    """The conclusions named in labels, in that order: the X-norm form
+    (5 norms) and the associate form (5 norms, two of them in X').  The
+    centerings they share are computed once, and a form not asked for
+    is not evaluated."""
     fg_centered = center(multiply(f, g))
     f_centered, g_centered = center(f), center(g)
-    sup_f = norm(Lp(INF), f, precision=precision)
-    sup_g = norm(Lp(INF), g, precision=precision)
-    norm_form = (
-        norm(X, fg_centered, precision=precision),
-        sup_f * norm(X, g_centered, precision=precision)
-        + sup_g * norm(X, f_centered, precision=precision),
-    )
-    associate_form = (
-        norm(Lp(1), fg_centered, precision=precision),
-        norm(X, f, precision=precision)
-        * norm(Associate(X), g_centered, precision=precision)
-        + norm(Associate(X), g, precision=precision)
-        * norm(X, f_centered, precision=precision),
-    )
-    return {"norm_form": norm_form, "associate_form": associate_form}
+
+    def nrm(Y, u):
+        return norm(Y, u, precision=precision)
+
+    forms = {
+        "norm_form": lambda: (
+            nrm(X, fg_centered),
+            nrm(LINF, f) * nrm(X, g_centered) + nrm(LINF, g) * nrm(X, f_centered),
+        ),
+        "associate_form": lambda: (
+            nrm(L1, fg_centered),
+            nrm(X, f) * nrm(Associate(X), g_centered)
+            + nrm(Associate(X), g) * nrm(X, f_centered),
+        ),
+    }
+    return {label: forms[label]() for label in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +371,28 @@ def _judge(cfg, inst, label, lhs, rhs, recheck_sides):
     return out
 
 
-def _thm32_forms(cfg, fns, precision):
+def _thm32_forms(cfg, fns, precision, labels):
     return {None: thm32_sides(fns["f"], fns["g"], fns["h"])}
 
 
-def _lemma31_forms(cfg, fns, precision):
+def _lemma31_forms(cfg, fns, precision, labels):
     return {None: lemma31_bound(fns["f"], fns["g"], fns["h"])}
 
 
-def _thm41_forms(cfg, fns, precision):
+def _thm41_forms(cfg, fns, precision, labels):
     return {None: thm41_sides(fns["f"], fns["g"], cfg.exponents,
                               precision=precision)}
 
 
-def _thm43_forms(cfg, fns, precision):
-    return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision)
+def _thm43_forms(cfg, fns, precision, labels):
+    return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision,
+                       labels=labels or THM43_FORMS)
 
 
 #: suite -> (forms, certifying precision; None is exact).  forms(cfg,
-#: functions, precision) returns {label: (lhs, rhs)}, label None for a
-#: single-form suite; cfg supplies the exponents or the norm.
+#: functions, precision, labels) returns {label: (lhs, rhs)} for the
+#: labels asked for, every form for labels None; a single-form suite has
+#: the one label None.  cfg supplies the exponents or the norm.
 _TRIALS = {
     "thm32": (_thm32_forms, None),
     "lemma31": (_lemma31_forms, None),
@@ -381,18 +401,20 @@ _TRIALS = {
 }
 
 
-def _evaluate(cfg, functions, precision) -> dict:
-    """Every form of cfg.suite on functions in `precision`'s arithmetic."""
+def _evaluate(cfg, functions, precision, labels=None) -> dict:
+    """The forms of cfg.suite named in labels (None: every form) on
+    functions in `precision`'s arithmetic; no other form is evaluated."""
     forms, _ = _TRIALS[cfg.suite]
     with binary_context(precision or DOUBLE_PRECISION):
-        return forms(cfg, functions, precision)
+        return forms(cfg, functions, precision, labels)
 
 
 def _recheck(cfg, inst: Instance, label):
-    """One form of inst re-evaluated in cfg.suite's certifying arithmetic."""
+    """One form of inst, and only that one, re-evaluated in cfg.suite's
+    certifying arithmetic."""
     precision = _TRIALS[cfg.suite][1]
     work = _binary_instance(inst, precision)
-    return _evaluate(cfg, work.functions, precision)[label]
+    return _evaluate(cfg, work.functions, precision, (label,))[label]
 
 
 def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:

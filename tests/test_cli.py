@@ -160,6 +160,22 @@ def test_search_command(capsys):
     assert doc["violation"] is None
 
 
+def test_thm43_search_with_a_generated_norm(capsys):
+    """The search reads the norm form only, so a norm without an
+    associate evaluation can be searched; verify needs both forms."""
+    norm = json.dumps({"kind": "generated", "base": {"kind": "lp", "p": "1"},
+                       "p": "2"})
+    assert run(["search", "--target", "thm43-ratio", "--atoms", "4",
+                "--iters", "20", "--restarts", "1", "--norm", norm]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < float(doc["best_ratio"]) <= 1 + 1e-9
+    assert doc["violation"] is None
+    assert run(["verify", "--suite", "thm43", "--trials", "3",
+                "--norm", norm]) == 2
+    assert capsys.readouterr().err == (
+        "error: InputError: no associate evaluation for base kind Generated\n")
+
+
 def test_search_infeasible_exits_3(capsys):
     assert run(["search", "--target", "thm32-ratio", "--atoms", "1"]) == 3
     assert capsys.readouterr().err.startswith("error: InfeasibleProblem:")

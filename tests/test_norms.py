@@ -2,10 +2,12 @@ import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import function_pairs, functions, lattice_values
+from conftest import (function_pairs, functions, lattice_values,
+                      off_lattice_functions, off_lattice_spaces, same_bits)
 from oracles import associate_norm_oracle, second_associate_lp_oracle
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
@@ -15,10 +17,10 @@ from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
                                  hardy_littlewood_check, holder_check,
                                  lorentz_associate_exact_lp, norm,
                                  norm_from_json, norm_to_json)
-from rearrange_lab.rearrange import decreasing_rearrangement
-from rearrange_lab.scalars import INF
+from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
+from rearrange_lab.scalars import INF, binary_context, to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
-                                  simple)
+                                  simple, to_binary_function, to_binary_space)
 
 PHI = ConcaveWeight(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
 LAMBDA = LorentzLambda(PHI)
@@ -253,3 +255,104 @@ def test_norm_descriptor_json_roundtrip():
     assert norm_to_json(LAMBDA)["phi"][1] == ["0.25", "0.5"]
     with pytest.raises(InputError):
         norm_from_json({"kind": "orlicz"})
+
+
+# ---------------------------------------------------------------------------
+# Lp and generated norms against the former order of operations: a sum
+# started at Fraction(0), one power per element with p re-read as a
+# Fraction each time
+
+DIFFERENTIAL_KINDS = (L1, L2, Lp(3), Lp(F(3, 2)), LINF, Generated(L1, 2))
+DIFFERENTIAL_IDS = ("L1", "L2", "L3", "L3/2", "Linf", "generated-L1-2")
+
+
+def _reference_binary(x, precision):
+    if isinstance(x, mpmath.mpf):
+        return x
+    return float(x) if precision == 53 else to_binary(F(x), precision)
+
+
+def _reference_power(x, p, precision):
+    p = F(p)
+    if p.denominator == 1:
+        return x ** p.numerator
+    if precision is None and isinstance(x, (int, F)):
+        raise ExactUnavailable("fractional power")
+    xb = _reference_binary(x, precision or 53)
+    if isinstance(xb, mpmath.mpf):
+        return xb ** (mpmath.mpf(p.numerator) / p.denominator)
+    return xb ** (p.numerator / p.denominator)
+
+
+def _reference_root(x, p, precision):
+    if p == 1:
+        return x
+    if precision is None and isinstance(x, (int, F)):
+        raise ExactUnavailable("root")
+    xb = _reference_binary(x, precision or 53)
+    if isinstance(xb, mpmath.mpf):
+        return xb ** (mpmath.mpf(F(p).denominator) / F(p).numerator)
+    return xb ** (1.0 / float(p))
+
+
+def _reference_lp(p, pairs, precision):
+    if p == INF:
+        return max((v for v, _ in pairs), default=F(0))
+    total = F(0)
+    for v, w in pairs:
+        total = total + _reference_power(v, p, precision) * w
+    return _reference_root(total, p, precision)
+
+
+def _reference_norm(X, f, precision):
+    """norm(X, f) for X an Lp or Generated(Lp) norm, the former way."""
+    with binary_context(precision or 53):
+        if isinstance(X, Generated):
+            powered = make_profile(
+                (_reference_power(v, X.p, precision), l)
+                for v, l in decreasing_rearrangement(f).segments)
+            base = _reference_lp(X.base.p, powered.segments, precision)
+            return _reference_root(base, X.p, precision)
+        return _reference_lp(
+            X.p, [(abs(v), w) for v, w in zip(f.values, f.space.weights)],
+            precision)
+
+
+@st.composite
+def _off_lattice_instances(draw):
+    return draw(off_lattice_functions(draw(off_lattice_spaces())))
+
+
+@pytest.mark.parametrize("X", DIFFERENTIAL_KINDS, ids=DIFFERENTIAL_IDS)
+@pytest.mark.parametrize("precision", [53, 113])
+@given(f=_off_lattice_instances())
+@settings(max_examples=40, deadline=None)
+def test_binary_norms_are_the_former_loop_bit_for_bit(X, precision, f):
+    space = to_binary_space(f.space, precision)
+    fb = to_binary_function(f, space, precision)
+    got = norm(X, fb, precision=precision)
+    expected = _reference_norm(X, fb, precision)
+    assert same_bits(got, expected), (got, expected)
+
+
+@pytest.mark.parametrize("X", DIFFERENTIAL_KINDS, ids=DIFFERENTIAL_IDS)
+@given(f=_off_lattice_instances())
+@settings(max_examples=40, deadline=None)
+def test_exact_norms_equal_the_former_loop(X, f):
+    try:
+        expected = _reference_norm(X, f, None)
+    except ExactUnavailable:
+        with pytest.raises(ExactUnavailable):
+            norm(X, f)
+    else:
+        assert norm(X, f) == expected
+
+
+@pytest.mark.parametrize("X", [Lp(F(3, 2)), Generated(L1, F(3, 2))],
+                         ids=["lp", "generated"])
+def test_exact_fractional_power_is_unavailable(X):
+    f = simple((F(1, 3), 0, F(-2, 7)), equal_space(3))
+    with pytest.raises(ExactUnavailable):
+        norm(X, f)
+    binary = to_binary_function(f, to_binary_space(f.space, 53), 53)
+    assert norm(X, binary, precision=53) > 0

@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from rearrange_lab.errors import (InfeasibleProblem, InputError,
                                   TooManyFreeParameters)
-from rearrange_lab.norms import L1, Lp
+from conftest import same_bits
+from rearrange_lab.norms import (L1, Associate, ConcaveWeight, LorentzLambda,
+                                 Lp)
 from rearrange_lab.scalars import INF
-from rearrange_lab.search import (SearchProblem, _excess_certificate,
+from rearrange_lab.search import (SearchProblem, _excess_certificate, _sides,
+                                  _state_functions,
                                   landscape_csv, landscape_rows, search)
 from rearrange_lab.spaces import instance_from_json, integrate
+from rearrange_lab.verify import thm43_sides
 
 
 def test_problem_validation():
@@ -125,3 +130,25 @@ def test_excess_recheck_runs_at_113_bits_on_five_atoms(target):
     state = {name: [0.5, -1.0, 0.25, 1.0, -0.75]
              for name in problem.free_functions}
     assert _excess_certificate(problem, state, problem.space(), 2.0) is None
+
+
+_LORENTZ = LorentzLambda(ConcaveWeight(((0, 0), (Fraction(1, 2), Fraction(3, 4)),
+                                        (1, 1))))
+
+
+@pytest.mark.parametrize("norm", [Lp(2), Lp(3), Associate(_LORENTZ)],
+                         ids=["L2", "L3", "lorentz-associate"])
+def test_objective_is_the_norm_form_bit_for_bit(norm):
+    """The objective, which evaluates the norm form alone, gives the
+    norm form of thm43_sides with both forms, on seeded states."""
+    problem = SearchProblem("thm43-ratio", atoms=6, norm=norm)
+    space = problem.space()
+    rng = random.Random("objective:7")
+    for _ in range(40):
+        state = {name: [rng.uniform(-1.0, 1.0) for _ in range(problem.atoms)]
+                 for name in problem.free_functions}
+        funcs = _state_functions(problem, state, space)
+        got = _sides(problem, funcs)
+        expected = thm43_sides(funcs["f"], funcs["g"], norm,
+                               precision=53)["norm_form"]
+        assert all(same_bits(a, b) for a, b in zip(got, expected))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
 from rearrange_lab.errors import InputError
-from rearrange_lab.scalars import binary_context, to_binary
+from rearrange_lab.scalars import binary_context, scalar_family, to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
                                   equal_space, instance_from_json,
                                   instance_to_json, integrate, multiply,
@@ -154,3 +154,40 @@ def test_integrate_kernel_is_the_scalar_loop_in_binary(f, precision):
         expected = integral_reference(fb)
     assert type(mean) is (float if precision == 53 else mpmath.mpf)
     assert same_bits(mean, expected)
+
+
+def _former_family_check(values, what):
+    """The arithmetic-family guard as it classified every value."""
+    families = {scalar_family(v) for v in values} - {"any"}
+    if len(families) > 1:
+        raise ValueError(f"{what} mixes arithmetic modes {sorted(families)}")
+
+
+#: case -> (function values or None for a bare space, space weights)
+_MIXED_SCALARS = {
+    "bool-value": ((True, F(1, 2)), (F(1, 2), F(1, 2))),
+    "bool-weight": (None, (True,)),
+    "float-values-on-fraction-weights": ((0.5, 0.25), (F(1, 2), F(1, 2))),
+    "float-fraction-weights": (None, (0.5, F(1, 2))),
+    "float-fraction-values": ((0.5, F(1, 4)), (0.5, 0.5)),
+    "mpf-float-weights": (None, (mpmath.mpf(0.5), 0.5)),
+    "mpf-float-values": ((mpmath.mpf(1), 1.0), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED_SCALARS))
+def test_mixed_and_bool_scalars_are_rejected_as_before(case):
+    """The type-set guard raises what the per-value guard raised."""
+    values, weights = _MIXED_SCALARS[case]
+    if values is None:
+        checked, what = weights, "space weights"
+    else:
+        checked, what = values + weights, "function values"
+    with pytest.raises((TypeError, ValueError)) as former:
+        _former_family_check(checked, what)
+    with pytest.raises(former.type) as raised:
+        if values is None:
+            DiscreteSpace(weights)
+        else:
+            SimpleFunction(values, DiscreteSpace(weights))
+    assert str(raised.value) == str(former.value)

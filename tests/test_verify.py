@@ -1,17 +1,20 @@
 import json
 from fractions import Fraction as F
 
+from conftest import same_bits
+
 import mpmath
 import pytest
 
 from rearrange_lab.errors import InputError
-from rearrange_lab.norms import (ConcaveWeight, L1, LorentzLambda, Lp,
-                                 norm_from_json)
+from rearrange_lab.norms import (ConcaveWeight, Generated, L1, LorentzLambda,
+                                 Lp, norm_from_json)
 from rearrange_lab.scalars import INF, QUAD_PRECISION, binary_context
 from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import integrate
 from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, TrialConfig,
-                                  _binary_instance, _evaluate, _judge,
+                                  THM43_FORMS, _binary_instance, _evaluate,
+                                  _judge, _recheck,
                                   canonical_hash, canonical_json,
                                   generate_instance, run_suite, thm32_sides,
                                   thm41_sides, thm43_sides,
@@ -345,3 +348,37 @@ def test_exact_double_and_quad_gaps_agree(suite, kwargs, atoms):
             assert abs(gap - float(quad_gap)) <= 1e-12 * scale
             if abs(gap) > float(QUAD_CERTIFY_RTOL) * scale:
                 assert _sign(e_rhs - e_lhs) == _sign(gap) == _sign(quad_gap)
+
+
+@pytest.mark.parametrize("suite,kwargs,labels", [
+    ("thm43", {"norm": LORENTZ_ASSOCIATE}, THM43_FORMS),
+    ("thm43", {"norm": Lp(3)}, THM43_FORMS),
+    ("thm41", {}, (None,)),
+], ids=["thm43-lorentz-associate", "thm43-L3", "thm41"])
+def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels):
+    """_recheck evaluates only the label it certifies, with the bits of
+    that label in the evaluation of every form."""
+    cfg = TrialConfig(suite=suite, mode="float", atoms=5, trials=1, seed=4,
+                      **kwargs)
+    for index in range(12):
+        inst = generate_instance(cfg, index)
+        every = _evaluate(cfg, _binary_instance(inst, QUAD_PRECISION).functions,
+                          QUAD_PRECISION)
+        assert tuple(every) == labels
+        for label in labels:
+            got = _recheck(cfg, inst, label)
+            assert all(same_bits(a, b) for a, b in zip(got, every[label]))
+
+
+def test_thm43_sides_evaluates_only_the_requested_forms():
+    """A norm without an associate evaluation has a norm form, and only
+    asking for its associate form fails."""
+    cfg = TrialConfig(suite="thm43", mode="float", atoms=4, trials=1,
+                      norm=Generated(L1, 2))
+    fns = _binary_instance(generate_instance(cfg, 3), 53).functions
+    only = thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53,
+                       labels=("norm_form",))
+    assert tuple(only) == ("norm_form",)
+    assert _evaluate(cfg, fns, 53, ("norm_form",)) == only
+    with pytest.raises(InputError):
+        thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53)
