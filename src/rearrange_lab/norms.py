@@ -14,7 +14,6 @@ X'' = X), so it is evaluated exactly like one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,12 +116,11 @@ def dual_exponent(p):
     return p / (p - 1)
 
 
-@functools.cache
 def _simplify(X):
     """Collapse Associate chains, also inside Generated: Associate(Lp) is
     the dual Lp, and Associate(Associate(Lorentz)) is the Lorentz norm
     (X'' = X; Bennett and Sharpley, Interpolation of Operators, 1988,
-    ch. 1, Thm 2.7).  Memoized: descriptors are frozen and hashable."""
+    ch. 1, Thm 2.7)."""
     if isinstance(X, Associate):
         base = _simplify(X.base)
         if isinstance(base, Lp):

@@ -191,41 +191,36 @@ def binary_context(precision: int):
     return mpmath.workprec(precision)
 
 
-def scalar_family(x) -> str:
-    """Classify a scalar for the mixed-mode guard.
+def _type_family(t) -> str:
+    """The mixed-mode family of scalars of type t.
 
     ints are compatible with every mode and report "any".
     """
-    if isinstance(x, bool):
+    if issubclass(t, bool):
         raise TypeError("booleans are not scalars")
-    if isinstance(x, int):
+    if issubclass(t, int):
         return "any"
-    if isinstance(x, Fraction):
+    if issubclass(t, Fraction):
         return "exact"
-    if isinstance(x, float):
+    if issubclass(t, float):
         return "float"
-    if isinstance(x, mpmath.mpf):
+    if issubclass(t, mpmath.mpf):
         return "mpf"
-    raise TypeError(f"unsupported scalar type {type(x).__name__}")
+    raise TypeError(f"unsupported scalar type {t.__name__}")
 
 
-#: the family of each plain scalar type; any other type (bool, a
-#: subclass, an unsupported type) is classified by `scalar_family`
-_TYPE_FAMILIES = {int: "any", Fraction: "exact", float: "float",
-                  mpmath.mpf: "mpf"}
+def scalar_family(x) -> str:
+    """Classify a scalar for the mixed-mode guard."""
+    return _type_family(type(x))
 
 
 def check_one_family(values, what: str) -> None:
     """Reject collections mixing exact and binary scalars.
 
-    Classifies the set of types present, not each value; a type outside
-    the plain four falls back to classifying every value, so a bool or
-    an unsupported scalar raises TypeError as `scalar_family` does.
+    Classifies each distinct type once, in order of first occurrence, so
+    the first bool or unsupported type raises its TypeError.
     """
-    types = set(map(type, values))
-    if types <= _TYPE_FAMILIES.keys():
-        families = {_TYPE_FAMILIES[t] for t in types} - {"any"}
-    else:
-        families = {scalar_family(v) for v in values} - {"any"}
+    families = {_type_family(t)
+                for t in dict.fromkeys(map(type, values))} - {"any"}
     if len(families) > 1:
         raise ValueError(f"{what} mixes arithmetic modes {sorted(families)}")

@@ -290,15 +290,12 @@ def thm41_sides(f: SimpleFunction, g: SimpleFunction, exponents,
     return lhs, rhs
 
 
-THM43_FORMS = ("norm_form", "associate_form")
-
-
 def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None,
-                labels=THM43_FORMS):
-    """The conclusions named in labels, in that order: the X-norm form
-    (5 norms) and the associate form (5 norms, two of them in X').  The
-    centerings they share are computed once, and a form not asked for
-    is not evaluated."""
+                labels=None):
+    """The conclusions named in labels, in that order (None: both): the
+    X-norm form (5 norms) and the associate form (5 norms, two of them
+    in X').  The centerings they share are computed once, and a form not
+    asked for is not evaluated."""
     fg_centered = center(multiply(f, g))
     f_centered, g_centered = center(f), center(g)
 
@@ -316,7 +313,8 @@ def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None,
             + nrm(Associate(X), g) * nrm(X, f_centered),
         ),
     }
-    return {label: forms[label]() for label in labels}
+    return {label: forms[label]()
+            for label in (forms if labels is None else labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ def _thm41_forms(cfg, fns, precision, labels):
 
 def _thm43_forms(cfg, fns, precision, labels):
     return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision,
-                       labels=labels or THM43_FORMS)
+                       labels=labels)
 
 
 #: suite -> (forms, certifying precision; None is exact).  forms(cfg,
