@@ -10,12 +10,22 @@ Lorentz and associate kinds insist on equal atom weights.  Associate
 norms of Lp and Lorentz kinds use closed forms.  The second associate of
 a Lorentz norm is the Lorentz norm itself (the Lorentz-Luxemburg theorem
 X'' = X), so it is evaluated exactly like one.
+
+The Lorentz norm and its associate read phi from a table built once per
+weight and arithmetic family (exact, double, mpf at each precision), in
+one walk over the profile's boundaries and phi's breakpoints.  In floats
+the results are those of exact breakpoints mixed with float scalars, bit
+for bit: comparisons are exact and each operation rounds as
+float(a) op float(b) would.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -30,10 +40,60 @@ from .spaces import SimpleFunction
 # ---------------------------------------------------------------------------
 # descriptors
 
+class _WeightTable(NamedTuple):
+    """phi in one arithmetic family (see ConcaveWeight).
+
+    ``points`` has one entry (below, s, phi(s), at, piece) per breakpoint
+    t_k in (0, 1]: a scalar b of the family is < t_k exactly when b <
+    below; s is t_k as a point of the family's unit grid; ``at`` is phi(b)
+    for a b equal to t_k, or None if the family has no such b; piece is
+    the linear piece of the b between the previous breakpoint and t_k.
+    """
+
+    zero: object  # phi(t) for t <= 0
+    one: object  # phi(t) for t >= 1
+    ends: list  # t <= t_{i+1} exactly when t <= ends[i]
+    pieces: list  # (t0, v0, v1 - v0, t1 - t0) of each linear piece
+    points: list
+
+
+def _double_at_most(q: Fraction) -> float:
+    """The largest double <= q."""
+    x = float(q)
+    return math.nextafter(x, -math.inf) if x > q else x
+
+
+def _double_at_least(q: Fraction) -> float:
+    """The smallest double >= q."""
+    x = float(q)
+    return math.nextafter(x, math.inf) if x < q else x
+
+
+def _phi(table: _WeightTable, t):
+    if t <= 0:
+        return table.zero
+    if t >= 1:
+        return table.one
+    t0, v0, dv, dt = table.pieces[bisect_left(table.ends, t)]
+    return v0 + dv * (t - t0) / dt
+
+
 @dataclass(frozen=True)
 class ConcaveWeight:
     """Piecewise-linear phi on [0,1] with phi(0)=0, phi(1)=1, concave and
-    nondecreasing."""
+    nondecreasing.
+
+    phi(t) is computed in the arithmetic family of t, from a table built
+    on first use for that family and kept in the instance ``__dict__``
+    (equality and hashing stay on ``breakpoints``).  Exact t gets exact
+    values.  A float t gets the values of the exact breakpoints mixed
+    with a float: t is compared with the breakpoints exactly (through the
+    nearest doubles below and above them), each constant of the linear
+    formula is the exact difference or breakpoint rounded once, and
+    phi(t) is the Fraction 0 or 1 for t <= 0 or t >= 1.  An mpf t gets
+    the breakpoints rounded to the working precision, one table per
+    precision.
+    """
 
     breakpoints: tuple  # ((t, phi(t)), ...)
 
@@ -56,15 +116,41 @@ class ConcaveWeight:
 
     def __call__(self, t):
         """phi(t), in the arithmetic family of t."""
-        pts = [(in_family(a, t), in_family(v, t)) for a, v in self.breakpoints]
-        if t <= 0:
-            return pts[0][1]
-        if t >= 1:
-            return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        return _phi(self._table_for(t), t)
+
+    def _table_for(self, x) -> _WeightTable:
+        """The table of the arithmetic family of the scalar x (threads that
+        race to build one build equal tables)."""
+        key = (mpmath.mp.prec if isinstance(x, mpmath.mpf)
+               else "float" if isinstance(x, float) else "exact")
+        tables = self.__dict__.setdefault("_tables", {})
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = self._build_table(x)
+        return table
+
+    def _build_table(self, x) -> _WeightTable:
+        pts = [(in_family(t, x), in_family(v, x)) for t, v in self.breakpoints]
+        pieces = [(t0, v0, v1 - v0, t1 - t0)
+                  for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
+        if isinstance(x, float):  # Fraction op float is float(a) op float(b)
+            pieces = [tuple(map(float, piece)) for piece in pieces]
+            table = _WeightTable(pts[0][1], pts[-1][1],
+                                 [_double_at_most(t) for t, _ in pts[1:]],
+                                 pieces, [])
+            table.points.extend(
+                (_double_at_least(t), t, v,
+                 _phi(table, float(t)) if float(t) == t else None, piece)
+                for (t, v), piece in zip(pts[1:], pieces))
+            return table
+        table = _WeightTable(pts[0][1], pts[-1][1], [t for t, _ in pts[1:]],
+                             pieces, [])
+        for t, _ in pts[1:]:  # rounding to mpf may merge breakpoints
+            if not table.points or t != table.points[-1][0]:
+                w = _phi(table, t)
+                table.points.append(
+                    (t, t, w, w, pieces[bisect_left(table.ends, t)]))
+        return table
 
 
 @dataclass(frozen=True)
@@ -265,41 +351,51 @@ def _lp_norm(p, f, precision):
     return _root(total, p, precision)
 
 
+def _unit_grid(phi: ConcaveWeight, prof: StepProfile):
+    """phi along the profile, from one walk over the profile's boundaries
+    and phi's breakpoints in the profile's arithmetic.
+
+    Returns (at_bounds, grid): phi(min(b, 1)) for each boundary b, and
+    (H(s), phi(s)) for each point s of the unit grid -- the boundaries in
+    (0, 1] merged with phi's breakpoints in (0, 1], a boundary standing
+    for a breakpoint equal to it -- in ascending order, where H(s) is the
+    integral of the profile over [0, s].  The profile's lengths are of one
+    arithmetic family, as in every profile built from a SimpleFunction.
+    """
+    bounds, segments = prof.boundaries, prof.segments
+    table = phi._table_for(bounds[-1])
+    at_bounds, grid = [_ZERO], []  # phi(0) of the int boundary 0 is exact
+    prefix, j, n = 0, 0, len(segments)  # prefix: segments ending by s
+    for below, s, w, at, (t0, v0, dv, dt) in table.points:
+        while j < n and bounds[j + 1] < below:  # boundaries before s
+            b = bounds[j + 1]
+            prefix = prefix + segments[j][0] * (b - bounds[j])
+            j += 1
+            at_bounds.append(v0 + dv * (b - t0) / dt)
+            if j == n or bounds[j + 1] != b:  # equal boundaries: one point
+                grid.append((prefix, at_bounds[-1]))
+        if at is not None and j < n and bounds[j + 1] == below:
+            b = bounds[j + 1]  # boundaries at s stand for it
+            while j < n and bounds[j + 1] == b:
+                prefix = prefix + segments[j][0] * (bounds[j + 1] - bounds[j])
+                j += 1
+                at_bounds.append(at)
+            grid.append((prefix, at))
+        elif j < n:
+            grid.append((prefix + segments[j][0] * (s - bounds[j]), w))
+        else:
+            grid.append((prefix, w))
+    at_bounds += [table.one] * (n - j)  # boundaries beyond 1
+    return at_bounds, grid
+
+
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
     """Stieltjes sum of the profile against d(phi)."""
     total = 0
-    one = in_family(Fraction(1), prof.total_length)
-    cuts = prof.boundaries()
-    for (v, _), a, b in zip(prof.segments, cuts, cuts[1:]):
-        total = total + v * (phi(min(b, one)) - phi(min(a, one)))
+    at_bounds = _unit_grid(phi, prof)[0]
+    for (v, _), a, b in zip(prof.segments, at_bounds, at_bounds[1:]):
+        total = total + v * (b - a)
     return total
-
-
-def _unit_grid(phi: ConcaveWeight, prof: StepProfile) -> list:
-    """The profile's boundaries clipped to [0, 1] merged with phi's
-    breakpoints (which include 0 and 1), ascending and in the arithmetic
-    family of the profile."""
-    one = in_family(Fraction(1), prof.total_length)
-    return sorted(
-        {min(b, one) for b in prof.boundaries()}
-        | {in_family(t, one) for t, _ in phi.breakpoints}
-    )
-
-
-def _partial_integrals(prof: StepProfile, cuts):
-    """H(s) = integral of the profile over [0, s] for each of the
-    ascending cuts s, from one walk over the segments."""
-    bounds = prof.boundaries()
-    out, prefix, seg = [], 0, 0  # prefix: segments ending by s
-    for s in cuts:
-        while seg < len(prof.segments) and bounds[seg + 1] <= s:
-            prefix = prefix + prof.segments[seg][0] * (bounds[seg + 1] - bounds[seg])
-            seg += 1
-        if seg < len(prof.segments) and bounds[seg] < s:
-            out.append(prefix + prof.segments[seg][0] * (s - bounds[seg]))
-        else:
-            out.append(prefix)
-    return out
 
 
 def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
@@ -310,10 +406,9 @@ def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
     partial-sum formula max_k (sum of the k largest |h| values / n) /
     phi(k/n).
     """
-    cuts = _unit_grid(phi, prof)[1:]  # drop s = 0
     best = 0
-    for s, h in zip(cuts, _partial_integrals(prof, cuts)):
-        ratio = h / phi(s)
+    for h, w in _unit_grid(phi, prof)[1]:
+        ratio = h / w
         if ratio > best:
             best = ratio
     return best
@@ -347,29 +442,6 @@ def holder_check(X, f: SimpleFunction, g: SimpleFunction, *, precision=None):
         Associate(X), g, precision=precision
     )
     return lhs, mid, right
-
-
-def lorentz_associate_exact_lp(phi: ConcaveWeight, h: SimpleFunction):
-    """Exact pairing maximum over the Lorentz unit ball.
-
-    Reparameterizing a nonincreasing candidate by its decrements turns
-    the ball constraint into a single weighted-sum cap, so the optimum
-    sits on a flat block 1_{1..k} scaled to unit norm; the exact maximum
-    over those finitely many blocks is returned (all rational).
-    """
-    if not h.space.equal_atoms:
-        raise NonEqualAtomSpace("exact LP oracle assumes equal atoms")
-    n = h.space.n
-    hstar = sorted((abs(Fraction(v)) for v in h.values), reverse=True)
-    best = Fraction(0)
-    running = Fraction(0)
-    for k in range(1, n + 1):
-        running += hstar[k - 1]
-        height = 1 / phi(Fraction(k, n))
-        pairing = running * height / n
-        if pairing > best:
-            best = pairing
-    return best
 
 
 # ---------------------------------------------------------------------------

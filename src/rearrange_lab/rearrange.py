@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 from .scalars import (INF, format_scalar, over_common_denominator,
@@ -54,26 +55,30 @@ class StepProfile:
 
     @property
     def total_length(self):
-        return sum((l for _, l in self.segments), start=Fraction(0))
+        """The sum of the lengths, started from Fraction(0) (which keeps an
+        empty or exact profile's length a Fraction)."""
+        return Fraction(0) + self.boundaries[-1]
 
     @property
     def sup(self):
         """The essential sup = the value at 0."""
         return self.segments[0][0] if self.segments else Fraction(0)
 
-    def boundaries(self) -> list:
-        """Cumulative segment boundaries [0, l1, l1+l2, ...]; the int 0
-        mixes with every arithmetic family (mpf does not with Fraction)."""
+    @cached_property
+    def boundaries(self) -> tuple:
+        """Cumulative segment boundaries (0, l1, l1+l2, ...), summed once
+        per profile on first use (for mpf lengths, at the precision then in
+        effect); the int 0 mixes with every arithmetic family (mpf does not
+        with Fraction)."""
         cuts = [0]
         for _, l in self.segments:
             cuts.append(cuts[-1] + l)
-        return cuts
+        return tuple(cuts)
 
     def __call__(self, t):
         if t < 0:
             raise InputError("profiles live on [0, infinity)")
-        cuts = self.boundaries()
-        idx = bisect_right(cuts, t) - 1
+        idx = bisect_right(self.boundaries, t) - 1
         if idx >= len(self.segments):
             return Fraction(0)
         return self.segments[idx][0]
@@ -131,7 +136,7 @@ def _values_on_grid(profile: StepProfile, cuts):
     """Value of the profile on each interval [cuts[j], cuts[j+1])."""
     out = []
     seg = 0
-    bounds = profile.boundaries()
+    bounds = profile.boundaries
     for t in cuts[:-1]:
         while seg < len(profile.segments) and bounds[seg + 1] <= t:
             seg += 1
@@ -148,7 +153,7 @@ def align(*profiles):
     Returns (widths, rows): the width of each grid interval, and for each
     profile the list of its values on those intervals.
     """
-    cuts = sorted(set().union(*(p.boundaries() for p in profiles)))
+    cuts = sorted(set().union(*(p.boundaries for p in profiles)))
     widths = [b - a for a, b in zip(cuts, cuts[1:])]
     return widths, [_values_on_grid(p, cuts) for p in profiles]
 

@@ -152,10 +152,16 @@ def to_binary(q, precision):
 def in_family(q, x):
     """The rational q as a scalar that compares and combines with x: q
     itself, which ints, Fractions and floats mix with exactly, or for an
-    mpf x (which does neither with a Fraction) q rounded to mpf."""
+    mpf x (which does neither with a Fraction) q rounded to mpf at the
+    working precision.  A Lorentz weight's tables round its breakpoints
+    with it once per family and precision (see norms.ConcaveWeight)."""
     if isinstance(x, mpmath.mpf):
         return mpmath.mpf(q.numerator) / q.denominator
     return q
+
+
+#: the types of binary scalars; a sequence holding one is binary
+_BINARY_TYPES = frozenset((float, mpmath.mpf))
 
 
 def over_common_denominator(values):
@@ -171,10 +177,9 @@ def over_common_denominator(values):
     precision the values were rounded to, so the kernel's order of
     operations, and its result bit for bit, is that of the values.
     """
-    try:
-        dens = [v.denominator for v in values]
-    except AttributeError:  # floats and mpfs have no denominator
+    if not _BINARY_TYPES.isdisjoint(map(type, values)):
         return values, 1
+    dens = [v.denominator for v in values]
     den = math.lcm(*dens)
     return ([v.numerator * (den // d) for v, d in zip(values, dens)],
             Fraction(1, den))

@@ -1,10 +1,14 @@
 """Independent reference evaluators for the closed-form norms in
-rearrange_lab.norms, used only by the tests (they need scipy).
+rearrange_lab.norms, used only by the tests (some need scipy).
 
 ``second_associate_lp_oracle`` solves the second associate of a Lorentz
 norm as a linear program over the polytope unit ball of the first
 associate; ``associate_norm_oracle`` maximizes the associate pairing by a
-derivative-free search.  Neither uses the dual closed forms they check.
+derivative-free search; ``lorentz_associate_exact_lp`` maximizes it
+exactly over flat blocks.  None uses the dual closed forms they check.
+The ``reference_*`` functions evaluate the Lorentz kinds the way the
+package did before phi had per-arithmetic tables, for bit-for-bit
+differential tests.
 """
 
 import math
@@ -13,10 +17,113 @@ from fractions import Fraction
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
-                                 _simplify, _unit_grid, norm)
+                                 _simplify, norm)
 from rearrange_lab.rearrange import StepProfile, _values_on_grid
-from rearrange_lab.scalars import DOUBLE_PRECISION, INF
+from rearrange_lab.scalars import DOUBLE_PRECISION, INF, in_family
 from rearrange_lab.spaces import DiscreteSpace, SimpleFunction
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz kinds in mixed float/Fraction arithmetic: phi rebuilt from
+# its breakpoints on every call, the profile's cuts summed on every use
+
+def reference_boundaries(prof: StepProfile) -> list:
+    cuts = [0]
+    for _, l in prof.segments:
+        cuts.append(cuts[-1] + l)
+    return cuts
+
+
+def reference_total_length(prof: StepProfile):
+    return sum((l for _, l in prof.segments), start=Fraction(0))
+
+
+def reference_phi(phi: ConcaveWeight, t):
+    """phi(t), in the arithmetic family of t."""
+    pts = [(in_family(a, t), in_family(v, t)) for a, v in phi.breakpoints]
+    if t <= 0:
+        return pts[0][1]
+    if t >= 1:
+        return pts[-1][1]
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return pts[-1][1]
+
+
+def reference_lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
+    """Stieltjes sum of the profile against d(phi)."""
+    total = 0
+    one = in_family(Fraction(1), reference_total_length(prof))
+    cuts = reference_boundaries(prof)
+    for (v, _), a, b in zip(prof.segments, cuts, cuts[1:]):
+        total = total + v * (reference_phi(phi, min(b, one))
+                             - reference_phi(phi, min(a, one)))
+    return total
+
+
+def reference_unit_grid(phi: ConcaveWeight, prof: StepProfile) -> list:
+    """The profile's boundaries clipped to [0, 1] merged with phi's
+    breakpoints (which include 0 and 1), ascending and in the arithmetic
+    family of the profile."""
+    one = in_family(Fraction(1), reference_total_length(prof))
+    return sorted(
+        {min(b, one) for b in reference_boundaries(prof)}
+        | {in_family(t, one) for t, _ in phi.breakpoints}
+    )
+
+
+def reference_partial_integrals(prof: StepProfile, cuts):
+    """H(s) = integral of the profile over [0, s] for each of the
+    ascending cuts s, from one walk over the segments."""
+    bounds = reference_boundaries(prof)
+    out, prefix, seg = [], 0, 0  # prefix: segments ending by s
+    for s in cuts:
+        while seg < len(prof.segments) and bounds[seg + 1] <= s:
+            prefix = prefix + prof.segments[seg][0] * (bounds[seg + 1] - bounds[seg])
+            seg += 1
+        if seg < len(prof.segments) and bounds[seg] < s:
+            out.append(prefix + prof.segments[seg][0] * (s - bounds[seg]))
+        else:
+            out.append(prefix)
+    return out
+
+
+def reference_lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
+    """sup over s in (0,1] of H(s)/phi(s) with H the running integral."""
+    cuts = reference_unit_grid(phi, prof)[1:]  # drop s = 0
+    best = 0
+    for s, h in zip(cuts, reference_partial_integrals(prof, cuts)):
+        ratio = h / reference_phi(phi, s)
+        if ratio > best:
+            best = ratio
+    return best
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz associate by exact maximization over flat blocks
+
+def lorentz_associate_exact_lp(phi: ConcaveWeight, h: SimpleFunction):
+    """Exact pairing maximum over the Lorentz unit ball.
+
+    Reparameterizing a nonincreasing candidate by its decrements turns
+    the ball constraint into a single weighted-sum cap, so the optimum
+    sits on a flat block 1_{1..k} scaled to unit norm; the exact maximum
+    over those finitely many blocks is returned (all rational).
+    """
+    if not h.space.equal_atoms:
+        raise NonEqualAtomSpace("exact LP oracle assumes equal atoms")
+    n = h.space.n
+    hstar = sorted((abs(Fraction(v)) for v in h.values), reverse=True)
+    best = Fraction(0)
+    running = Fraction(0)
+    for k in range(1, n + 1):
+        running += hstar[k - 1]
+        height = 1 / phi(Fraction(k, n))
+        pairing = running * height / n
+        if pairing > best:
+            best = pairing
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +141,7 @@ def second_associate_lp_oracle(phi: ConcaveWeight, prof: StepProfile, precision)
         raise ExactUnavailable("the second-associate LP is float-based")
     from scipy.optimize import linprog
 
-    grid = _unit_grid(phi, prof)
+    grid = reference_unit_grid(phi, prof)
     lengths = [float(b - a) for a, b in zip(grid, grid[1:])]
     m = len(lengths)
     fvals = [float(v) for v in _values_on_grid(prof, grid)]

@@ -1,6 +1,8 @@
 """Report drift check: each benchmark workload, run in-process at CLI
-seed 0, reproduces the first report hash pinned in bench/pins.json.  Also
-checks that the norm workload runs without scipy.  bench/ is only read."""
+seed 0, reproduces the first report hash pinned in bench/pins.json, and
+the bit-sensitive float Lorentz workload reproduces its hash at every
+pinned CLI seed.  Also checks that the norm workload runs without scipy.
+bench/ is only read."""
 
 import json
 import os
@@ -15,7 +17,9 @@ from rearrange_lab.cli import run
 from rearrange_lab.verify import canonical_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+_BENCH_WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))
+WORKLOADS = _BENCH_WORKLOADS["WORKLOADS"]
+PINNED_SEEDS = _BENCH_WORKLOADS["PINNED_SEEDS"]
 PINS = json.loads((BENCH / "pins.json").read_text())
 
 
@@ -26,6 +30,15 @@ def test_workload_report_matches_pin(name, capsys):
     assert run(workload.cli_argv(0)) == 0
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == PINS[name]["hashes"][0]
+
+
+@pytest.mark.parametrize("cli_seed", range(PINNED_SEEDS))
+def test_lorentz_workload_matches_every_pin(cli_seed, capsys):
+    workload = WORKLOADS["thm43-lorentz-float"]
+    assert run(workload.cli_argv(cli_seed)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert canonical_hash(report) == \
+        PINS["thm43-lorentz-float"]["hashes"][cli_seed]
 
 
 def test_norm_workload_runs_without_scipy():

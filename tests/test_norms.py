@@ -8,17 +8,22 @@ from hypothesis import given, settings
 
 from conftest import (function_pairs, functions, lattice_values,
                       off_lattice_functions, off_lattice_spaces, same_bits)
-from oracles import associate_norm_oracle, second_associate_lp_oracle
+from oracles import (associate_norm_oracle, lorentz_associate_exact_lp,
+                     reference_boundaries, reference_lorentz_associate_norm,
+                     reference_lorentz_norm, reference_partial_integrals,
+                     reference_phi, reference_total_length,
+                     reference_unit_grid, second_associate_lp_oracle)
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
                                  LINF, LorentzLambda, Lp, associate_norm,
                                  dual_exponent, exactly_evaluable,
-                                 hardy_littlewood_check, holder_check,
-                                 lorentz_associate_exact_lp, norm,
-                                 norm_from_json, norm_to_json)
-from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
-from rearrange_lab.scalars import INF, binary_context, to_binary
+                                 _unit_grid, hardy_littlewood_check,
+                                 holder_check, norm, norm_from_json,
+                                 norm_to_json)
+from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
+                                     make_profile)
+from rearrange_lab.scalars import INF, binary_context, in_family, to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
                                   simple, to_binary_function, to_binary_space)
 
@@ -356,3 +361,165 @@ def test_exact_fractional_power_is_unavailable(X):
         norm(X, f)
     binary = to_binary_function(f, to_binary_space(f.space, 53), 53)
     assert norm(X, binary, precision=53) > 0
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz kinds against their former evaluation: phi rebuilt on every
+# call and compared with float arguments as Fractions
+
+def _double_below(q):
+    x = float(q)
+    return math.nextafter(x, -math.inf) if x > q else x
+
+
+def _double_above(q):
+    x = float(q)
+    return math.nextafter(x, math.inf) if x < q else x
+
+
+@st.composite
+def concave_weights(draw):
+    """A concave phi with up to three interior breakpoints, dyadic or
+    not, some of them on flat or collinear pieces."""
+    knots = set()
+    for _ in range(draw(st.integers(0, 3))):
+        den = draw(st.sampled_from((4, 16, 1024, 3, 7, 10, 12)))
+        knots.add(F(draw(st.integers(1, den - 1)), den))
+    knots = [F(0), *sorted(knots), F(1)]
+    slopes = sorted([draw(st.integers(1, 9))] + draw(st.lists(
+        st.integers(0, 9), min_size=len(knots) - 2, max_size=len(knots) - 2)),
+        reverse=True)
+    rises = [s * (b - a) for s, a, b in zip(slopes, knots, knots[1:])]
+    values = [F(0)]
+    for rise in rises:
+        values.append(values[-1] + rise / sum(rises))
+    return ConcaveWeight(tuple(zip(knots, values)))
+
+
+WEIGHTS = st.one_of(st.sampled_from((PHI, PHI_ODD)), concave_weights())
+
+
+def _in_precision(q, nudge, precision):
+    """The exact q in the arithmetic of `precision`; in doubles, nudge
+    -1/0/+1 picks the double below/nearest/above q."""
+    if precision == 53:
+        return (_double_below, float, _double_above)[nudge + 1](q)
+    return to_binary(q, precision)
+
+
+@st.composite
+def _points_near(draw, phi, precision):
+    """A point at, next to or away from one of phi's breakpoints, or
+    beyond 1, in the arithmetic of `precision`."""
+    pool = [t for t, _ in phi.breakpoints[1:]] + [
+        F(1, 3), F(5, 8), F(5, 4), F(2), F(draw(st.integers(1, 99)), 64)]
+    return _in_precision(draw(st.sampled_from(pool)),
+                         draw(st.integers(-1, 1)), precision)
+
+
+@st.composite
+def _raw_profiles(draw, phi, precision):
+    """A StepProfile whose boundaries are drawn near phi's breakpoints,
+    so its total length falls below, on or above 1."""
+    with binary_context(precision or 53):
+        cuts = sorted(set(draw(st.lists(_points_near(phi, precision),
+                                        min_size=1, max_size=5))))
+        lengths = [b - a for a, b in zip([0] + cuts, cuts)]
+    heights = sorted(set(draw(st.lists(st.integers(1, 60), min_size=len(cuts),
+                                       max_size=len(cuts)))), reverse=True)
+    values = [_in_precision(F(k, draw(st.sampled_from((4, 7)))), 0, precision)
+              for k in heights]
+    values = sorted(set(values), reverse=True)
+    return StepProfile(tuple(zip(values, lengths)))
+
+
+@st.composite
+def _lorentz_inputs(draw, precision):
+    phi = draw(WEIGHTS)
+    if draw(st.booleans()):
+        return phi, draw(_raw_profiles(phi, precision))
+    n = draw(st.integers(1, 9))
+    space = equal_space(n)
+    if draw(st.booleans()):
+        f = draw(off_lattice_functions(space))
+    else:
+        f = SimpleFunction(draw(lattice_values(n)), space)
+    if precision is None:
+        return phi, f
+    binary = to_binary_space(space, precision)
+    return phi, to_binary_function(f, binary, precision)
+
+
+def _former_lorentz_kind(X, f, precision):
+    """norm(X, f) for X a Lorentz, Associate(Lorentz) or Generated(Lorentz,
+    p) norm, evaluated as before the per-arithmetic tables."""
+    with binary_context(precision or 53):
+        prof = f if isinstance(f, StepProfile) else decreasing_rearrangement(f)
+        if isinstance(X, Generated):
+            powered = make_profile((_reference_power(v, X.p, precision), l)
+                                   for v, l in prof.segments)
+            base = reference_lorentz_norm(X.base.phi, powered)
+            return _reference_root(base, X.p, precision)
+        if isinstance(X, Associate):
+            return reference_lorentz_associate_norm(X.base.phi, prof)
+        return reference_lorentz_norm(X.phi, prof)
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_lorentz_kinds_are_the_former_evaluation_bit_for_bit(precision, data):
+    phi, f = data.draw(_lorentz_inputs(precision))
+    lorentz = LorentzLambda(phi)
+    for X in (lorentz, Associate(lorentz), Generated(lorentz, 2)):
+        try:
+            expected = _former_lorentz_kind(X, f, precision)
+        except ExactUnavailable:
+            with pytest.raises(ExactUnavailable):
+                norm(X, f, precision=precision)
+            continue
+        got = norm(X, f, precision=precision)
+        assert same_bits(got, expected), (X, f, got, expected)
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unit_grid_is_the_former_grid_bit_for_bit(precision, data):
+    """phi at the clipped boundaries, and H and phi at the points of the
+    unit grid, as the former sorted-set grid gives them."""
+    phi, f = data.draw(_lorentz_inputs(precision))
+    with binary_context(precision or 53):
+        prof = f if isinstance(f, StepProfile) else decreasing_rearrangement(f)
+        at_bounds, grid = _unit_grid(phi, prof)
+        one = in_family(F(1), reference_total_length(prof))
+        cuts = reference_unit_grid(phi, prof)[1:]
+        expected_grid = [(h, reference_phi(phi, s)) for s, h in
+                         zip(cuts, reference_partial_integrals(prof, cuts))]
+        expected_at_bounds = [reference_phi(phi, min(b, one))
+                              for b in reference_boundaries(prof)]
+    for got, expected in ((at_bounds, expected_at_bounds),
+                          ([x for pair in grid for x in pair],
+                           [x for pair in expected_grid for x in pair])):
+        assert len(got) == len(expected), (got, expected)
+        assert all(map(same_bits, got, expected)), (got, expected)
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_phi_is_the_former_evaluation_bit_for_bit(precision, data):
+    phi = data.draw(WEIGHTS)
+    t = data.draw(st.one_of(_points_near(phi, precision),
+                            st.sampled_from((0, F(0), F(1), -1))))
+    with binary_context(precision or 53):
+        assert same_bits(phi(t), reference_phi(phi, t)), (phi, t)
+
+
+def test_phi_tables_do_not_change_equality():
+    phi = ConcaveWeight(PHI_ODD.breakpoints)
+    phi(0.5), phi(F(1, 2))
+    with binary_context(113):
+        phi(mpmath.mpf(1) / 2)
+    assert phi == PHI_ODD and hash(phi) == hash(PHI_ODD)
+    assert LorentzLambda(phi) == LorentzLambda(PHI_ODD)

@@ -54,6 +54,39 @@ def test_profile_eval_right_continuous():
     assert prof.total_length == F(1, 2)
 
 
+def test_profile_boundaries_are_summed_once_as_before():
+    """The cuts are the former running sums from the int 0, summed once;
+    total_length is the former sum from Fraction(0); equality and hashing
+    ignore the cache."""
+    with binary_context(113):
+        third = mpmath.mpf(1) / 3
+    for lengths in ((F(1, 4), F(1, 2)), (0.1, 0.2, 0.7), (1, F(1, 3)),
+                    (third, third, 0.5), ()):
+        with binary_context(113):
+            prof = StepProfile(tuple(zip(range(len(lengths), 0, -1), lengths)))
+            cuts = [0]
+            for length in lengths:
+                cuts.append(cuts[-1] + length)
+            total = sum(lengths, start=F(0))
+            assert prof.boundaries is prof.boundaries
+            assert all(map(same_bits, prof.boundaries, cuts))
+            assert same_bits(prof.total_length, total)
+        assert prof == StepProfile(prof.segments)
+        assert hash(prof) == hash(StepProfile(prof.segments))
+
+
+@given(functions())
+def test_profile_eval_is_a_scan_of_the_segments(f):
+    prof = decreasing_rearrangement(f)
+    for t in {F(0), F(1, 3), *prof.boundaries, prof.total_length + 1}:
+        start, expected = F(0), F(0)
+        for value, length in prof.segments:
+            if start <= t < start + length:
+                expected = value
+            start += length
+        assert prof(t) == expected
+
+
 def test_profile_product_fixtures():
     one = make_profile([(F(1), F(1))])
     assert profile_integrate_product([one, one]) == 1

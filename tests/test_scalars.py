@@ -116,3 +116,17 @@ def test_over_common_denominator_binary_is_unchanged():
         assert numerators is values and unit == 1 and type(unit) is int
     assert over_common_denominator([3, Fraction(1, 6), Fraction(-1, 4)]) == \
         ([36, 2, -3], Fraction(1, 12))
+
+
+def test_over_common_denominator_finds_a_binary_value_anywhere():
+    """Any float or mpf, first, last or among ints and Fractions, makes the
+    sequence binary; the empty sequence is exact."""
+    import mpmath
+
+    third = mpmath.mpf(1) / 3
+    for values in ([0, 1, 0.5], [Fraction(1, 3), 2, 0.25], (3, third),
+                   [0.0], [Fraction(1, 2), 0, third, 0.5]):
+        numerators, unit = over_common_denominator(values)
+        assert numerators is values and unit == 1 and type(unit) is int
+    assert over_common_denominator([]) == ([], Fraction(1))
+    assert over_common_denominator((0, 2)) == ([0, 2], Fraction(1))
