@@ -70,7 +70,6 @@ def _build_parser() -> _Parser:
                       help="norm descriptor JSON, inline or @file (thm43)")
     p_ve.add_argument("--exponents", default=None,
                       help="r,p1,q1,p2,q2 with 1/r = 1/p1+1/q1 = 1/p2+1/q2 (thm41)")
-    p_ve.add_argument("--threads", type=int, default=1)
     p_ve.add_argument("--out", default=None, help="also write the report here")
 
     p_se = sub.add_parser("search", help="extremal ratio search")
@@ -188,7 +187,6 @@ def _verify_command(args) -> int:
             precision=precision,
             exponents=exps_flag if suite == "thm41" else None,
             norm=norm_flag if suite == "thm43" else None,
-            threads=args.threads,
         )
         reports.append(run_suite(cfg))
     if args.suite == "all":

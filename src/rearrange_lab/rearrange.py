@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError
-from .scalars import (INF, format_scalar, over_common_denominator,
-                      parse_scalar)
+from .scalars import (INF, check_one_family, format_scalar,
+                      over_common_denominator, parse_scalar)
 from .spaces import AtomSet, DiscreteSpace, SimpleFunction, support
 
 
@@ -36,8 +36,9 @@ class StepProfile:
     """A nonincreasing, right-continuous step function on [0, infinity).
 
     ``segments`` is an ordered tuple of (value, length) pairs with strictly
-    decreasing positive values and positive lengths; the function is 0 from
-    the total length onward.  The zero function is the empty profile.
+    decreasing positive values and positive lengths of one arithmetic
+    family; the function is 0 from the total length onward.  The zero
+    function is the empty profile.
     """
 
     segments: tuple
@@ -46,6 +47,10 @@ class StepProfile:
         object.__setattr__(self, "segments", tuple(self.segments))
         lengths = [l for _, l in self.segments]
         values = [v for v, _ in self.segments]
+        try:
+            check_one_family(lengths, "segment lengths")
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         if any(l <= 0 for l in lengths):
             raise InputError("segment lengths must be positive")
         if any(v <= 0 for v in values):
@@ -239,15 +244,20 @@ def profile_difference_sup(p: StepProfile, q: StepProfile):
 # ---------------------------------------------------------------------------
 # checked identities
 
+def _integer_exponent(p, what: str) -> int:
+    """p as an int; `what` is checked for integer p (or inf) only."""
+    if Fraction(p).denominator != 1:
+        raise InputError(f"{what} is checked for integer p or inf")
+    return int(p)
+
+
 def _lp_moments(f: SimpleFunction, p):
     """The pre-root pair (|f|_p^p, |f*|_p^p) for an integer p, or the two
     sups for p = inf."""
     prof = decreasing_rearrangement(f)
     if p == INF:
         return max((abs(v) for v in f.values), default=Fraction(0)), prof.sup
-    if Fraction(p).denominator != 1:
-        raise InputError("Lp preservation is checked for integer p or inf")
-    k = int(p)
+    k = _integer_exponent(p, "Lp preservation")
     m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
     return m_f, profile_moment(prof, k)
 
@@ -299,7 +309,7 @@ def _nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
             (abs(a - b) for a, b in zip(f.values, g.values)), default=Fraction(0)
         )
         return profile_difference_sup(pf, pg), rhs
-    k = int(p)
+    k = _integer_exponent(p, "non-expansiveness")
     rhs = sum(
         abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, f.space.weights)
     )

@@ -48,7 +48,6 @@ RHS_FLOOR = 1e-4
 class SearchProblem:
     target: str
     atoms: int = 2
-    weights: tuple = None          # defaults to equal weights
     exponents: tuple = None        # thm41-ratio
     norm: object = None            # thm43-ratio
 
@@ -74,8 +73,7 @@ class SearchProblem:
         return ("f", "g", "h") if self.target == "thm32-ratio" else ("f", "g")
 
     def space(self) -> DiscreteSpace:
-        if self.weights is not None:
-            return DiscreteSpace(tuple(float(w) for w in self.weights))
+        """The space searched: `atoms` equal double weights."""
         n = self.atoms
         return DiscreteSpace(tuple(1.0 / n for _ in range(n)))
 

@@ -137,11 +137,6 @@ def add(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     return SimpleFunction(tuple(a + b for a, b in zip(f.values, g.values)), f.space)
 
 
-def sub(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    _same_space(f, g)
-    return SimpleFunction(tuple(a - b for a, b in zip(f.values, g.values)), f.space)
-
-
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     """Pointwise product fg."""
     _same_space(f, g)

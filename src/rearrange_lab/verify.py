@@ -20,11 +20,9 @@ rearrange (the rearrangement machinery bundle).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +48,12 @@ SUITE_IDS = ("thm32", "lemma31", "thm41", "thm43", "rearrange")
 QUAD_CERTIFY_RTOL = Fraction(1, 2**80)
 
 DEFAULT_EXPONENTS = (Fraction(1), INF, Fraction(1), INF, Fraction(1))
+
+#: random instance values are k / LATTICE_DEN with |k| <= LATTICE_MAX
+LATTICE_MAX = 8
+LATTICE_DEN = 4
+_LATTICE = tuple(Fraction(k, LATTICE_DEN)
+                 for k in range(-LATTICE_MAX, LATTICE_MAX + 1))
 
 
 def _invexp(p):
@@ -79,15 +83,12 @@ class TrialConfig:
     suite: str
     atoms: int = 4
     weight_scheme: str = "equal"  # equal | random-rational
-    lattice_max: int = 8          # values are k / lattice_den, |k| <= lattice_max
-    lattice_den: int = 4
     trials: int = 10000
     seed: int = 0
     mode: str = "exact"           # exact | float
     precision: int = DOUBLE_PRECISION
     exponents: tuple = None
     norm: object = None
-    threads: int = 1              # execution detail, not part of the canonical config
 
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
@@ -96,8 +97,6 @@ class TrialConfig:
             raise InputError("need at least one atom")
         if self.trials < 1:
             raise InputError("need at least one trial")
-        if self.threads < 1:
-            raise InputError("need at least one thread")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
         if self.mode not in ("exact", "float"):
@@ -126,8 +125,8 @@ class TrialConfig:
             "suite": self.suite,
             "atoms": self.atoms,
             "weight_scheme": self.weight_scheme,
-            "lattice_max": self.lattice_max,
-            "lattice_den": self.lattice_den,
+            "lattice_max": LATTICE_MAX,
+            "lattice_den": LATTICE_DEN,
             "trials": self.trials,
             "seed": self.seed,
             "mode": self.mode,
@@ -166,20 +165,9 @@ def _draw_weights(cfg: TrialConfig, rng: random.Random):
     return tuple(Fraction(k, total) for k in numerators)
 
 
-@functools.cache
-def _lattice(lattice_max: int, lattice_den: int) -> tuple:
-    """The lattice values k / lattice_den for k = -lattice_max ..
-    lattice_max, in order."""
-    return tuple(Fraction(k, lattice_den)
-                 for k in range(-lattice_max, lattice_max + 1))
-
-
-def _draw_values(cfg: TrialConfig, rng: random.Random, n: int):
-    lattice = _lattice(cfg.lattice_max, cfg.lattice_den)
-    return tuple(
-        lattice[rng.randint(-cfg.lattice_max, cfg.lattice_max) + cfg.lattice_max]
-        for _ in range(n)
-    )
+def _draw_values(rng: random.Random, n: int):
+    return tuple(_LATTICE[rng.randint(-LATTICE_MAX, LATTICE_MAX) + LATTICE_MAX]
+                 for _ in range(n))
 
 
 def _two_level_fixture(index: int) -> Instance:
@@ -238,13 +226,13 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
                 tuple(Fraction(rng.randint(-4, 4), 4) for _ in range(n)), space
             )
         else:
-            f = SimpleFunction(_draw_values(cfg, rng, n), space)
-            h = SimpleFunction(_draw_values(cfg, rng, n), space)
-        g = center(SimpleFunction(_draw_values(cfg, rng, n), space))
+            f = SimpleFunction(_draw_values(rng, n), space)
+            h = SimpleFunction(_draw_values(rng, n), space)
+        g = center(SimpleFunction(_draw_values(rng, n), space))
         functions = {"f": f, "g": g, "h": h}
     elif cfg.suite in ("thm41", "thm43", "rearrange"):
-        f = SimpleFunction(_draw_values(cfg, rng, n), space)
-        g = SimpleFunction(_draw_values(cfg, rng, n), space)
+        f = SimpleFunction(_draw_values(rng, n), space)
+        g = SimpleFunction(_draw_values(rng, n), space)
         functions = {"f": f, "g": g}
     return Instance(space, functions, index)
 
@@ -344,31 +332,6 @@ def _certified(lhs, rhs, precision) -> bool:
         return float(rhs - lhs) < -float(QUAD_CERTIFY_RTOL) * scale
 
 
-def _judge(cfg, inst, label, lhs, rhs, recheck_sides):
-    """A negative exact gap is a violation; a negative float gap is one
-    only if recheck_sides(), the sides in the suite's certifying
-    arithmetic, pass `_certified`, and a graze otherwise."""
-    gap = rhs - lhs
-    out = TrialOutcome(gap=gap)
-    if gap < 0:
-        exact = cfg.mode == "exact"
-        precision = None if exact else _TRIALS[cfg.suite][1]
-        re_lhs, re_rhs = (lhs, rhs) if exact else recheck_sides()
-        if _certified(re_lhs, re_rhs, precision):
-            out.violation = {
-                "form": label,
-                "instance": inst.to_json(),
-                "lhs": format_scalar(lhs),
-                "rhs": format_scalar(rhs),
-                "recheck": {"mode": _recheck_mode(precision),
-                            "lhs": format_scalar(re_lhs),
-                            "rhs": format_scalar(re_rhs)},
-            }
-        else:
-            out.graze = True
-    return out
-
-
 def _thm32_forms(cfg, fns, precision, labels):
     return {None: thm32_sides(fns["f"], fns["g"], fns["h"])}
 
@@ -416,26 +379,46 @@ def _recheck(cfg, inst: Instance, label):
 
 
 def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
+    """Every form of one instance, judged in form order: the trial's gap
+    is the first smallest form gap (RHS - LHS, taken in the arithmetic of
+    the sides).  A negative exact gap is a violation; a negative float
+    gap is one only if the form's sides in the suite's certifying
+    arithmetic pass `_certified`, and a graze otherwise.  The first
+    certified form is the trial's violation."""
     inst = generate_instance(cfg, index)
     if cfg.suite == "rearrange":
         return _run_rearrange_trial(cfg, inst)
-    precision = None if cfg.mode == "exact" else cfg.precision
-    work = inst if precision is None else _binary_instance(inst, precision)
-    judged = {
-        label: _judge(
-            cfg, inst, cfg.suite if label is None else f"{cfg.suite}-{label}",
-            lhs, rhs, lambda label=label: _recheck(cfg, inst, label),
-        )
-        for label, (lhs, rhs) in _evaluate(cfg, work.functions,
-                                           precision).items()
-    }
-    outs = judged.values()
-    return TrialOutcome(
-        gap=min(out.gap for out in outs),
-        graze=any(out.graze for out in outs),
-        violation=next((out.violation for out in outs if out.violation), None),
-        form_gaps={label: out.gap for label, out in judged.items()},
-    )
+    exact = cfg.mode == "exact"
+    forms, certifying = _TRIALS[cfg.suite]
+    if exact:  # an exact gap certifies itself
+        precision = certifying = None
+    else:
+        precision = cfg.precision
+    work = inst if exact else _binary_instance(inst, precision)
+    out = TrialOutcome(form_gaps={})
+    with binary_context(precision or DOUBLE_PRECISION):
+        for label, (lhs, rhs) in forms(cfg, work.functions, precision,
+                                       None).items():
+            gap = out.form_gaps[label] = rhs - lhs
+            if out.gap is None or gap < out.gap:
+                out.gap = gap
+            if gap < 0:
+                re_lhs, re_rhs = (lhs, rhs) if exact \
+                    else _recheck(cfg, inst, label)
+                if not _certified(re_lhs, re_rhs, certifying):
+                    out.graze = True
+                elif out.violation is None:
+                    out.violation = {
+                        "form": cfg.suite if label is None
+                        else f"{cfg.suite}-{label}",
+                        "instance": inst.to_json(),
+                        "lhs": format_scalar(lhs),
+                        "rhs": format_scalar(rhs),
+                        "recheck": {"mode": _recheck_mode(certifying),
+                                    "lhs": format_scalar(re_lhs),
+                                    "rhs": format_scalar(re_rhs)},
+                    }
+    return out
 
 
 _REARRANGE_PROPERTIES = (
@@ -585,19 +568,8 @@ def canonical_hash(doc: dict) -> str:
 
 
 def run_suite(cfg: TrialConfig) -> VerificationReport:
-    """Run every trial of the configured suite and reduce the outcomes.
-
-    Trials are independent; with cfg.threads > 1 they are evaluated on a
-    thread pool and reduced in trial order, so the report is identical
-    under any schedule.
-    """
-    indices = range(cfg.trials)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(lambda i: _run_trial(cfg, i), indices))
-    else:
-        outcomes = [_run_trial(cfg, i) for i in indices]
-
+    """Run the trials of the configured suite in order and reduce the
+    outcomes."""
     histogram = {label: 0 for label, _ in _HISTOGRAM_BINS}
     min_gap, argmin_index = None, None
     violations, grazes = [], 0
@@ -605,7 +577,8 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
         if cfg.suite == "rearrange" else None
     form_min = {} if cfg.suite == "thm43" else None
 
-    for i, out in enumerate(outcomes):
+    for i in range(cfg.trials):
+        out = _run_trial(cfg, i)
         histogram[_bin_gap(out)] += 1
         if min_gap is None or out.gap < min_gap:
             min_gap, argmin_index = out.gap, i

@@ -1,12 +1,24 @@
 """Shared hypothesis strategies: small spaces and lattice-valued functions,
-and off-lattice exact inputs for differential tests."""
+and off-lattice exact inputs for differential tests; and a guard that no
+test leaves mpmath's working precision changed."""
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import mpmath
+import pytest
 
 from rearrange_lab.spaces import DiscreteSpace, SimpleFunction, equal_space
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_is_restored():
+    """mpmath's working precision is one process-wide setting: every test
+    must leave it as it found it (it is reset, so one leak fails one test)."""
+    before = mpmath.mp.prec
+    yield
+    after, mpmath.mp.prec = mpmath.mp.prec, before
+    assert after == before, f"mpmath.mp.prec changed from {before} to {after}"
 
 
 @st.composite

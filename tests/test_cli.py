@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
@@ -97,7 +99,7 @@ def test_verify_stdout_deterministic(capsys):
             "--seed", "7", "--mode", "exact"]
     assert run(args) == 0
     first = capsys.readouterr().out
-    assert run(args + ["--threads", "8"]) == 0
+    assert run(args) == 0
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
@@ -214,10 +216,8 @@ def test_verify_all_aggregates(capsys):
 @pytest.mark.parametrize("argv", [
     ["rearrange", "--function", "f"],
     ["verify", "--suite", "thm32", "--trials", "-5"],
-    ["verify", "--suite", "thm32", "--trials", "5", "--threads", "0"],
     ["search", "--target", "thm32-ratio", "--iters", "5", "--threads", "0"],
-], ids=["non-string-weight", "negative-trials", "zero-threads",
-        "search-zero-threads"])
+], ids=["non-string-weight", "negative-trials", "search-zero-threads"])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     if argv[0] == "rearrange":
         path = tmp_path / "instance.json"
@@ -229,6 +229,31 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: InputError:")
     assert captured.err.count("\n") == 1
+
+
+def test_verify_has_no_threads_flag(capsys):
+    """verify runs its trials in order in one thread; --threads is no
+    verify flag (search keeps it)."""
+    assert run(["verify", "--suite", "thm32", "--trials", "5",
+                "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FlagError:")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_import_loads_no_executor():
+    """Importing the CLI does not load concurrent.futures; only a search
+    with threads > 1 imports it."""
+    script = ("import sys, rearrange_lab.cli\n"
+              "print('concurrent.futures' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 _NEAR_TEN_TO_2999 = 10**2999

@@ -45,6 +45,19 @@ def test_profile_canonicalization():
         StepProfile(((F(1), F(0)),))  # zero length
 
 
+def test_profile_lengths_share_one_family():
+    """The Lorentz walk reads a profile in the arithmetic of its lengths,
+    so exact and binary lengths do not mix; binary values over exact
+    lengths (as a generated norm builds them) do."""
+    with pytest.raises(InputError, match="segment lengths"):
+        StepProfile(((3, F(1, 3) + F(1, 10**20)), (1, 0.25)))
+    with pytest.raises(InputError, match="segment lengths"):
+        StepProfile(((3, 0.5), (1, mpmath.mpf(0.25))))
+    assert StepProfile(((3.0, F(1, 3)), (1.0, F(1, 4)))).total_length \
+        == F(7, 12)
+    assert StepProfile(((F(3), 1), (F(1), F(1, 4)))).total_length == F(5, 4)
+
+
 def test_profile_eval_right_continuous():
     prof = make_profile([(F(3), F(1, 4)), (F(1), F(1, 4))])
     assert prof(0) == 3
@@ -61,7 +74,7 @@ def test_profile_boundaries_are_summed_once_as_before():
     with binary_context(113):
         third = mpmath.mpf(1) / 3
     for lengths in ((F(1, 4), F(1, 2)), (0.1, 0.2, 0.7), (1, F(1, 3)),
-                    (third, third, 0.5), ()):
+                    (third, third, mpmath.mpf(0.5)), ()):
         with binary_context(113):
             prof = StepProfile(tuple(zip(range(len(lengths), 0, -1), lengths)))
             cuts = [0]
@@ -128,6 +141,10 @@ def test_nonexpansive_fixtures():
     assert nonexpansive_check(f, g, 1) == (0, 2)
     f, g = simple((2, 0), sp), simple((0, 1), sp)
     assert nonexpansive_check(f, g, 1) == (F(1, 2), F(3, 2))
+    for check in (nonexpansive_check, nonexpansive_holds):
+        for p in (F(3, 2), F(5, 2), 2.5):  # truncated, p would check 1 or 2
+            with pytest.raises(InputError, match="integer p"):
+                check(f, g, p)
 
 
 def test_layer_cake_fixtures():

@@ -9,12 +9,14 @@ import pytest
 from rearrange_lab.errors import InputError
 from rearrange_lab.norms import (ConcaveWeight, Generated, L1, LorentzLambda,
                                  Lp, norm_from_json)
-from rearrange_lab.scalars import INF, QUAD_PRECISION, binary_context
+from rearrange_lab import verify as verify_mod
+from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
+                                   format_scalar)
 from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import integrate
 from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, TrialConfig,
                                   _binary_instance, _evaluate,
-                                  _judge, _recheck,
+                                  _recheck, _run_trial,
                                   canonical_hash, canonical_json,
                                   generate_instance, run_suite, thm32_sides,
                                   thm41_sides, thm43_sides,
@@ -138,16 +140,6 @@ def test_report_reproducible_and_canonical():
     assert json.loads(canonical_json(doc1)) == doc1
 
 
-def test_report_threads_equivalent():
-    base = dict(suite="lemma31", atoms=4, trials=200, seed=4)
-    docs = [
-        canonical_json(run_suite(TrialConfig(**base, threads=t)).to_json_dict())
-        for t in (1, 2, 8)
-    ]
-    assert docs[0] == docs[1] == docs[2]
-    assert '"threads"' not in docs[0]  # execution detail stays out of the report
-
-
 def test_histogram_counts_sum_to_trials():
     cfg = TrialConfig(suite="thm32", atoms=4, trials=300, seed=1)
     rep = run_suite(cfg)
@@ -180,24 +172,78 @@ def test_thm43_lp2_matches_thm41_tuple_on_shared_instances():
         assert abs(float(rhs43) - float(rhs41)) <= 1e-12 * scale
 
 
-def test_judges_certify_real_violations():
-    """Feed the judges an impossible pair of sides to confirm the
+def _force_sides(monkeypatch, suite, sides, recheck_sides=None):
+    """Make suite's forms give `sides` in the trial's arithmetic and
+    `recheck_sides` (None: the real forms) in the 113-bit recheck."""
+    real, certifying = verify_mod._TRIALS[suite]
+
+    def forms(cfg, fns, precision, labels):
+        if precision != QUAD_PRECISION:
+            return sides
+        if recheck_sides is None:
+            return real(cfg, fns, precision, labels)
+        return {label: recheck_sides[label] for label in labels}
+
+    monkeypatch.setitem(verify_mod._TRIALS, suite, (forms, certifying))
+
+
+def test_judges_certify_real_violations(monkeypatch):
+    """Feed the trial impossible pairs of sides to confirm the
     certificate machinery emits (and that grazes stay uncertified)."""
     cfg = TrialConfig(suite="thm32", atoms=2, trials=1, seed=0)
-    inst = generate_instance(cfg, 0)
-    out = _judge(cfg, inst, "thm32", F(3), F(1), lambda: (F(3), F(1)))
+    _force_sides(monkeypatch, "thm32", {None: (F(3), F(1))})
+    out = _run_trial(cfg, 0)
     assert out.violation is not None
+    assert out.violation["form"] == "thm32"
     assert out.violation["recheck"]["mode"] == "exact"
-    out = _judge(cfg, inst, "thm32", F(1), F(3), lambda: (F(1), F(3)))
+    _force_sides(monkeypatch, "thm32", {None: (F(1), F(3))})
+    out = _run_trial(cfg, 0)
     assert out.violation is None and not out.graze
 
     fcfg = TrialConfig(suite="thm41", atoms=2, trials=1, seed=0, mode="float")
-    graze = _judge(fcfg, inst, "thm41", 1.0 + 1e-13, 1.0,
-                   lambda: (F(1), F(1)))
+    _force_sides(monkeypatch, "thm41", {None: (1.0 + 1e-13, 1.0)},
+                 {None: (F(1), F(1))})
+    graze = _run_trial(fcfg, 0)
     assert graze.graze and graze.violation is None
-    real = _judge(fcfg, inst, "thm41", 2.0, 1.0, lambda: (F(2), F(1)))
+    _force_sides(monkeypatch, "thm41", {None: (2.0, 1.0)},
+                 {None: (F(2), F(1))})
+    real = _run_trial(fcfg, 0)
     assert real.violation is not None
     assert "float113" in real.violation["recheck"]["mode"]
+
+
+def test_trial_takes_first_minimum_any_graze_and_first_violation(monkeypatch):
+    """The trial's gap is the smallest form gap, it grazes if any form
+    does, and its violation is the first certified form's."""
+    cfg = TrialConfig(suite="thm43", atoms=2, trials=1, seed=0, mode="float")
+    _force_sides(
+        monkeypatch, "thm43",
+        {"norm_form": (2.0, 1.0), "associate_form": (3.0, 1.0)},
+        {"norm_form": (F(1), F(1)), "associate_form": (F(3), F(1))})
+    out = _run_trial(cfg, 0)
+    assert out.gap == -2.0
+    assert out.form_gaps == {"norm_form": -1.0, "associate_form": -2.0}
+    assert out.graze
+    assert out.violation["form"] == "thm43-associate_form"
+
+    _force_sides(
+        monkeypatch, "thm43",
+        {"norm_form": (2.0, 1.0), "associate_form": (1.0, 0.0)},
+        {"norm_form": (F(2), F(1)), "associate_form": (F(3), F(1))})
+    out = _run_trial(cfg, 0)
+    assert out.gap == -1.0 and not out.graze
+    assert out.violation["form"] == "thm43-norm_form"
+
+
+def test_float_gaps_are_taken_at_the_working_precision():
+    """At 80 bits a form's gap RHS - LHS is rounded to 80 bits, not to
+    the 53 bits of mpmath's default context."""
+    cfg = TrialConfig(suite="thm41", mode="float", atoms=6, trials=400,
+                      seed=3, precision=80)
+    rep = run_suite(cfg)
+    assert rep.argmin_index == 183
+    assert format_scalar(rep.min_gap) == \
+        "0.4756944444444444444444446282623583451173"
 
 
 # canonical report hashes; a change to any of them changes a report
@@ -283,22 +329,16 @@ def test_thm43_associate_form_is_certified_at_113_bits(atoms):
 
 
 @pytest.mark.parametrize("atoms", [5, 8])
-def test_forced_float_graze_is_rechecked_at_113_bits(atoms):
+def test_forced_float_graze_is_rechecked_at_113_bits(atoms, monkeypatch):
     """A negative float gap on a true instance goes through the real
     113-bit recheck and comes out a graze."""
     cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms,
                       norm=LORENTZ_ASSOCIATE, trials=1)
-    inst = generate_instance(cfg, 0)
-
-    def quad_sides():
-        quad = _binary_instance(inst, QUAD_PRECISION)
-        return thm43_sides(quad.functions["f"], quad.functions["g"],
-                           cfg.norm, precision=QUAD_PRECISION)["norm_form"]
-
-    work = _binary_instance(inst, 53)
+    work = _binary_instance(generate_instance(cfg, 0), 53)
     _, rhs = thm43_sides(work.functions["f"], work.functions["g"], cfg.norm,
                          precision=53)["norm_form"]
-    out = _judge(cfg, inst, "thm43-norm_form", rhs + 1.0, rhs, quad_sides)
+    _force_sides(monkeypatch, "thm43", {"norm_form": (rhs + 1.0, rhs)})
+    out = _run_trial(cfg, 0)
     assert out.gap < 0
     assert out.graze and out.violation is None
 
@@ -312,11 +352,9 @@ def test_root_free_suites_run_at_200_bits(suite, atoms):
     assert rep.min_gap >= 0
 
 
-def test_trials_and_threads_must_be_positive():
+def test_trials_must_be_positive():
     with pytest.raises(InputError):
         TrialConfig(suite="thm32", trials=0)
-    with pytest.raises(InputError):
-        TrialConfig(suite="thm32", threads=0)
 
 
 def _sign(x):
