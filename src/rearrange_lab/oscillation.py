@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile
-from .scalars import (format_scalar, in_family, over_common_denominator,
-                      parse_scalar)
+from .scalars import format_scalar, in_family, parse_scalar
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
                      SimpleFunction, center, integrate, multiply, support)
 
@@ -34,15 +33,14 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
     and B, which is exact and linear in each function; the quadratic
     double sum is kept in the test suite as the defining oracle.  Every
     term has degree one in f, g and h and two in the weights, so the four
-    integrals run on int numerators over common denominators and the
-    result is scaled once by unit_f unit_g unit_h unit_w^2.
+    integrals run on the int numerators the functions and the space keep
+    and the result is scaled once by unit_f unit_g unit_h unit_w^2.
     """
     space = _common_space(f, g, h)
     A = space.check_atoms(A)
     B = space.check_atoms(B)
     (fv, f_unit), (gv, g_unit), (hv, h_unit), (w, w_unit) = (
-        over_common_denominator(x)
-        for x in (f.values, g.values, h.values, space.weights)
+        (x.numerators, x.unit) for x in (f, g, h, space)
     )
 
     def over(atoms, *rows):

@@ -10,25 +10,48 @@ scalars are exact.  `align` is the one builder of that grid: it returns the
 width of every grid interval and each profile's value on it, and every
 pairwise profile operation here is a single pass over its output.
 
-The two kernels of the thm32 bound, `decreasing_rearrangement` and
-`profile_integrate_product`, sort, merge and integrate exact scalars as
-int numerators over a common denominator (`over_common_denominator`) and
-scale back once: to the few merged segments, or to the one integral.
-Binary scalars run the same code with the unit 1, in their own
-arithmetic and in the order of operations of a plain loop.
+The two kernels of the thm32 bound read the int numerators that
+functions, spaces and profiles keep from construction, and scale back
+once.  `decreasing_rearrangement` sorts and merges the numerators of f
+and of its weights, and `StepProfile.from_numerators` checks the merged
+segments on those ints, scales them back and keeps them.
+`profile_integrate_product` puts the profiles' length numerators on one
+unit and integrates on ints, scaling the one integral back.  Binary
+scalars run the same code with the unit 1, in their own arithmetic and
+in the order of operations of a plain loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import InputError
 from .scalars import (INF, check_one_family, format_scalar,
-                      over_common_denominator, parse_scalar)
+                      from_common_denominator, in_lowest_terms,
+                      over_common_denominator, over_one_unit, parse_scalar)
 from .spaces import AtomSet, DiscreteSpace, SimpleFunction, support
+
+
+def _check_family(lengths) -> None:
+    try:
+        check_one_family(lengths, "segment lengths")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _check_segments(values, lengths) -> None:
+    """The segment checks on values and lengths, or on their numerators
+    over positive units, which order and sign as the scalars do."""
+    if any(l <= 0 for l in lengths):
+        raise InputError("segment lengths must be positive")
+    if any(v <= 0 for v in values):
+        raise InputError("segment values must be positive (zeros are implicit)")
+    if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
+        raise InputError("segment values must be strictly decreasing")
 
 
 @dataclass(frozen=True)
@@ -38,25 +61,49 @@ class StepProfile:
     ``segments`` is an ordered tuple of (value, length) pairs with strictly
     decreasing positive values and positive lengths of one arithmetic
     family; the function is 0 from the total length onward.  The zero
-    function is the empty profile.
+    function is the empty profile.  The segment values are also kept as
+    ``value_numerators`` over ``value_unit`` and the lengths as
+    ``length_numerators`` over ``length_unit`` (`over_common_denominator`),
+    which is what the kernels read.
     """
 
     segments: tuple
+    value_numerators: tuple = field(init=False, repr=False, compare=False)
+    value_unit: object = field(init=False, repr=False, compare=False)
+    length_numerators: tuple = field(init=False, repr=False, compare=False)
+    length_unit: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        lengths = [l for _, l in self.segments]
-        values = [v for v, _ in self.segments]
-        try:
-            check_one_family(lengths, "segment lengths")
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        if any(l <= 0 for l in lengths):
-            raise InputError("segment lengths must be positive")
-        if any(v <= 0 for v in values):
-            raise InputError("segment values must be positive (zeros are implicit)")
-        if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
-            raise InputError("segment values must be strictly decreasing")
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        lengths = tuple(l for _, l in segments)
+        _check_family(lengths)
+        self._keep(*over_common_denominator(tuple(v for v, _ in segments)),
+                   *over_common_denominator(lengths))
+
+    @classmethod
+    def from_numerators(cls, value_numerators, value_unit, length_numerators,
+                        length_unit) -> StepProfile:
+        """The profile of segments (v * value_unit, l * length_unit), checked
+        as the constructor checks its segments, but on the numerators; it
+        keeps both pairs in lowest terms."""
+        _check_family(length_numerators)
+        values = in_lowest_terms(value_numerators, value_unit)
+        lengths = in_lowest_terms(length_numerators, length_unit)
+        profile = object.__new__(cls)
+        profile._keep(*values, *lengths)
+        object.__setattr__(profile, "segments", tuple(zip(
+            from_common_denominator(*values),
+            from_common_denominator(*lengths))))
+        return profile
+
+    def _keep(self, value_numerators, value_unit, length_numerators,
+              length_unit) -> None:
+        _check_segments(value_numerators, length_numerators)
+        object.__setattr__(self, "value_numerators", value_numerators)
+        object.__setattr__(self, "value_unit", value_unit)
+        object.__setattr__(self, "length_numerators", length_numerators)
+        object.__setattr__(self, "length_unit", length_unit)
 
     @property
     def total_length(self):
@@ -113,15 +160,18 @@ def decreasing_rearrangement(f: SimpleFunction) -> StepProfile:
     """Sort atoms by |value| descending (ties by atom index) and lay their
     weights out from 0; equal values merge, zeros are dropped.
 
-    Values and weights are sorted and merged as numerators over their
-    common denominators; only the merged segments are scaled back.
+    The numerators of f and of its space's weights are sorted, merged
+    and checked; only the merged segments are scaled back, and the
+    profile keeps the merged numerators.
     """
-    values, value_unit = over_common_denominator(f.values)
-    weights, length_unit = over_common_denominator(f.space.weights)
-    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))
-    merged = _merge((abs(values[i]), weights[i]) for i in order)
-    return StepProfile(tuple(
-        (v * value_unit, l * length_unit) for v, l in merged))
+    magnitudes = [abs(v) for v in f.numerators]
+    weights = f.space.numerators
+    # a stable sort: equal magnitudes keep their atom order
+    order = sorted(range(len(magnitudes)), key=magnitudes.__getitem__,
+                   reverse=True)
+    merged = _merge((magnitudes[i], weights[i]) for i in order)
+    return StepProfile.from_numerators(
+        [v for v, _ in merged], f.unit, [l for _, l in merged], f.space.unit)
 
 
 def distribution_measure(f: SimpleFunction, t):
@@ -137,19 +187,28 @@ def profile_level_measure(profile: StepProfile, t):
 # ---------------------------------------------------------------------------
 # merged-grid arithmetic
 
-def _values_on_grid(profile: StepProfile, cuts):
-    """Value of the profile on each interval [cuts[j], cuts[j+1])."""
+def _values_on_grid(values, bounds, cuts):
+    """Value on each interval [cuts[j], cuts[j+1]) of the step function
+    with segment values `values` between boundaries `bounds`, and beyond
+    them the int 0, which mixes with every arithmetic family."""
     out = []
     seg = 0
-    bounds = profile.boundaries
     for t in cuts[:-1]:
-        while seg < len(profile.segments) and bounds[seg + 1] <= t:
+        while seg < len(values) and bounds[seg + 1] <= t:
             seg += 1
-        if seg < len(profile.segments) and bounds[seg] <= t:
-            out.append(profile.segments[seg][0])
+        if seg < len(values) and bounds[seg] <= t:
+            out.append(values[seg])
         else:
-            out.append(Fraction(0))
+            out.append(0)
     return out
+
+
+def _grid(steps):
+    """(widths, rows) of step functions given as (values, boundaries)."""
+    cuts = sorted(set().union(*(bounds for _, bounds in steps)))
+    widths = [b - a for a, b in zip(cuts, cuts[1:])]
+    return widths, [_values_on_grid(values, bounds, cuts)
+                    for values, bounds in steps]
 
 
 def align(*profiles):
@@ -158,32 +217,30 @@ def align(*profiles):
     Returns (widths, rows): the width of each grid interval, and for each
     profile the list of its values on those intervals.
     """
-    cuts = sorted(set().union(*(p.boundaries for p in profiles)))
-    widths = [b - a for a, b in zip(cuts, cuts[1:])]
-    return widths, [_values_on_grid(p, cuts) for p in profiles]
+    return _grid([(tuple(v for v, _ in p.segments), p.boundaries)
+                  for p in profiles])
 
 
 def profile_integrate_product(profiles):
     """Integral over [0, infinity) of the pointwise product of profiles
     (the int 0, which mixes with every arithmetic family, if one is empty).
 
-    Each profile's values are scaled by their own unit and all lengths by
-    one shared unit, so the grid is built and integrated in ints and the
-    integral is multiplied by the product of the units once.
+    Each profile's value numerators keep their own unit and its length
+    numerators are put on one unit shared by all profiles, so the grid is
+    built and integrated in ints and the integral is multiplied by the
+    product of the units once.
     """
     if not profiles:
         raise InputError("need at least one profile")
     if any(not p.segments for p in profiles):
         return 0
-    lengths, unit = over_common_denominator(
-        [l for p in profiles for _, l in p.segments])
-    scaled, start = [], 0
-    for p in profiles:
-        values, value_unit = over_common_denominator([v for v, _ in p.segments])
-        stop = start + len(values)
-        scaled.append(StepProfile(tuple(zip(values, lengths[start:stop]))))
-        start, unit = stop, unit * value_unit
-    widths, rows = align(*scaled)
+    lengths, unit = over_one_unit(
+        [(p.length_numerators, p.length_unit) for p in profiles])
+    steps = []
+    for p, numerators in zip(profiles, lengths):
+        steps.append((p.value_numerators, (0, *accumulate(numerators))))
+        unit = unit * p.value_unit
+    widths, rows = _grid(steps)
     total = 0
     for j, width in enumerate(widths):
         term = width

@@ -21,6 +21,11 @@ numerators over their least common denominator D and returns the unit
 1/D, so a kernel computes on the numerators and multiplies its result by
 the product of the units once.  Binary values pass through unchanged
 with the unit int 1, so the same code runs them in their own arithmetic.
+It runs once per object, when a space, a function or a step profile is
+built (see `spaces` and `rearrange.StepProfile`), and the kernels read
+the pair that object keeps.  A kernel that makes a new object from
+numerators keeps them in ints with `in_lowest_terms`, `shifted` and
+`over_one_unit`, and `from_common_denominator` scales them back.
 """
 
 from __future__ import annotations
@@ -168,9 +173,9 @@ def over_common_denominator(values):
     """Write a sequence of scalars as (numerators, unit), values[i] ==
     numerators[i] * unit.
 
-    Exact values (ints and Fractions) give int numerators over their
-    least common denominator D and the unit Fraction(1, D), so sums and
-    products of numerators stay exact in int arithmetic and a kernel
+    Exact values (ints and Fractions) give a tuple of int numerators over
+    their least common denominator D and the unit Fraction(1, D), so sums
+    and products of numerators stay exact in int arithmetic and a kernel
     multiplies its result by the product of its units once.  Binary
     values (floats, mpfs), or a sequence holding any, come back
     unchanged with the unit int 1: multiplying by it is exact at the
@@ -181,8 +186,69 @@ def over_common_denominator(values):
         return values, 1
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
-    return ([v.numerator * (den // d) for v, d in zip(values, dens)],
+    return (tuple(v.numerator * (den // d) for v, d in zip(values, dens)),
             Fraction(1, den))
+
+
+# A (numerators, unit) pair below has the unit the int 1 for binary
+# numerators, which are the scalars themselves, and an exact unit 1/D for
+# int numerators, as `over_common_denominator` writes them.
+
+def in_lowest_terms(numerators, unit):
+    """The pair for the scalars numerators[i] * unit that
+    `over_common_denominator` gives: int numerators and D divided by their
+    gcd (so D is the least common denominator), binary ones as they are;
+    a tuple of numerators either way."""
+    if type(unit) is int:
+        return tuple(numerators), unit
+    den = unit.denominator
+    g = math.gcd(den, *numerators)
+    if g == 1:
+        return tuple(numerators), unit
+    return tuple(x // g for x in numerators), Fraction(1, den // g)
+
+
+def from_common_denominator(numerators, unit) -> tuple:
+    """The scalars numerators[i] * unit: Fraction(n, D) for an exact unit
+    1/D, one gcd and no Fraction product; binary numerators, which are
+    the scalars themselves, as they are."""
+    if type(unit) is int:
+        return tuple(numerators)
+    den = unit.denominator
+    return tuple(Fraction(x, den) for x in numerators)
+
+
+def shifted(numerators, unit, m):
+    """The pair for the scalars numerators[i] * unit - m: for an exact
+    unit and an exact m, the shift runs on int numerators over the common
+    denominator of the two and is put in lowest terms; binary numerators
+    come back as numerators[i] - m with the unit int 1."""
+    if type(unit) is int:
+        return tuple(x - m for x in numerators), unit
+    den = math.lcm(unit.denominator, m.denominator)
+    scale, offset = den // unit.denominator, m.numerator * (den // m.denominator)
+    return in_lowest_terms([x * scale - offset for x in numerators],
+                           Fraction(1, den))
+
+
+def over_one_unit(forms):
+    """Put several (numerators, unit) pairs of `over_common_denominator`
+    on one shared unit: (one numerator sequence per pair, unit).
+
+    Exact pairs share the unit 1/D for D the lcm of their denominators.
+    As soon as one pair is binary (its unit is the int 1), every pair
+    comes back as its values with the unit int 1, which is what
+    `over_common_denominator` gives for the concatenated values.
+    """
+    units = [unit for _, unit in forms]
+    if any(type(unit) is int for unit in units):
+        return [numerators if type(unit) is int
+                else tuple(n * unit for n in numerators)
+                for numerators, unit in forms], 1
+    den = math.lcm(*(unit.denominator for unit in units))
+    return [numerators if unit.denominator == den
+            else tuple(n * (den // unit.denominator) for n in numerators)
+            for numerators, unit in forms], Fraction(1, den)
 
 
 def binary_context(precision: int):
@@ -219,13 +285,20 @@ def scalar_family(x) -> str:
     return _type_family(type(x))
 
 
-def check_one_family(values, what: str) -> None:
-    """Reject collections mixing exact and binary scalars.
+_ANY = frozenset(("any",))
+
+
+def check_one_family(values, what: str, families=frozenset()) -> set:
+    """Reject collections mixing exact and binary scalars, counting the
+    `families` this check returned for scalars checked with them (a
+    space's weights, for a function's values); return the families found,
+    "any" (the ints) left out.
 
     Classifies each distinct type once, in order of first occurrence, so
     the first bool or unsupported type raises its TypeError.
     """
-    families = {_type_family(t)
-                for t in dict.fromkeys(map(type, values))} - {"any"}
+    families = ({_type_family(t) for t in dict.fromkeys(map(type, values))}
+                - _ANY) | families
     if len(families) > 1:
         raise ValueError(f"{what} mixes arithmetic modes {sorted(families)}")
+    return families

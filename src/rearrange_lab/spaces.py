@@ -4,17 +4,26 @@ A `DiscreteSpace` is a finite list of atoms with positive weights summing
 to one; a `SimpleFunction` assigns one real value per atom.  Subsets of
 atoms are plain ``frozenset`` objects of atom indices.  Everything is
 immutable after construction and safe to share between threads.
+
+Both types write their scalars over one common denominator when they are
+built: ``numerators`` and ``unit`` are `over_common_denominator` of the
+weights or values, so every exact kernel (`integrate` here,
+`bilinear_form`, `decreasing_rearrangement`) reads int numerators without
+deriving them again.  Binary scalars are their own numerators, with the
+unit int 1.  `equal_space` builds and validates one space per atom count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
 from .scalars import (approximate_scalar, check_one_family, format_scalar,
-                      in_family, over_common_denominator, parse_scalar,
+                      from_common_denominator, in_family,
+                      over_common_denominator, parse_scalar, shifted,
                       to_binary)
 
 #: relative slack allowed on the weight sum for binary-float inputs
@@ -25,19 +34,28 @@ AtomSet = frozenset  # subset of atom indices
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """A finite probability space: positive atom weights summing to 1."""
+    """A finite probability space: positive atom weights summing to 1,
+    also kept as ``numerators`` over a positive ``unit``, with their
+    arithmetic ``families`` (`check_one_family`)."""
 
     weights: tuple
+    numerators: tuple = field(init=False, repr=False, compare=False)
+    unit: object = field(init=False, repr=False, compare=False)
+    families: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(self.weights)
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise InputError("a space needs at least one atom")
-        check_one_family(weights, "space weights")
-        if any(w <= 0 for w in weights):
+        object.__setattr__(self, "families", frozenset(
+            check_one_family(weights, "space weights")))
+        numerators, unit = over_common_denominator(weights)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "unit", unit)
+        if any(w <= 0 for w in numerators):
             raise InputError("atom weights must be positive")
-        total = sum(weights)
+        total = sum(numerators) * unit
         if total != 1 and \
                 abs(total - 1) > in_family(WEIGHT_SUM_TOLERANCE, total):
             raise InputError(
@@ -57,40 +75,67 @@ class DiscreteSpace:
 
     def check_atoms(self, atoms: Iterable[int]) -> AtomSet:
         s = frozenset(atoms)
-        if any(not isinstance(i, int) or not 0 <= i < self.n for i in s):
-            raise InputError(f"atom indices out of range for n={self.n}: {sorted(s)}")
+        n = self.n
+        if any(not isinstance(i, int) or not 0 <= i < n for i in s):
+            raise InputError(f"atom indices out of range for n={n}: {sorted(s)}")
         return s
 
     def complement(self, atoms: AtomSet) -> AtomSet:
         return frozenset(range(self.n)) - atoms
 
 
+@functools.cache
 def equal_space(n: int) -> DiscreteSpace:
-    """The n-atom space with equal weights 1/n."""
+    """The n-atom space with equal weights 1/n, built and validated once
+    per n: every call with the same n returns the same object."""
     return DiscreteSpace(tuple(Fraction(1, n) for _ in range(n)))
 
 
 @dataclass(frozen=True)
 class SimpleFunction:
-    """A real-valued function given by one value per atom."""
+    """A real-valued function given by one value per atom, also kept as
+    ``numerators`` over a positive ``unit``."""
 
     values: tuple
     space: DiscreteSpace
+    numerators: tuple = field(init=False, repr=False, compare=False)
+    unit: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        if len(values) != self.space.n:
-            raise InputError(
-                f"{len(values)} values for a space with {self.space.n} atoms"
-            )
-        check_one_family(values + self.space.weights, "function values")
+        _check_values(values, self.space)
+        numerators, unit = over_common_denominator(values)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "unit", unit)
+
+    @classmethod
+    def from_numerators(cls, numerators, unit, space) -> SimpleFunction:
+        """The function with values numerators[i] * unit, for a pair in
+        lowest terms as `over_common_denominator` gives it (a tuple of
+        numerators), checked as the constructor checks."""
+        values = from_common_denominator(numerators, unit)
+        _check_values(values, space)
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "space", space)
+        object.__setattr__(f, "numerators", numerators)
+        object.__setattr__(f, "unit", unit)
+        return f
 
     def __iter__(self):
         return iter(self.values)
 
     def __len__(self):
         return len(self.values)
+
+
+def _check_values(values: tuple, space: DiscreteSpace) -> None:
+    """One value per atom, of the arithmetic family of the weights."""
+    if len(values) != len(space.weights):
+        raise InputError(
+            f"{len(values)} values for a space with {space.n} atoms")
+    check_one_family(values, "function values", space.families)
 
 
 def simple(values: Sequence, space: DiscreteSpace) -> SimpleFunction:
@@ -100,17 +145,16 @@ def simple(values: Sequence, space: DiscreteSpace) -> SimpleFunction:
 def integrate(f: SimpleFunction):
     """The expected value of f: sum of value * weight over atoms, in int
     numerators for exact scalars."""
-    values, value_unit = over_common_denominator(f.values)
-    weights, weight_unit = over_common_denominator(f.space.weights)
-    return sum(v * w for v, w in zip(values, weights)) \
-        * (value_unit * weight_unit)
+    space = f.space
+    return sum(v * w for v, w in zip(f.numerators, space.numerators)) \
+        * (f.unit * space.unit)
 
 
 def center(f: SimpleFunction) -> SimpleFunction:
     """Subtract the mean, so the result integrates to zero (exactly, in
-    exact mode)."""
-    m = integrate(f)
-    return SimpleFunction(tuple(v - m for v in f.values), f.space)
+    exact mode); exact values are shifted as int numerators."""
+    return SimpleFunction.from_numerators(
+        *shifted(f.numerators, f.unit, integrate(f)), f.space)
 
 
 def support(f: SimpleFunction) -> AtomSet:

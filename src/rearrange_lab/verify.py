@@ -54,6 +54,8 @@ LATTICE_MAX = 8
 LATTICE_DEN = 4
 _LATTICE = tuple(Fraction(k, LATTICE_DEN)
                  for k in range(-LATTICE_MAX, LATTICE_MAX + 1))
+#: bits per draw of a lattice index, as random.randint takes them
+_LATTICE_BITS = len(_LATTICE).bit_length()
 
 
 def _invexp(p):
@@ -157,17 +159,29 @@ def _keyed_rng(key: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _draw_weights(cfg: TrialConfig, rng: random.Random):
+def _draw_space(cfg: TrialConfig, rng: random.Random) -> DiscreteSpace:
+    """The shared equal-weight space, which draws nothing, or a fresh
+    space of random rational weights."""
     if cfg.weight_scheme == "equal":
-        return tuple(Fraction(1, cfg.atoms) for _ in range(cfg.atoms))
+        return equal_space(cfg.atoms)
     numerators = [rng.randint(1, 64) for _ in range(cfg.atoms)]
     total = sum(numerators)
-    return tuple(Fraction(k, total) for k in numerators)
+    return DiscreteSpace(tuple(Fraction(k, total) for k in numerators))
 
 
 def _draw_values(rng: random.Random, n: int):
-    return tuple(_LATTICE[rng.randint(-LATTICE_MAX, LATTICE_MAX) + LATTICE_MAX]
-                 for _ in range(n))
+    """n lattice values, each drawn as rng.randint(-LATTICE_MAX,
+    LATTICE_MAX) draws it: getrandbits(_LATTICE_BITS) until the result
+    indexes the lattice, so the random stream is that of randint."""
+    getrandbits = rng.getrandbits
+    size = len(_LATTICE)
+    out = []
+    for _ in range(n):
+        r = getrandbits(_LATTICE_BITS)
+        while r >= size:
+            r = getrandbits(_LATTICE_BITS)
+        out.append(_LATTICE[r])
+    return tuple(out)
 
 
 def _two_level_fixture(index: int) -> Instance:
@@ -214,7 +228,7 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
             index,
         )
     rng = _keyed_rng(f"{cfg.seed}:{index}")
-    space = DiscreteSpace(_draw_weights(cfg, rng))
+    space = _draw_space(cfg, rng)
     n = cfg.atoms
     functions = {}
     if cfg.suite in ("thm32", "lemma31"):

@@ -8,7 +8,8 @@ derivative-free search; ``lorentz_associate_exact_lp`` maximizes it
 exactly over flat blocks.  None uses the dual closed forms they check.
 The ``reference_*`` functions evaluate the Lorentz kinds the way the
 package did before phi had per-arithmetic tables, for bit-for-bit
-differential tests.
+differential tests; ``reference_draw_values`` draws instance values the
+way verify did with random.randint.
 """
 
 import math
@@ -21,6 +22,7 @@ from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
 from rearrange_lab.rearrange import StepProfile, _values_on_grid
 from rearrange_lab.scalars import DOUBLE_PRECISION, INF, in_family
 from rearrange_lab.spaces import DiscreteSpace, SimpleFunction
+from rearrange_lab.verify import _LATTICE, LATTICE_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,8 @@ def second_associate_lp_oracle(phi: ConcaveWeight, prof: StepProfile, precision)
     grid = reference_unit_grid(phi, prof)
     lengths = [float(b - a) for a, b in zip(grid, grid[1:])]
     m = len(lengths)
-    fvals = [float(v) for v in _values_on_grid(prof, grid)]
+    fvals = [float(v) for v in _values_on_grid(
+        [v for v, _ in prof.segments], prof.boundaries, grid)]
     c = [-(fv * l) for fv, l in zip(fvals, lengths)]  # maximize sum f*_j L_j h_j
     a_ub, b_ub = [], []
     for j in range(m):  # cumulative mass caps at every grid point
@@ -295,3 +298,12 @@ def associate_norm_oracle(X, h: SimpleFunction, *, starts=32, seed=0,
         )
         best = max(best, -res.fun)
     return best
+
+
+# ---------------------------------------------------------------------------
+# instance values through random.randint
+
+def reference_draw_values(rng, n: int):
+    """n lattice values drawn with randint, as verify drew them."""
+    return tuple(_LATTICE[rng.randint(-LATTICE_MAX, LATTICE_MAX) + LATTICE_MAX]
+                 for _ in range(n))

@@ -1,8 +1,8 @@
 """Report drift check: each benchmark workload, run in-process at CLI
-seed 0, reproduces the first report hash pinned in bench/pins.json, and
-the bit-sensitive float Lorentz workload reproduces its hash at every
-pinned CLI seed.  Also checks that the norm workload runs without scipy.
-bench/ is only read."""
+seed 0, reproduces the first report hash pinned in bench/pins.json, the
+bit-sensitive float Lorentz workload reproduces its hash at every pinned
+CLI seed, and the exact thm32 workload at CLI seeds 0-7.  Also checks
+that the norm workload runs without scipy.  bench/ is only read."""
 
 import json
 import os
@@ -39,6 +39,14 @@ def test_lorentz_workload_matches_every_pin(cli_seed, capsys):
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == \
         PINS["thm43-lorentz-float"]["hashes"][cli_seed]
+
+
+@pytest.mark.parametrize("cli_seed", range(8))
+def test_thm32_workload_matches_pins(cli_seed, capsys):
+    workload = WORKLOADS["thm32-exact-64"]
+    assert run(workload.cli_argv(cli_seed)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert canonical_hash(report) == PINS["thm32-exact-64"]["hashes"][cli_seed]
 
 
 def test_norm_workload_runs_without_scipy():

@@ -15,12 +15,15 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      layer_decompose, layer_reconstruct,
                                      lp_moments_agree, make_profile,
                                      nonexpansive_check, nonexpansive_holds,
-                                     profile_add, profile_from_json,
+                                     profile_add, profile_difference_moment,
+                                     profile_difference_sup,
+                                     profile_from_json,
                                      profile_integrate_product, profile_leq,
                                      profile_level_measure, profile_to_json,
                                      rearrangement_preserves_Lp,
                                      truncation_ladder)
-from rearrange_lab.scalars import INF, binary_context, to_binary
+from rearrange_lab.scalars import (INF, binary_context,
+                                   over_common_denominator, to_binary)
 from rearrange_lab.spaces import (DiscreteSpace, equal_space, simple,
                                   to_binary_function, to_binary_space)
 
@@ -353,3 +356,83 @@ def test_product_integral_kernel_is_the_scalar_loop_in_binary(profiles,
         return
     assert type(result) is (float if precision == 53 else mpmath.mpf)
     assert same_bits(result, expected)
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+@pytest.mark.parametrize("swap", [False, True], ids=["f-g", "g-f"])
+def test_binary_profile_differences_pad_with_int_zero(precision, swap):
+    """The shorter profile is padded with the int 0, which mixes with mpf
+    (Fraction - mpf raises); the exact values are all binary here."""
+    space = equal_space(4)
+    f, g = simple((3, -1, 2, 0), space), simple((1, 2, -2, 1), space)
+    if swap:
+        f, g = g, f
+    kind = float if precision == 53 else mpmath.mpf
+    with binary_context(precision):
+        bspace = to_binary_space(space, precision)
+        fb = to_binary_function(f, bspace, precision)
+        gb = to_binary_function(g, bspace, precision)
+        pf, pg = decreasing_rearrangement(fb), decreasing_rearrangement(gb)
+        sup = profile_difference_sup(pf, pg)
+        moment = profile_difference_moment(pf, pg, 2)
+        lhs, rhs = nonexpansive_check(fb, gb, 1)
+        holds = nonexpansive_holds(fb, gb, 1)
+    assert type(sup) is type(moment) is type(lhs) is type(rhs) is kind
+    assert (sup, moment, lhs, rhs) == (1, F(1, 2), F(1, 2), F(5, 2))
+    assert holds
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([None, 53, 113]))
+@settings(max_examples=60)
+def test_profiles_keep_their_common_denominator_form(f, precision):
+    """A profile built by the rearrangement kernel or by the constructor
+    keeps over_common_denominator of its segment values and lengths (an
+    empty binary profile keeps the binary unit, the int 1)."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            space = to_binary_space(f.space, precision)
+            f = to_binary_function(f, space, precision)
+        kernel = decreasing_rearrangement(f)
+        public = StepProfile(kernel.segments)
+    for prof in (kernel, public):
+        for numerators, unit, scalars in (
+                (prof.value_numerators, prof.value_unit,
+                 [v for v, _ in prof.segments]),
+                (prof.length_numerators, prof.length_unit,
+                 [l for _, l in prof.segments])):
+            expected, expected_unit = over_common_denominator(scalars)
+            assert numerators == tuple(expected) and unit == expected_unit
+            if prof.segments:
+                assert type(unit) is type(expected_unit)
+
+
+def _segment_scalars(small):
+    """Exact scalars, possibly zero or negative, and the odd double."""
+    exact = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6]))
+    return exact if small else st.one_of(exact, st.sampled_from([0.5, -1.0]))
+
+
+@given(st.lists(st.tuples(_segment_scalars(True), _segment_scalars(False)),
+                max_size=4))
+@settings(max_examples=200)
+def test_numerator_profiles_reject_what_the_constructor_rejects(segments):
+    """StepProfile.from_numerators, fed the numerators of any segment list,
+    accepts it or rejects it with the constructor's InputError message."""
+    try:
+        expected = StepProfile(segments)
+    except InputError as exc:
+        expected = str(exc)
+    values = over_common_denominator([v for v, _ in segments])
+    lengths = over_common_denominator([l for _, l in segments])
+    try:
+        got = StepProfile.from_numerators(*values, *lengths)
+    except InputError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, StepProfile)
+        assert got.segments == expected.segments
+        assert [type(x) for pair in got.segments for x in pair] == \
+            [type(x) for pair in expected.segments for x in pair]

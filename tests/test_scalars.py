@@ -7,9 +7,11 @@ from hypothesis import given
 
 from rearrange_lab.scalars import (approximate_scalar, check_one_family,
                                    format_exponent, format_scalar,
+                                   from_common_denominator, in_lowest_terms,
                                    is_rational_literal,
-                                   over_common_denominator, parse_exponent,
-                                   parse_scalar, to_binary)
+                                   over_common_denominator, over_one_unit,
+                                   parse_exponent, parse_scalar, shifted,
+                                   to_binary)
 from rearrange_lab.scalars import INF
 
 
@@ -115,7 +117,7 @@ def test_over_common_denominator_binary_is_unchanged():
         numerators, unit = over_common_denominator(values)
         assert numerators is values and unit == 1 and type(unit) is int
     assert over_common_denominator([3, Fraction(1, 6), Fraction(-1, 4)]) == \
-        ([36, 2, -3], Fraction(1, 12))
+        ((36, 2, -3), Fraction(1, 12))
 
 
 def test_over_common_denominator_finds_a_binary_value_anywhere():
@@ -128,5 +130,33 @@ def test_over_common_denominator_finds_a_binary_value_anywhere():
                    [0.0], [Fraction(1, 2), 0, third, 0.5]):
         numerators, unit = over_common_denominator(values)
         assert numerators is values and unit == 1 and type(unit) is int
-    assert over_common_denominator([]) == ([], Fraction(1))
-    assert over_common_denominator((0, 2)) == ([0, 2], Fraction(1))
+    assert over_common_denominator([]) == ((), Fraction(1))
+    assert over_common_denominator((0, 2)) == ((0, 2), Fraction(1))
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=8),
+       st.fractions(max_denominator=10**6))
+def test_shifted_numerators_are_the_shifted_values(values, m):
+    """Shifting int numerators by m gives over_common_denominator of the
+    shifted values (lowest terms included), scaling back gives the shifted
+    values, and putting the pair in lowest terms again changes nothing."""
+    pair = shifted(*over_common_denominator(values), m)
+    assert pair == over_common_denominator([v - m for v in values])
+    assert from_common_denominator(*pair) == tuple(v - m for v in values)
+    assert in_lowest_terms(*pair) == pair
+
+
+@given(st.lists(st.lists(st.fractions(max_denominator=10**6), max_size=5),
+                min_size=1, max_size=3),
+       st.booleans())
+def test_one_unit_is_that_of_the_concatenated_values(sequences, binary):
+    """over_one_unit writes several sequences as over_common_denominator
+    writes them concatenated; one binary sequence makes every one come
+    back as its values with the unit int 1."""
+    if binary:
+        sequences = [*sequences, [0.5, 0.25]]
+    numerators, unit = over_one_unit(
+        [over_common_denominator(s) for s in sequences])
+    flat, flat_unit = over_common_denominator([v for s in sequences for v in s])
+    assert [n for ns in numerators for n in ns] == list(flat)
+    assert type(unit) is type(flat_unit) and unit == flat_unit

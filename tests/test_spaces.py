@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
 from rearrange_lab.errors import InputError
-from rearrange_lab.scalars import binary_context, scalar_family, to_binary
+from rearrange_lab.scalars import (binary_context, over_common_denominator,
+                                   scalar_family, to_binary)
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
                                   equal_space, instance_from_json,
                                   instance_to_json, integrate, multiply,
@@ -152,8 +153,11 @@ def test_integrate_kernel_is_the_scalar_loop_in_binary(f, precision):
         fb = to_binary_function(f, space, precision)
         mean = integrate(fb)
         expected = integral_reference(fb)
+        centered = center(fb).values
+        expected_centered = [v - expected for v in fb.values]
     assert type(mean) is (float if precision == 53 else mpmath.mpf)
     assert same_bits(mean, expected)
+    assert all(same_bits(c, e) for c, e in zip(centered, expected_centered))
 
 
 def _former_family_check(values, what):
@@ -191,3 +195,42 @@ def test_mixed_and_bool_scalars_are_rejected_as_before(case):
         else:
             SimpleFunction(values, DiscreteSpace(weights))
     assert str(raised.value) == str(former.value)
+
+
+def _assert_kept_pair(numerators, unit, scalars):
+    """A stored (numerators, unit) pair is over_common_denominator of the
+    scalars: equal numerators, an equal unit of the same type."""
+    expected, expected_unit = over_common_denominator(scalars)
+    assert numerators == tuple(expected)
+    assert type(unit) is type(expected_unit) and unit == expected_unit
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([None, 53, 113]))
+@settings(max_examples=60)
+def test_spaces_and_functions_keep_their_common_denominator_form(f, precision):
+    """The pair a space or a function keeps, whether built by the
+    constructor or by center's numerator path, is over_common_denominator
+    of its weights or values."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            space = to_binary_space(f.space, precision)
+            f = to_binary_function(f, space, precision)
+        centered = center(f)
+    _assert_kept_pair(f.space.numerators, f.space.unit, f.space.weights)
+    for fn in (f, centered):
+        _assert_kept_pair(fn.numerators, fn.unit, fn.values)
+    if precision is None:
+        assert all(type(n) is int for n in centered.numerators)
+
+
+def test_equal_space_is_one_validated_object_per_atom_count():
+    for n in (1, 6, 64):
+        space = equal_space(n)
+        assert equal_space(n) is space
+        assert space.weights == (F(1, n),) * n
+        assert space.numerators == (1,) * n and space.unit == F(1, n)
+    assert equal_space(5) is not equal_space(6)
+    for _ in range(2):  # a rejected count is rejected on every call
+        with pytest.raises(InputError, match="at least one atom"):
+            equal_space(0)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 from conftest import same_bits
+from oracles import reference_draw_values
 
 import mpmath
 import pytest
@@ -15,8 +16,8 @@ from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
 from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import integrate
 from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, TrialConfig,
-                                  _binary_instance, _evaluate,
-                                  _recheck, _run_trial,
+                                  _binary_instance, _draw_values, _evaluate,
+                                  _keyed_rng, _recheck, _run_trial,
                                   canonical_hash, canonical_json,
                                   generate_instance, run_suite, thm32_sides,
                                   thm41_sides, thm43_sides,
@@ -268,6 +269,15 @@ GOLDEN_HASHES = [
      "97afadb1053c963497ba0ada3311db2a6224786cac950cb7f023402683866182"),
     (None,
      "7eb82abcb89866a5700d20dd8ba44f79724fb054da8a436faf34f5ea9e76dcb7"),
+    (dict(suite="thm32", mode="exact", weight_scheme="random-rational",
+          atoms=8, trials=160, seed=8),
+     "386f2d6ad31c0d09592549e9f8376c4bc0b6a50bd9c0e61c5b362b3a2ec33b9a"),
+    (dict(suite="lemma31", weight_scheme="random-rational", atoms=6,
+          trials=60, seed=9),
+     "f4243ab7e9e447119b779a6c99de498da8677ac794c56de21b1b2080d9a15265"),
+    # 32 random 64-atom trials past the 128 fixture trials
+    (dict(suite="thm32", mode="exact", atoms=64, trials=160, seed=10),
+     "fa10657d222c776ddd49ebecb4f68877165dfc35169915576a1f765eb5d779cb"),
 ]
 
 
@@ -283,6 +293,16 @@ def test_report_hashes_are_stable(kwargs, expected):
     else:
         doc = run_suite(TrialConfig(**kwargs)).to_json_dict()
     assert canonical_hash(doc) == expected
+
+
+@pytest.mark.parametrize("n", [1, 6, 64])
+def test_draw_values_is_the_randint_stream(n):
+    """Lattice values drawn through getrandbits are those randint drew, and
+    the generator ends in the same state."""
+    for seed in range(200):
+        rng, reference = _keyed_rng(f"{seed}:{n}"), _keyed_rng(f"{seed}:{n}")
+        assert _draw_values(rng, n) == reference_draw_values(reference, n)
+        assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("X", [LORENTZ, LORENTZ_ASSOCIATE],
