@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile
-from .scalars import format_scalar, in_family, parse_scalar
+from .scalars import format_scalar, in_family, parse_scalar, unit_product
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
                      SimpleFunction, center, integrate, multiply, support)
 
@@ -35,29 +37,38 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
     term has degree one in f, g and h and two in the weights, so the four
     integrals run on the int numerators the functions and the space keep
     and the result is scaled once by unit_f unit_g unit_h unit_w^2.
+
+    Each integral multiplies its columns (the rows gathered in the atom
+    set's iteration order) term by term from the left and sums the terms
+    from the left, all in C-level `map` and `reduce`: `sum` would
+    compensate float sums from Python 3.12 on.  One set passed as both A
+    and B (as thm32 passes the whole space) is checked and gathered once.
     """
     space = _common_space(f, g, h)
+    same = A is B
     A = space.check_atoms(A)
-    B = space.check_atoms(B)
-    (fv, f_unit), (gv, g_unit), (hv, h_unit), (w, w_unit) = (
-        (x.numerators, x.unit) for x in (f, g, h, space)
-    )
+    fA, gA, hA, wA = ([row[i] for i in A]
+                      for row in (f.numerators, g.numerators, h.numerators,
+                                  space.numerators))
+    if same:
+        fB, gB, wB = fA, gA, wA
+    else:
+        B = space.check_atoms(B)
+        fB, gB, wB = ([row[i] for i in B] for row in (
+            f.numerators, g.numerators, space.numerators))
 
-    def over(atoms, *rows):
-        total = 0
-        for i in atoms:
-            term = 1
-            for row in rows:
-                term = term * row[i]
-            total = total + term * w[i]
-        return total
+    def over(*columns):
+        terms = columns[0]
+        for column in columns[1:]:
+            terms = map(mul, terms, column)
+        return reduce(add, terms, 0)
 
     return (
-        over(B, fv, gv) * over(A, hv)
-        - over(B, fv) * over(A, gv, hv)
-        + over(B, gv) * over(A, fv, hv)
-        - over(B) * over(A, fv, gv, hv)
-    ) * (f_unit * g_unit * h_unit * w_unit * w_unit)
+        over(fB, gB, wB) * over(hA, wA)
+        - over(fB, wB) * over(gA, hA, wA)
+        + over(gB, wB) * over(fA, hA, wA)
+        - over(wB) * over(fA, gA, hA, wA)
+    ) * unit_product(f.unit, g.unit, h.unit, space.unit, space.unit)
 
 
 def _common_space(*funcs) -> DiscreteSpace:

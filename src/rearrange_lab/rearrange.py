@@ -12,9 +12,10 @@ pairwise profile operation here is a single pass over its output.
 
 The two kernels of the thm32 bound read the int numerators that
 functions, spaces and profiles keep from construction, and scale back
-once.  `decreasing_rearrangement` sorts and merges the numerators of f
-and of its weights, and `StepProfile.from_numerators` checks the merged
-segments on those ints, scales them back and keeps them.
+once.  `decreasing_rearrangement` adds the weight numerators of equal
+magnitudes of f's numerators and sorts the distinct magnitudes, and
+`StepProfile.from_numerators` checks the merged segments on those ints
+and keeps them; the segments are scaled back on first read only.
 `profile_integrate_product` puts the profiles' length numerators on one
 unit and integrates on ints, scaling the one integral back.  Binary
 scalars run the same code with the unit 1, in their own arithmetic and
@@ -86,15 +87,17 @@ class StepProfile:
                         length_unit) -> StepProfile:
         """The profile of segments (v * value_unit, l * length_unit), checked
         as the constructor checks its segments, but on the numerators; it
-        keeps both pairs in lowest terms."""
+        keeps both pairs in lowest terms.  Exact segments are scaled back
+        on first read; binary numerators are the segments' scalars and are
+        kept as such."""
         _check_family(length_numerators)
         values = in_lowest_terms(value_numerators, value_unit)
         lengths = in_lowest_terms(length_numerators, length_unit)
         profile = object.__new__(cls)
         profile._keep(*values, *lengths)
-        object.__setattr__(profile, "segments", tuple(zip(
-            from_common_denominator(*values),
-            from_common_denominator(*lengths))))
+        if type(value_unit) is int and type(length_unit) is int:
+            object.__setattr__(profile, "segments",
+                               tuple(zip(values[0], lengths[0])))
         return profile
 
     def _keep(self, value_numerators, value_unit, length_numerators,
@@ -136,6 +139,21 @@ class StepProfile:
         return self.segments[idx][0]
 
 
+def _scaled_segments(profile: StepProfile) -> tuple:
+    return tuple(zip(
+        from_common_denominator(profile.value_numerators, profile.value_unit),
+        from_common_denominator(profile.length_numerators,
+                                profile.length_unit)))
+
+
+# A non-data descriptor under the field's name, as `SimpleFunction.values`
+# is: an exact profile built by `from_numerators` scales its segments back
+# on the first read, one built from segments keeps them in its instance
+# dict.
+StepProfile.segments = cached_property(_scaled_segments)
+StepProfile.segments.__set_name__(StepProfile, "segments")
+
+
 def _merge(pairs) -> list:
     """Drop zero pairs and merge runs of equal values into [value, length]."""
     merged = []
@@ -160,18 +178,20 @@ def decreasing_rearrangement(f: SimpleFunction) -> StepProfile:
     """Sort atoms by |value| descending (ties by atom index) and lay their
     weights out from 0; equal values merge, zeros are dropped.
 
-    The numerators of f and of its space's weights are sorted, merged
-    and checked; only the merged segments are scaled back, and the
-    profile keeps the merged numerators.
+    The weight numerators of equal nonzero magnitudes of f's numerators
+    are added in atom order (the order of a stable sort), and only the
+    distinct magnitudes are sorted; the profile keeps the merged
+    numerators.
     """
-    magnitudes = [abs(v) for v in f.numerators]
-    weights = f.space.numerators
-    # a stable sort: equal magnitudes keep their atom order
-    order = sorted(range(len(magnitudes)), key=magnitudes.__getitem__,
-                   reverse=True)
-    merged = _merge((magnitudes[i], weights[i]) for i in order)
+    lengths = {}
+    for v, w in zip(f.numerators, f.space.numerators):
+        if v:
+            v = abs(v)
+            # the first weight as it is: adding it to 0 would round an mpf
+            lengths[v] = lengths[v] + w if v in lengths else w
+    magnitudes = sorted(lengths, reverse=True)
     return StepProfile.from_numerators(
-        [v for v, _ in merged], f.unit, [l for _, l in merged], f.space.unit)
+        magnitudes, f.unit, [lengths[v] for v in magnitudes], f.space.unit)
 
 
 def distribution_measure(f: SimpleFunction, t):
@@ -232,7 +252,7 @@ def profile_integrate_product(profiles):
     """
     if not profiles:
         raise InputError("need at least one profile")
-    if any(not p.segments for p in profiles):
+    if any(not p.length_numerators for p in profiles):
         return 0
     lengths, unit = over_one_unit(
         [(p.length_numerators, p.length_unit) for p in profiles])
@@ -394,11 +414,12 @@ def equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:
 
     Both distribution functions are right-continuous steps, so it is
     enough to test the finitely many candidate levels: every distinct
-    value on either side, midpoints between consecutive levels, and 0.
+    value on either side, midpoints between consecutive levels, and 0
+    (in the values' own arithmetic: mpf does not compare with Fraction).
     """
-    levels = sorted(
-        {abs(v) for v in f.values} | {v for v, _ in profile.segments} | {Fraction(0)}
-    )
+    levels = sorted({abs(v) for v in f.values}
+                    | {v for v, _ in profile.segments}
+                    | {0 * abs(f.values[0])})
     candidates = list(levels)
     for a, b in zip(levels, levels[1:]):
         candidates.append((a + b) / 2)
@@ -456,7 +477,9 @@ def layer_decompose(f: SimpleFunction) -> LayerCake:
     levels = sorted({abs(v) for v in f.values if v != 0})
     if not levels:
         return LayerCake((), (), (), f.space)
-    thresholds = tuple([Fraction(0)] + levels)
+    # the base 0 in the values' own arithmetic (mpf does not compare with
+    # Fraction)
+    thresholds = (0 * levels[0], *levels)
     pos_sets, neg_sets = [], []
     for t in thresholds[:-1]:
         pos_sets.append(frozenset(i for i, v in enumerate(f.values) if v > t))
@@ -466,7 +489,9 @@ def layer_decompose(f: SimpleFunction) -> LayerCake:
 
 def layer_reconstruct(cake: LayerCake) -> SimpleFunction:
     """Rebuild the function: positive-part bands minus negative-part bands."""
-    values = [Fraction(0)] * cake.space.n
+    # a zero in the values' arithmetic, or for no band in the weights'
+    zero = cake.thresholds[0] if cake.thresholds else 0 * cake.space.weights[0]
+    values = [zero] * cake.space.n
     for j in range(len(cake.pos_sets)):
         width = cake.thresholds[j + 1] - cake.thresholds[j]
         for i in cake.pos_sets[j]:

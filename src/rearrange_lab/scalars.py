@@ -25,7 +25,9 @@ It runs once per object, when a space, a function or a step profile is
 built (see `spaces` and `rearrange.StepProfile`), and the kernels read
 the pair that object keeps.  A kernel that makes a new object from
 numerators keeps them in ints with `in_lowest_terms`, `shifted` and
-`over_one_unit`, and `from_common_denominator` scales them back.
+`over_one_unit`.  An exact object built from numerators scales its
+scalars back with `from_common_denominator` on first read, so a kernel
+that reads only numerators makes no `Fraction` per value.
 """
 
 from __future__ import annotations
@@ -249,6 +251,15 @@ def over_one_unit(forms):
     return [numerators if unit.denominator == den
             else tuple(n * (den // unit.denominator) for n in numerators)
             for numerators, unit in forms], Fraction(1, den)
+
+
+def unit_product(*units):
+    """The product of the units of (numerators, unit) pairs, as `*` gives
+    it but with no gcd per factor: Fraction(1, D_1 D_2 ...) for the exact
+    units 1/D_i among them (a product of unit fractions is in lowest
+    terms), and the int 1 if all are binary."""
+    dens = [u.denominator for u in units if type(u) is not int]
+    return Fraction(1, math.prod(dens)) if dens else 1
 
 
 def binary_context(precision: int):

@@ -10,7 +10,11 @@ built: ``numerators`` and ``unit`` are `over_common_denominator` of the
 weights or values, so every exact kernel (`integrate` here,
 `bilinear_form`, `decreasing_rearrangement`) reads int numerators without
 deriving them again.  Binary scalars are their own numerators, with the
-unit int 1.  `equal_space` builds and validates one space per atom count.
+unit int 1.  A function built from an exact pair
+(`SimpleFunction.from_numerators`, as `center` and the instance generator
+build them) scales its values back on first read and keeps them; until a
+caller reads them no `Fraction` is made.  `equal_space` builds and
+validates one space per atom count.
 """
 
 from __future__ import annotations
@@ -113,11 +117,13 @@ class SimpleFunction:
     def from_numerators(cls, numerators, unit, space) -> SimpleFunction:
         """The function with values numerators[i] * unit, for a pair in
         lowest terms as `over_common_denominator` gives it (a tuple of
-        numerators), checked as the constructor checks."""
-        values = from_common_denominator(numerators, unit)
-        _check_values(values, space)
+        numerators), checked as the constructor checks, but on the pair.
+        Exact values are scaled back on first read; binary numerators
+        are the values and are kept as such."""
+        _check_values(numerators, space, unit)
         f = object.__new__(cls)
-        object.__setattr__(f, "values", values)
+        if type(unit) is int:
+            object.__setattr__(f, "values", numerators)
         object.__setattr__(f, "space", space)
         object.__setattr__(f, "numerators", numerators)
         object.__setattr__(f, "unit", unit)
@@ -130,12 +136,29 @@ class SimpleFunction:
         return len(self.values)
 
 
-def _check_values(values: tuple, space: DiscreteSpace) -> None:
-    """One value per atom, of the arithmetic family of the weights."""
+def _check_values(values: tuple, space: DiscreteSpace, unit=1) -> None:
+    """One value per atom, of the arithmetic family of the weights; for
+    int numerators over an exact unit the unit's family is the values'."""
     if len(values) != len(space.weights):
         raise InputError(
             f"{len(values)} values for a space with {space.n} atoms")
-    check_one_family(values, "function values", space.families)
+    families = space.families
+    if type(unit) is not int:
+        families = check_one_family((unit,), "function values", families)
+    check_one_family(values, "function values", families)
+
+
+def _scaled_values(f: SimpleFunction) -> tuple:
+    return from_common_denominator(f.numerators, f.unit)
+
+
+# A non-data descriptor under the field's name: an instance built by
+# `from_numerators` with an exact unit scales its values back on the first
+# read and keeps them, while the dataclass `__init__` stores given values
+# in the instance dict, which takes precedence.  (A class-level
+# `__getattr__` would do the same, but slows every attribute read.)
+SimpleFunction.values = functools.cached_property(_scaled_values)
+SimpleFunction.values.__set_name__(SimpleFunction, "values")
 
 
 def simple(values: Sequence, space: DiscreteSpace) -> SimpleFunction:

@@ -37,7 +37,7 @@ from .rearrange import (decreasing_rearrangement, equimeasurable,
                         nonexpansive_holds, profile_integrate_product,
                         profile_leq, truncation_ladder)
 from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
-                      format_exponent, format_scalar)
+                      format_exponent, format_scalar, in_lowest_terms)
 from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
                      instance_to_json, multiply, to_binary_function,
                      to_binary_space)
@@ -52,10 +52,9 @@ DEFAULT_EXPONENTS = (Fraction(1), INF, Fraction(1), INF, Fraction(1))
 #: random instance values are k / LATTICE_DEN with |k| <= LATTICE_MAX
 LATTICE_MAX = 8
 LATTICE_DEN = 4
-_LATTICE = tuple(Fraction(k, LATTICE_DEN)
-                 for k in range(-LATTICE_MAX, LATTICE_MAX + 1))
+_LATTICE_UNIT = Fraction(1, LATTICE_DEN)
 #: bits per draw of a lattice index, as random.randint takes them
-_LATTICE_BITS = len(_LATTICE).bit_length()
+_LATTICE_BITS = (2 * LATTICE_MAX + 1).bit_length()
 
 
 def _invexp(p):
@@ -169,19 +168,23 @@ def _draw_space(cfg: TrialConfig, rng: random.Random) -> DiscreteSpace:
     return DiscreteSpace(tuple(Fraction(k, total) for k in numerators))
 
 
-def _draw_values(rng: random.Random, n: int):
-    """n lattice values, each drawn as rng.randint(-LATTICE_MAX,
-    LATTICE_MAX) draws it: getrandbits(_LATTICE_BITS) until the result
-    indexes the lattice, so the random stream is that of randint."""
+def _lattice_function(rng: random.Random,
+                      space: DiscreteSpace) -> SimpleFunction:
+    """A function of lattice values k / LATTICE_DEN, one per atom, each k
+    drawn as rng.randint(-LATTICE_MAX, LATTICE_MAX) draws it:
+    getrandbits(_LATTICE_BITS) until the result indexes the lattice, so
+    the random stream is that of randint.  The function is built from
+    the int draws over the lattice unit."""
     getrandbits = rng.getrandbits
-    size = len(_LATTICE)
-    out = []
-    for _ in range(n):
+    top = 2 * LATTICE_MAX
+    ks = []
+    for _ in range(space.n):
         r = getrandbits(_LATTICE_BITS)
-        while r >= size:
+        while r > top:
             r = getrandbits(_LATTICE_BITS)
-        out.append(_LATTICE[r])
-    return tuple(out)
+        ks.append(r - LATTICE_MAX)
+    return SimpleFunction.from_numerators(
+        *in_lowest_terms(ks, _LATTICE_UNIT), space)
 
 
 def _two_level_fixture(index: int) -> Instance:
@@ -240,13 +243,13 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
                 tuple(Fraction(rng.randint(-4, 4), 4) for _ in range(n)), space
             )
         else:
-            f = SimpleFunction(_draw_values(rng, n), space)
-            h = SimpleFunction(_draw_values(rng, n), space)
-        g = center(SimpleFunction(_draw_values(rng, n), space))
+            f = _lattice_function(rng, space)
+            h = _lattice_function(rng, space)
+        g = center(_lattice_function(rng, space))
         functions = {"f": f, "g": g, "h": h}
     elif cfg.suite in ("thm41", "thm43", "rearrange"):
-        f = SimpleFunction(_draw_values(rng, n), space)
-        g = SimpleFunction(_draw_values(rng, n), space)
+        f = _lattice_function(rng, space)
+        g = _lattice_function(rng, space)
         functions = {"f": f, "g": g}
     return Instance(space, functions, index)
 

@@ -9,7 +9,11 @@ exactly over flat blocks.  None uses the dual closed forms they check.
 The ``reference_*`` functions evaluate the Lorentz kinds the way the
 package did before phi had per-arithmetic tables, for bit-for-bit
 differential tests; ``reference_draw_values`` draws instance values the
-way verify did with random.randint.
+way verify did with random.randint.  The ``former_*`` functions are the
+package's own code as it was before exact objects scaled their scalars
+back on first read, before instances were drawn as ints and before
+`bilinear_form` summed in `map`/`reduce`, kept verbatim as the reference
+of bit-for-bit differential tests.
 """
 
 import math
@@ -19,10 +23,16 @@ from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
-from rearrange_lab.rearrange import StepProfile, _values_on_grid
-from rearrange_lab.scalars import DOUBLE_PRECISION, INF, in_family
-from rearrange_lab.spaces import DiscreteSpace, SimpleFunction
-from rearrange_lab.verify import _LATTICE, LATTICE_MAX
+from rearrange_lab.oscillation import _common_space
+from rearrange_lab.rearrange import (StepProfile, _check_family,
+                                     _values_on_grid)
+from rearrange_lab.scalars import (DOUBLE_PRECISION, INF,
+                                   from_common_denominator, in_family,
+                                   in_lowest_terms)
+from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction,
+                                  _check_values, center)
+from rearrange_lab.verify import (LATTICE_DEN, LATTICE_MAX, _draw_space,
+                                  _keyed_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +311,114 @@ def associate_norm_oracle(X, h: SimpleFunction, *, starts=32, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# instance values through random.randint
+# instance values through random.randint, and the former Fraction generator
+
+_LATTICE = tuple(Fraction(k, LATTICE_DEN)
+                 for k in range(-LATTICE_MAX, LATTICE_MAX + 1))
+_LATTICE_BITS = len(_LATTICE).bit_length()
+
 
 def reference_draw_values(rng, n: int):
     """n lattice values drawn with randint, as verify drew them."""
     return tuple(_LATTICE[rng.randint(-LATTICE_MAX, LATTICE_MAX) + LATTICE_MAX]
                  for _ in range(n))
+
+
+def former_draw_values(rng, n: int):
+    """n lattice values, each drawn as rng.randint(-LATTICE_MAX,
+    LATTICE_MAX) draws it: getrandbits(_LATTICE_BITS) until the result
+    indexes the lattice, so the random stream is that of randint."""
+    getrandbits = rng.getrandbits
+    size = len(_LATTICE)
+    out = []
+    for _ in range(n):
+        r = getrandbits(_LATTICE_BITS)
+        while r >= size:
+            r = getrandbits(_LATTICE_BITS)
+        out.append(_LATTICE[r])
+    return tuple(out)
+
+
+def former_random_instance(cfg, index: int):
+    """The functions of verify's random (not fixture) instance for
+    (cfg.seed, index), as verify built them from Fraction lattice values:
+    (space, {name: SimpleFunction})."""
+    rng = _keyed_rng(f"{cfg.seed}:{index}")
+    space = _draw_space(cfg, rng)
+    n = cfg.atoms
+    functions = {}
+    if cfg.suite in ("thm32", "lemma31"):
+        if cfg.suite == "lemma31":
+            f = SimpleFunction(
+                tuple(Fraction(rng.randint(-1, 1)) for _ in range(n)), space
+            )
+            h = SimpleFunction(
+                tuple(Fraction(rng.randint(-4, 4), 4) for _ in range(n)), space
+            )
+        else:
+            f = SimpleFunction(former_draw_values(rng, n), space)
+            h = SimpleFunction(former_draw_values(rng, n), space)
+        g = center(SimpleFunction(former_draw_values(rng, n), space))
+        functions = {"f": f, "g": g, "h": h}
+    elif cfg.suite in ("thm41", "thm43", "rearrange"):
+        f = SimpleFunction(former_draw_values(rng, n), space)
+        g = SimpleFunction(former_draw_values(rng, n), space)
+        functions = {"f": f, "g": g}
+    return space, functions
+
+
+# ---------------------------------------------------------------------------
+# the former eager constructors from numerators, and the former bilinear form
+
+def former_function_from_numerators(numerators, unit, space):
+    """SimpleFunction.from_numerators as it was: the values scaled back
+    and checked when the function is built."""
+    values = from_common_denominator(numerators, unit)
+    _check_values(values, space)
+    f = object.__new__(SimpleFunction)
+    object.__setattr__(f, "values", values)
+    object.__setattr__(f, "space", space)
+    object.__setattr__(f, "numerators", numerators)
+    object.__setattr__(f, "unit", unit)
+    return f
+
+
+def former_profile_from_numerators(value_numerators, value_unit,
+                                   length_numerators, length_unit):
+    """StepProfile.from_numerators as it was: the segments scaled back
+    when the profile is built."""
+    _check_family(length_numerators)
+    values = in_lowest_terms(value_numerators, value_unit)
+    lengths = in_lowest_terms(length_numerators, length_unit)
+    profile = object.__new__(StepProfile)
+    profile._keep(*values, *lengths)
+    object.__setattr__(profile, "segments", tuple(zip(
+        from_common_denominator(*values),
+        from_common_denominator(*lengths))))
+    return profile
+
+
+def former_bilinear_form(A, B, f, g, h):
+    """bilinear_form as it was, with its integrals as Python loops."""
+    space = _common_space(f, g, h)
+    A = space.check_atoms(A)
+    B = space.check_atoms(B)
+    (fv, f_unit), (gv, g_unit), (hv, h_unit), (w, w_unit) = (
+        (x.numerators, x.unit) for x in (f, g, h, space)
+    )
+
+    def over(atoms, *rows):
+        total = 0
+        for i in atoms:
+            term = 1
+            for row in rows:
+                term = term * row[i]
+            total = total + term * w[i]
+        return total
+
+    return (
+        over(B, fv, gv) * over(A, hv)
+        - over(B, fv) * over(A, gv, hv)
+        + over(B, gv) * over(A, fv, hv)
+        - over(B) * over(A, fv, gv, hv)
+    ) * (f_unit * g_unit * h_unit * w_unit * w_unit)

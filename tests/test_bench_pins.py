@@ -1,7 +1,7 @@
 """Report drift check: each benchmark workload, run in-process at CLI
 seed 0, reproduces the first report hash pinned in bench/pins.json, the
 bit-sensitive float Lorentz workload reproduces its hash at every pinned
-CLI seed, and the exact thm32 workload at CLI seeds 0-7.  Also checks
+CLI seed, and so does the exact thm32 workload.  Also checks
 that the norm workload runs without scipy.  bench/ is only read."""
 
 import json
@@ -41,7 +41,7 @@ def test_lorentz_workload_matches_every_pin(cli_seed, capsys):
         PINS["thm43-lorentz-float"]["hashes"][cli_seed]
 
 
-@pytest.mark.parametrize("cli_seed", range(8))
+@pytest.mark.parametrize("cli_seed", range(PINNED_SEEDS))
 def test_thm32_workload_matches_pins(cli_seed, capsys):
     workload = WORKLOADS["thm32-exact-64"]
     assert run(workload.cli_argv(cli_seed)) == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from conftest import (function_pairs, function_triples, functions,
                       lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits)
+from oracles import former_bilinear_form
 from rearrange_lab.errors import (EmptyInput, InputError, NotZeroMean,
                                   PreconditionViolated)
 from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
@@ -101,6 +103,55 @@ def test_bilinear_kernel_is_the_scalar_loop_in_binary(case, precision):
         return
     assert type(result) is (float if precision == 53 else mpmath.mpf)
     assert same_bits(result, expected)
+
+
+def _sixteen_atom_triple(rng):
+    """f, g, h on 16 atoms with random rational weights and values whose
+    binary roundings round."""
+    numerators = [rng.randint(1, 64) for _ in range(16)]
+    space = DiscreteSpace(tuple(F(k, sum(numerators)) for k in numerators))
+    return [SimpleFunction(tuple(F(rng.randint(-10**6, 10**6),
+                                   rng.choice((1, 3, 7, 10)))
+                                 for _ in range(16)), space)
+            for _ in range(3)]
+
+
+#: (A, B) pairs on 16 atoms that iterate in a non-ascending order
+_UNORDERED_SETS = [(frozenset({9, 2, 5}), frozenset({3, 12, 5})),
+                   (frozenset({9, 2}), frozenset({15, 0, 7, 9})),
+                   (frozenset(range(16)), frozenset({9, 2, 5}))]
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+def test_bilinear_form_is_the_former_loop_bit_for_bit(precision):
+    """The map/reduce integrals give the former Python loop's result, bit
+    for bit on floats and mpfs, in the sets' own iteration order: on
+    fixed sets that do not iterate in ascending order, and random ones,
+    also as one set object passed as both A and B."""
+    assert all(list(atoms) != sorted(atoms)
+               for pair in _UNORDERED_SETS for atoms in pair if len(atoms) < 16)
+    rng = random.Random(16)
+    for case in range(40):
+        exact = _sixteen_atom_triple(rng)
+        sets = _UNORDERED_SETS if case == 0 else [
+            tuple(frozenset(rng.sample(range(16), rng.randint(0, 16)))
+                  for _ in range(2))]
+        sets = [*sets, (sets[0][0], sets[0][0])]
+        with binary_context(precision or 53):
+            if precision is None:
+                f, g, h = exact
+            else:
+                space = to_binary_space(exact[0].space, precision)
+                f, g, h = (to_binary_function(fn, space, precision)
+                           for fn in exact)
+            for A, B in sets:
+                result = bilinear_form(A, B, f, g, h)
+                expected = former_bilinear_form(A, B, f, g, h)
+                assert type(result) is type(expected)
+                if precision is None or not (A or B):
+                    assert result == expected
+                else:
+                    assert same_bits(result, expected)
 
 
 def test_bilinear_fixtures():

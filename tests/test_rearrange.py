@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import (function_pairs, functions, off_lattice_functions,
                       off_lattice_scalars, off_lattice_spaces, same_bits)
+from oracles import former_profile_from_numerators
 from rearrange_lab.errors import InputError
 from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      distribution_measure, equimeasurable,
@@ -436,3 +437,68 @@ def test_numerator_profiles_reject_what_the_constructor_rejects(segments):
         assert got.segments == expected.segments
         assert [type(x) for pair in got.segments for x in pair] == \
             [type(x) for pair in expected.segments for x in pair]
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([None, 53, 113]), st.integers(1, 6))
+@settings(max_examples=60)
+def test_segments_are_scaled_back_on_first_read_as_former_eager_ones(
+        f, precision, factor):
+    """A profile from exact numerators (over a unit not in lowest terms
+    when factor > 1) scales its segments back on first read, to the
+    segments, types, ==, hash and repr of the former eager
+    from_numerators; binary segments are kept from the start."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            space = to_binary_space(f.space, precision)
+            f = to_binary_function(f, space, precision)
+        kernel = decreasing_rearrangement(f)
+        pairs = [kernel.value_numerators, kernel.value_unit,
+                 kernel.length_numerators, kernel.length_unit]
+        if precision is None:
+            for i in (0, 2):
+                pairs[i] = tuple(n * factor for n in pairs[i])
+                pairs[i + 1] = F(1, pairs[i + 1].denominator * factor)
+        former = former_profile_from_numerators(*pairs)
+        fresh = [StepProfile.from_numerators(*pairs) for _ in range(4)]
+        assert all(("segments" in p.__dict__) is (precision is not None)
+                   for p in (kernel, *fresh))
+        assert fresh[0] == former and former == fresh[1]
+        assert hash(fresh[2]) == hash(former)
+        assert repr(fresh[3]) == repr(former)
+        for p in (kernel, *fresh):
+            assert p.segments == former.segments
+            assert [type(x) for pair in p.segments for x in pair] == \
+                [type(x) for pair in former.segments for x in pair]
+            if precision is not None:
+                assert all(same_bits(x, y)
+                           for pair, former_pair in zip(p.segments,
+                                                        former.segments)
+                           for x, y in zip(pair, former_pair))
+
+
+@pytest.mark.parametrize("precision", [53, 113])
+def test_equimeasurable_and_layer_cake_in_binary(precision):
+    """Both compare and seed values with a zero in the values' own
+    arithmetic; a Fraction zero raised TypeError on mpf values, and on
+    floats left a Fraction on a zero atom of the rebuilt function."""
+    kind = float if precision == 53 else mpmath.mpf
+    with binary_context(precision):
+        space = to_binary_space(WEIGHTED3, precision)
+        for values in ((3, -1, 2), (3, 0, 2), (0, 0, 0)):
+            f = to_binary_function(simple(values, WEIGHTED3), space,
+                                   precision)
+            assert equimeasurable(f, decreasing_rearrangement(f))
+            cake = layer_decompose(f)
+            assert all(type(t) is kind for t in cake.thresholds)
+            rebuilt = layer_reconstruct(cake)
+            assert rebuilt == f
+            assert all(type(v) is kind for v in rebuilt.values)
+
+
+def test_exact_layer_cake_stays_fraction():
+    f = simple((F(3), F(-1), F(2)), WEIGHTED3)
+    cake = layer_decompose(f)
+    assert cake.thresholds == (0, 1, 2, 3)
+    assert all(type(t) is F for t in cake.thresholds)
+    assert all(type(v) is F for v in layer_reconstruct(cake).values)

@@ -11,7 +11,7 @@ from rearrange_lab.scalars import (approximate_scalar, check_one_family,
                                    is_rational_literal,
                                    over_common_denominator, over_one_unit,
                                    parse_exponent, parse_scalar, shifted,
-                                   to_binary)
+                                   to_binary, unit_product)
 from rearrange_lab.scalars import INF
 
 
@@ -160,3 +160,13 @@ def test_one_unit_is_that_of_the_concatenated_values(sequences, binary):
     flat, flat_unit = over_common_denominator([v for s in sequences for v in s])
     assert [n for ns in numerators for n in ns] == list(flat)
     assert type(unit) is type(flat_unit) and unit == flat_unit
+
+
+@given(st.lists(st.one_of(st.integers(1, 10**12).map(lambda d: Fraction(1, d)),
+                          st.just(1)), min_size=1, max_size=5))
+def test_unit_product_is_the_product_of_the_units(units):
+    """One Fraction for the exact units among them, the int 1 for none:
+    the value and the type that multiplying them one by one gives."""
+    expected = math.prod(units)
+    got = unit_product(*units)
+    assert got == expected and type(got) is type(expected)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
+from oracles import former_function_from_numerators
 from rearrange_lab.errors import InputError
 from rearrange_lab.scalars import (binary_context, over_common_denominator,
                                    scalar_family, to_binary)
@@ -234,3 +235,50 @@ def test_equal_space_is_one_validated_object_per_atom_count():
     for _ in range(2):  # a rejected count is rejected on every call
         with pytest.raises(InputError, match="at least one atom"):
             equal_space(0)
+
+
+@given(off_lattice_spaces().flatmap(off_lattice_functions),
+       st.sampled_from([None, 53, 113]))
+@settings(max_examples=60)
+def test_values_are_scaled_back_on_first_read_as_former_eager_ones(f,
+                                                                    precision):
+    """A function from numerators scales its exact values back on first
+    read, to the values, types, ==, hash and repr of the former eager
+    from_numerators; binary values are kept as they are, from the start."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            space = to_binary_space(f.space, precision)
+            f = to_binary_function(f, space, precision)
+        pair = over_common_denominator(f.values)
+        former = former_function_from_numerators(*pair, f.space)
+        fresh = [SimpleFunction.from_numerators(*pair, f.space)
+                 for _ in range(4)]
+        assert ("values" in fresh[0].__dict__) is (precision is not None)
+        # each of ==, hash and repr reads the values itself
+        assert fresh[0] == former and former == fresh[1]
+        assert hash(fresh[2]) == hash(former)
+        assert repr(fresh[3]) == repr(former)
+        for g in fresh:
+            assert g.values == former.values == f.values
+            assert [type(v) for v in g.values] == \
+                [type(v) for v in former.values]
+            if precision is not None:
+                assert all(map(same_bits, g.values, former.values))
+
+
+@pytest.mark.parametrize("values,weights", [
+    ((F(1, 2), F(1, 3)), (0.5, 0.5)),
+    ((0.5, 0.25), (F(1, 2), F(1, 2))),
+    ((F(1, 2),), (F(1, 2), F(1, 2))),
+    ((F(1, 2), F(1, 3), F(1, 6)), (F(1, 2), F(1, 2))),
+], ids=["exact-on-float", "float-on-exact", "too-few", "too-many"])
+def test_values_from_numerators_are_checked_on_the_pair(values, weights):
+    """from_numerators, which checks the pair and builds no values,
+    rejects what the former eager one rejected, with its message."""
+    space = DiscreteSpace(weights)
+    pair = over_common_denominator(values)
+    with pytest.raises((InputError, ValueError)) as former:
+        former_function_from_numerators(*pair, space)
+    with pytest.raises(former.type) as raised:
+        SimpleFunction.from_numerators(*pair, space)
+    assert str(raised.value) == str(former.value)

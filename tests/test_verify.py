@@ -2,22 +2,25 @@ import json
 from fractions import Fraction as F
 
 from conftest import same_bits
-from oracles import reference_draw_values
+from oracles import former_random_instance, reference_draw_values
 
+import hypothesis.strategies as st
 import mpmath
 import pytest
+from hypothesis import given, settings
 
 from rearrange_lab.errors import InputError
 from rearrange_lab.norms import (ConcaveWeight, Generated, L1, LorentzLambda,
                                  Lp, norm_from_json)
 from rearrange_lab import verify as verify_mod
+from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
                                    format_scalar)
 from rearrange_lab.search import SearchProblem, search
-from rearrange_lab.spaces import integrate
-from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, TrialConfig,
-                                  _binary_instance, _draw_values, _evaluate,
-                                  _keyed_rng, _recheck, _run_trial,
+from rearrange_lab.spaces import equal_space, integrate
+from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, SUITE_IDS, TrialConfig,
+                                  _binary_instance, _evaluate, _keyed_rng,
+                                  _lattice_function, _recheck, _run_trial,
                                   canonical_hash, canonical_json,
                                   generate_instance, run_suite, thm32_sides,
                                   thm41_sides, thm43_sides,
@@ -301,8 +304,53 @@ def test_draw_values_is_the_randint_stream(n):
     the generator ends in the same state."""
     for seed in range(200):
         rng, reference = _keyed_rng(f"{seed}:{n}"), _keyed_rng(f"{seed}:{n}")
-        assert _draw_values(rng, n) == reference_draw_values(reference, n)
+        f = _lattice_function(rng, equal_space(n))
+        assert f.values == reference_draw_values(reference, n)
         assert rng.getstate() == reference.getstate()
+
+
+@given(st.sampled_from(SUITE_IDS),
+       st.sampled_from(["equal", "random-rational"]),
+       st.integers(1, 12), st.integers(0, 2**32), st.integers(128, 10**6))
+@settings(max_examples=150)
+def test_random_instances_are_the_former_fraction_draws(suite, weights, atoms,
+                                                        seed, index):
+    """Instances drawn as int lattice numerators equal those the former
+    generator drew as Fractions: values of the same types, and the
+    numerator pair it would have kept."""
+    cfg = TrialConfig(suite=suite, weight_scheme=weights, atoms=atoms,
+                      seed=seed, mode="float", trials=1)
+    inst = generate_instance(cfg, index)
+    space, functions = former_random_instance(cfg, index)
+    assert inst.space == space and list(inst.functions) == list(functions)
+    for name, f in inst.functions.items():
+        former = functions[name]
+        assert f == former
+        assert [type(v) for v in f.values] == [type(v) for v in former.values]
+        assert (f.numerators, f.unit) == (former.numerators, former.unit)
+        assert type(f.unit) is type(former.unit)
+
+
+def test_thm32_trial_builds_no_scalars_it_does_not_read(monkeypatch):
+    """The exact thm32 sides of a generated 64-atom instance read only
+    numerators: no profile scales its segments back, and neither the
+    centred g nor the drawn f and h their values."""
+    profiles = []
+
+    def recorded(f):
+        profiles.append(decreasing_rearrangement(f))
+        return profiles[-1]
+
+    monkeypatch.setattr(verify_mod, "decreasing_rearrangement", recorded)
+    cfg = TrialConfig(suite="thm32", atoms=64, seed=5, trials=200)
+    for index in (128, 199):
+        inst = generate_instance(cfg, index)
+        assert inst.space.n == 64
+        thm32_sides(*(inst.functions[name] for name in "fgh"))
+        for name in "fgh":
+            assert "values" not in inst.functions[name].__dict__
+    assert len(profiles) == 6
+    assert all("segments" not in p.__dict__ for p in profiles)
 
 
 @pytest.mark.parametrize("X", [LORENTZ, LORENTZ_ASSOCIATE],
