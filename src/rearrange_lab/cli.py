@@ -100,7 +100,10 @@ def _load_json_file(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") \
+            from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -112,7 +115,7 @@ def _parse_norm_flag(text):
     else:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid norm descriptor JSON: {exc}") from exc
     return norm_from_json(doc)
 
@@ -143,11 +146,19 @@ def _load_instance(path):
     return instance_from_json(_load_json_file(path))
 
 
-def _emit(text: str, out_path=None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _emit(text: str, out_path=None) -> None:
+    """Write text to out_path, if given, and then to stdout."""
+    if out_path:
+        _write_file(out_path, text)
+    sys.stdout.write(text)
 
 
 def _precision_from_env() -> int:
@@ -220,8 +231,7 @@ def _landscape_command(args) -> int:
     rows = landscape_rows(problem, args.grid)
     csv_text = landscape_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
+        _write_file(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -34,7 +34,7 @@ from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, format_exponent, \
     format_scalar, in_family, parse_exponent, parse_scalar, to_binary
-from .spaces import SimpleFunction
+from .spaces import SimpleFunction, common_space
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +247,7 @@ def exactly_evaluable(X) -> bool:
 def _as_binary(x, precision):
     if isinstance(x, mpmath.mpf):
         return x
-    if precision == DOUBLE_PRECISION:
-        return float(x)
-    return to_binary(Fraction(x), precision)  # floats convert exactly
+    return to_binary(x, precision)
 
 
 def _powers(xs, p, precision):
@@ -417,31 +415,15 @@ def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
 # ---------------------------------------------------------------------------
 # checks
 
-def associate_norm(X, h, *, precision=None):
-    """||h|| in the associate space of X (closed forms for Lp and Lorentz)."""
-    return norm(Associate(X), h, precision=precision)
-
-
 def hardy_littlewood_check(f: SimpleFunction, g: SimpleFunction):
     """Return (integral of |fg| d(mu), integral of f* g*); the first never
     exceeds the second."""
-    if f.space.weights != g.space.weights:
-        raise InputError("functions live on different spaces")
-    lhs = sum(abs(a * b) * w for a, b, w in zip(f.values, g.values, f.space.weights))
+    weights = common_space(f, g).weights
+    lhs = sum(abs(a * b) * w for a, b, w in zip(f.values, g.values, weights))
     rhs = profile_integrate_product(
         [decreasing_rearrangement(f), decreasing_rearrangement(g)]
     )
     return lhs, rhs
-
-
-def holder_check(X, f: SimpleFunction, g: SimpleFunction, *, precision=None):
-    """The three-term chain: integral of |fg|, the sorted pairing, and
-    ||f||_X ||g||_X'; each term bounds the one before it."""
-    lhs, mid = hardy_littlewood_check(f, g)
-    right = norm(X, f, precision=precision) * norm(
-        Associate(X), g, precision=precision
-    )
-    return lhs, mid, right
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""The mean-oscillation bilinear form and its supporting calculus.
+"""The mean-oscillation bilinear form and the checks built on it.
 
 The central object is
 
     I(A, B; f, g, h) = sum over y in A, x in B of
         (f(x) + f(y)) (g(x) - g(y)) h(y) mu(x) mu(y),
 
-together with the pointwise product split used to bound oscillation norms
-of products, a first-order difference calculus on the product space
-(kernels K(x, y) with left/right module actions), and the peeling of a
-zero-mean simple function into zero-mean two-level blocks with nested
-supports.
+together with the peeling of a zero-mean simple function into zero-mean
+two-level blocks with nested supports, and the off-support bound of
+lemma31.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile
 from .scalars import format_scalar, in_family, parse_scalar, unit_product
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
-                     SimpleFunction, center, integrate, multiply, support)
+                     SimpleFunction, common_space, integrate, support)
 
 
 def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
@@ -44,7 +42,7 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
     compensate float sums from Python 3.12 on.  One set passed as both A
     and B (as thm32 passes the whole space) is checked and gathered once.
     """
-    space = _common_space(f, g, h)
+    space = common_space(f, g, h)
     same = A is B
     A = space.check_atoms(A)
     fA, gA, hA, wA = ([row[i] for i in A]
@@ -69,142 +67,6 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
         + over(gB, wB) * over(fA, hA, wA)
         - over(wB) * over(fA, gA, hA, wA)
     ) * unit_product(f.unit, g.unit, h.unit, space.unit, space.unit)
-
-
-def _common_space(*funcs) -> DiscreteSpace:
-    space = funcs[0].space
-    for fn in funcs[1:]:
-        if fn.space.weights != space.weights:
-            raise InputError("functions live on different spaces")
-    return space
-
-
-def product_identity_check(f: SimpleFunction, g: SimpleFunction):
-    """Max pointwise discrepancy of the symmetric/antisymmetric split of
-    f(x)g(x) - f(y)g(y) over all atom pairs; zero in exact mode."""
-    space = _common_space(f, g)
-    worst = Fraction(0)
-    for x in range(space.n):
-        for y in range(space.n):
-            lhs = f.values[x] * g.values[x] - f.values[y] * g.values[y]
-            rhs = (
-                (f.values[x] + f.values[y]) * (g.values[x] - g.values[y])
-                + (f.values[x] - f.values[y]) * (g.values[x] + g.values[y])
-            ) / 2
-            worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# first-order difference calculus on the product space
-
-@dataclass(frozen=True)
-class ProductKernel:
-    """A function on atom pairs; entry [x][y] is K(x, y)."""
-
-    values: tuple
-    space: DiscreteSpace
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.values)
-        object.__setattr__(self, "values", rows)
-        n = self.space.n
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise InputError("kernel must be n x n for the space")
-
-
-def derivation(f: SimpleFunction) -> ProductKernel:
-    """The antisymmetric difference kernel K(x, y) = f(x) - f(y)."""
-    vals = tuple(
-        tuple(f.values[x] - f.values[y] for y in range(f.space.n))
-        for x in range(f.space.n)
-    )
-    return ProductKernel(vals, f.space)
-
-
-def kernel_left(m: SimpleFunction, K: ProductKernel) -> ProductKernel:
-    """(mK)(x, y) = m(x) K(x, y)."""
-    vals = tuple(
-        tuple(m.values[x] * K.values[x][y] for y in range(K.space.n))
-        for x in range(K.space.n)
-    )
-    return ProductKernel(vals, K.space)
-
-
-def kernel_right(K: ProductKernel, m: SimpleFunction) -> ProductKernel:
-    """(Km)(x, y) = m(y) K(x, y)."""
-    vals = tuple(
-        tuple(K.values[x][y] * m.values[y] for y in range(K.space.n))
-        for x in range(K.space.n)
-    )
-    return ProductKernel(vals, K.space)
-
-
-def kernel_add(K: ProductKernel, L: ProductKernel) -> ProductKernel:
-    vals = tuple(
-        tuple(a + b for a, b in zip(ra, rb))
-        for ra, rb in zip(K.values, L.values)
-    )
-    return ProductKernel(vals, K.space)
-
-
-def kernel_pairing(K: ProductKernel, L: ProductKernel):
-    """<K, L> with respect to mu (x) mu."""
-    w = K.space.weights
-    return sum(
-        (
-            K.values[x][y] * L.values[x][y] * w[x] * w[y]
-            for x in range(K.space.n)
-            for y in range(K.space.n)
-        ),
-        start=Fraction(0),
-    )
-
-
-def function_pairing(u: SimpleFunction, v: SimpleFunction):
-    """<u, v> with respect to mu."""
-    return integrate(multiply(u, v))
-
-
-def derivation_adjoint(K: ProductKernel) -> SimpleFunction:
-    """The divergence-style adjoint of the difference kernel calculus.
-
-    Sign convention: adjoint(derivation(f)) = -2 (f - mean f), so the
-    defining pairing reads <derivation u, K> = -<u, adjoint K> for every
-    u.  With this convention the oscillation form is recovered as
-    <adjoint(f . derivation g), h>.
-    """
-    w = K.space.weights
-    values = []
-    for z in range(K.space.n):
-        col = sum(
-            (K.values[x][z] * w[x] for x in range(K.space.n)), start=Fraction(0)
-        )
-        row = sum(
-            (K.values[z][y] * w[y] for y in range(K.space.n)), start=Fraction(0)
-        )
-        values.append(col - row)
-    return SimpleFunction(tuple(values), K.space)
-
-
-def variance_identity_check(f: SimpleFunction):
-    """Three routes to the variance: centered second moment, half the
-    double integral of squared differences, and half the squared kernel
-    norm of the difference kernel."""
-    centered = center(f)
-    first = integrate(multiply(centered, centered))
-    w = f.space.weights
-    second = sum(
-        (
-            (f.values[x] - f.values[y]) ** 2 * w[x] * w[y]
-            for x in range(f.space.n)
-            for y in range(f.space.n)
-        ),
-        start=Fraction(0),
-    ) / 2
-    K = derivation(f)
-    third = kernel_pairing(K, K) / 2
-    return first, second, third
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +217,7 @@ def lemma31_bound(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
 
     where 1_F(x, y) = 1 if x or y lies in F.  LHS <= RHS always.
     """
-    space = _common_space(f, g, h)
+    space = common_space(f, g, h)
     if not _zero_mean(g):
         raise PreconditionViolated("g must have zero mean")
     if any(v not in (-1, 0, 1) for v in f.values):

@@ -34,7 +34,7 @@ from .errors import InputError
 from .scalars import (INF, check_one_family, format_scalar,
                       from_common_denominator, in_lowest_terms,
                       over_common_denominator, over_one_unit, parse_scalar)
-from .spaces import AtomSet, DiscreteSpace, SimpleFunction, support
+from .spaces import DiscreteSpace, SimpleFunction, common_space
 
 
 def _check_family(lengths) -> None:
@@ -154,8 +154,9 @@ StepProfile.segments = cached_property(_scaled_segments)
 StepProfile.segments.__set_name__(StepProfile, "segments")
 
 
-def _merge(pairs) -> list:
-    """Drop zero pairs and merge runs of equal values into [value, length]."""
+def make_profile(pairs) -> StepProfile:
+    """Canonicalize (value, length) pairs: drop zeros, merge runs of equal
+    values."""
     merged = []
     for value, length in pairs:
         if length == 0 or value == 0:
@@ -166,12 +167,7 @@ def _merge(pairs) -> list:
             merged[-1][1] += length
         else:
             merged.append([value, length])
-    return merged
-
-
-def make_profile(pairs) -> StepProfile:
-    """Canonicalize (value, length) pairs: drop zeros, merge equal values."""
-    return StepProfile(tuple((v, l) for v, l in _merge(pairs)))
+    return StepProfile(tuple((v, l) for v, l in merged))
 
 
 def decreasing_rearrangement(f: SimpleFunction) -> StepProfile:
@@ -282,22 +278,6 @@ def profile_leq(p: StepProfile, q: StepProfile) -> bool:
     return all(a <= b for a, b in zip(pv, qv))
 
 
-def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
-    """Running-integral domination: int_0^t p <= int_0^t q for all t.
-
-    Both running integrals are piecewise linear with kinks only at the
-    merged segment boundaries, so checking the boundaries is enough.
-    """
-    widths, (pv, qv) = align(p, q)
-    run_p = run_q = Fraction(0)
-    for a, b, width in zip(pv, qv, widths):
-        run_p = run_p + a * width
-        run_q = run_q + b * width
-        if run_p > run_q:
-            return False
-    return True
-
-
 def profile_moment(profile: StepProfile, p) -> Fraction:
     """Integral of profile^p over [0, infinity) for a positive integer p."""
     p = int(p)
@@ -328,33 +308,15 @@ def _integer_exponent(p, what: str) -> int:
     return int(p)
 
 
-def _lp_moments(f: SimpleFunction, p):
+def lp_moments(f: SimpleFunction, p):
     """The pre-root pair (|f|_p^p, |f*|_p^p) for an integer p, or the two
-    sups for p = inf."""
+    sups for p = inf; the two agree."""
     prof = decreasing_rearrangement(f)
     if p == INF:
         return max((abs(v) for v in f.values), default=Fraction(0)), prof.sup
     k = _integer_exponent(p, "Lp preservation")
     m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
     return m_f, profile_moment(prof, k)
-
-
-def rearrangement_preserves_Lp(f: SimpleFunction, p):
-    """Return (|f|_p, |f*|_p) computed down the two independent routes.
-
-    The agreement of the underlying p-th moments is exact for integer p in
-    exact mode; the returned norms are floats when the root is inexact.
-    """
-    m_f, m_p = _lp_moments(f, p)
-    if p == INF or p == 1:
-        return m_f, m_p
-    return float(m_f) ** (1.0 / int(p)), float(m_p) ** (1.0 / int(p))
-
-
-def lp_moments_agree(f: SimpleFunction, p) -> bool:
-    """Exact check that |f|_p = |f*|_p, comparing pre-root quantities."""
-    m_f, m_p = _lp_moments(f, p)
-    return m_f == m_p
 
 
 def indicator_difference_rearrangement(f: SimpleFunction, t):
@@ -375,11 +337,10 @@ def indicator_difference_rearrangement(f: SimpleFunction, t):
     return left, right
 
 
-def _nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
+def nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
     """The pre-root pair (|f* - g*|^p integral, |f - g|_p^p) for integer
-    p, or the two sups for p = inf."""
-    if f.space.weights != g.space.weights:
-        raise InputError("functions live on different spaces")
+    p, or the two sups for p = inf; the first never exceeds the second."""
+    weights = common_space(f, g).weights
     pf, pg = decreasing_rearrangement(f), decreasing_rearrangement(g)
     if p == INF:
         rhs = max(
@@ -387,26 +348,8 @@ def _nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
         )
         return profile_difference_sup(pf, pg), rhs
     k = _integer_exponent(p, "non-expansiveness")
-    rhs = sum(
-        abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, f.space.weights)
-    )
+    rhs = sum(abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, weights))
     return profile_difference_moment(pf, pg, k), rhs
-
-
-def nonexpansive_check(f: SimpleFunction, g: SimpleFunction, p):
-    """Return (|f* - g*|_{L^p[0,inf)}, |f - g|_p); the first must not
-    exceed the second."""
-    lhs, rhs = _nonexpansive_moments(f, g, p)
-    if p == INF or int(p) == 1:
-        return lhs, rhs
-    return float(lhs) ** (1.0 / int(p)), float(rhs) ** (1.0 / int(p))
-
-
-def nonexpansive_holds(f: SimpleFunction, g: SimpleFunction, p) -> bool:
-    """Exact comparison of the non-expansiveness inequality for
-    p in {1, 2, ...} or inf (compares p-th moments, no roots)."""
-    lhs, rhs = _nonexpansive_moments(f, g, p)
-    return lhs <= rhs
 
 
 def equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:

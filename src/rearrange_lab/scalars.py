@@ -47,7 +47,6 @@ QUAD_PRECISION = 113
 
 INF = float("inf")
 
-Scalar = Union[int, Fraction, float]
 Exponent = Union[Fraction, float]  # a rational >= 1, or INF
 
 #: largest decimal exponent magnitude a literal may carry; far beyond the
@@ -73,11 +72,6 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a scalar literal: {text!r}") from exc
-
-
-def is_rational_literal(text: str) -> bool:
-    """True for "p/q" style literals, which force exact mode."""
-    return isinstance(text, str) and "/" in text
 
 
 def format_scalar(x) -> str:
@@ -146,14 +140,16 @@ def format_exponent(p) -> str:
 
 
 def to_binary(q, precision):
-    """Round an exact rational to the float mode of the given precision;
-    None keeps it exact."""
+    """Round a rational (an int, a Fraction, or a float, which converts
+    exactly) to the float mode of the given precision; None keeps it
+    exact, as a Fraction."""
     if precision is None:
-        return q
+        return Fraction(q)
     if precision == DOUBLE_PRECISION:
         return float(q)
+    numerator, denominator = q.as_integer_ratio()
     with mpmath.workprec(precision):
-        return mpmath.mpf(q.numerator) / q.denominator
+        return mpmath.mpf(numerator) / denominator
 
 
 def in_family(q, x):
@@ -289,11 +285,6 @@ def _type_family(t) -> str:
     if issubclass(t, mpmath.mpf):
         return "mpf"
     raise TypeError(f"unsupported scalar type {t.__name__}")
-
-
-def scalar_family(x) -> str:
-    """Classify a scalar for the mixed-mode guard."""
-    return _type_family(type(x))
 
 
 _ANY = frozenset(("any",))

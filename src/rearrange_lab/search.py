@@ -250,11 +250,15 @@ def search(problem: SearchProblem, iters: int, restarts: int,
 # ---------------------------------------------------------------------------
 # ratio landscapes (two-atom parameter families)
 
-def landscape_rows(problem: SearchProblem, grid: int,
-                   lo: float = -2.0, hi: float = 2.0):
+#: the range of the landscape parameter t
+LANDSCAPE_LO, LANDSCAPE_HI = -2.0, 2.0
+
+
+def landscape_rows(problem: SearchProblem, grid: int):
     """Tabulate LHS, RHS, and their ratio along the one-parameter family
     f = (1, t) with g = (1, -1) fixed (and h = (-1, 1) for the
-    rearrangement-bound target); requires the two-atom space."""
+    rearrangement-bound target), for grid values of t spread evenly over
+    [LANDSCAPE_LO, LANDSCAPE_HI]; requires the two-atom space."""
     if problem.atoms != 2:
         raise TooManyFreeParameters(
             "landscapes need the two-atom symmetry reduction"
@@ -262,6 +266,7 @@ def landscape_rows(problem: SearchProblem, grid: int,
     if grid < 1:
         raise InputError("grid resolution must be >= 1")
     space = problem.space()
+    lo, hi = LANDSCAPE_LO, LANDSCAPE_HI
     points = [lo] if grid == 1 else [
         lo + (hi - lo) * k / (grid - 1) for k in range(grid)
     ]

@@ -14,7 +14,8 @@ unit int 1.  A function built from an exact pair
 (`SimpleFunction.from_numerators`, as `center` and the instance generator
 build them) scales its values back on first read and keeps them; until a
 caller reads them no `Fraction` is made.  `equal_space` builds and
-validates one space per atom count.
+validates one space per atom count.  `common_space` is the one check
+that functions combined pointwise share their space.
 """
 
 from __future__ import annotations
@@ -199,30 +200,34 @@ def scale(f: SimpleFunction, c) -> SimpleFunction:
     return SimpleFunction(tuple(c * v for v in f.values), f.space)
 
 
+def common_space(*functions: SimpleFunction) -> DiscreteSpace:
+    """The space of the first function, which every other one must share
+    (same weights)."""
+    space = functions[0].space
+    for f in functions[1:]:
+        if f.space.weights != space.weights:
+            raise InputError("functions live on different spaces")
+    return space
+
+
 def add(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    _same_space(f, g)
-    return SimpleFunction(tuple(a + b for a, b in zip(f.values, g.values)), f.space)
+    space = common_space(f, g)
+    return SimpleFunction(tuple(a + b for a, b in zip(f.values, g.values)), space)
 
 
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     """Pointwise product fg."""
-    _same_space(f, g)
-    return SimpleFunction(tuple(a * b for a, b in zip(f.values, g.values)), f.space)
-
-
-def _same_space(f: SimpleFunction, g: SimpleFunction) -> None:
-    if f.space.weights != g.space.weights:
-        raise InputError("functions live on different spaces")
+    space = common_space(f, g)
+    return SimpleFunction(tuple(a * b for a, b in zip(f.values, g.values)), space)
 
 
 def to_binary_space(space: DiscreteSpace, precision: int) -> DiscreteSpace:
-    return DiscreteSpace(tuple(to_binary(Fraction(w), precision) for w in space.weights))
+    return DiscreteSpace(tuple(to_binary(w, precision) for w in space.weights))
 
 
 def to_binary_function(f: SimpleFunction, space: DiscreteSpace, precision: int) -> SimpleFunction:
-    return SimpleFunction(
-        tuple(to_binary(Fraction(v), precision) for v in f.values), space
-    )
+    return SimpleFunction(tuple(to_binary(v, precision) for v in f.values),
+                          space)
 
 
 # ---------------------------------------------------------------------------

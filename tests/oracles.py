@@ -13,24 +13,38 @@ way verify did with random.randint.  The ``former_*`` functions are the
 package's own code as it was before exact objects scaled their scalars
 back on first read, before instances were drawn as ints and before
 `bilinear_form` summed in `map`/`reduce`, kept verbatim as the reference
-of bit-for-bit differential tests.
+of bit-for-bit differential tests; ``former_to_binary`` is the rounding
+as callers did it before `to_binary` converted floats itself.
+
+``product_identity_check`` and the first-order difference calculus on the
+product space (``ProductKernel``, ``derivation``, its left and right
+module actions ``kernel_left``/``kernel_right``, ``kernel_add``, the
+pairings ``kernel_pairing``/``function_pairing``, ``derivation_adjoint``
+and ``variance_identity_check``) are an independent oracle for
+`bilinear_form`: the oscillation form is the pairing of
+derivation_adjoint(f . derivation g) with h.  ``profile_submajorizes``
+checks running-integral domination of step profiles for the
+block-decomposition tests.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath
 
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
-from rearrange_lab.oscillation import _common_space
 from rearrange_lab.rearrange import (StepProfile, _check_family,
-                                     _values_on_grid)
+                                     _values_on_grid, align)
 from rearrange_lab.scalars import (DOUBLE_PRECISION, INF,
                                    from_common_denominator, in_family,
                                    in_lowest_terms)
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction,
-                                  _check_values, center)
+                                  _check_values, center, common_space,
+                                  integrate, multiply)
 from rearrange_lab.verify import (LATTICE_DEN, LATTICE_MAX, _draw_space,
                                   _keyed_rng)
 
@@ -400,7 +414,7 @@ def former_profile_from_numerators(value_numerators, value_unit,
 
 def former_bilinear_form(A, B, f, g, h):
     """bilinear_form as it was, with its integrals as Python loops."""
-    space = _common_space(f, g, h)
+    space = common_space(f, g, h)
     A = space.check_atoms(A)
     B = space.check_atoms(B)
     (fv, f_unit), (gv, g_unit), (hv, h_unit), (w, w_unit) = (
@@ -422,3 +436,165 @@ def former_bilinear_form(A, B, f, g, h):
         + over(B, gv) * over(A, fv, hv)
         - over(B) * over(A, fv, gv, hv)
     ) * (f_unit * g_unit * h_unit * w_unit * w_unit)
+
+
+def former_to_binary(q, precision):
+    """to_binary of the input wrapped in Fraction, as it was: None gives
+    that Fraction back."""
+    q = Fraction(q)
+    if precision is None:
+        return q
+    if precision == DOUBLE_PRECISION:
+        return float(q)
+    with mpmath.workprec(precision):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+
+# ---------------------------------------------------------------------------
+# the pointwise product split
+
+def product_identity_check(f: SimpleFunction, g: SimpleFunction):
+    """Max pointwise discrepancy of the symmetric/antisymmetric split of
+    f(x)g(x) - f(y)g(y) over all atom pairs; zero in exact mode."""
+    space = common_space(f, g)
+    worst = Fraction(0)
+    for x in range(space.n):
+        for y in range(space.n):
+            lhs = f.values[x] * g.values[x] - f.values[y] * g.values[y]
+            rhs = (
+                (f.values[x] + f.values[y]) * (g.values[x] - g.values[y])
+                + (f.values[x] - f.values[y]) * (g.values[x] + g.values[y])
+            ) / 2
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# first-order difference calculus on the product space
+
+@dataclass(frozen=True)
+class ProductKernel:
+    """A function on atom pairs; entry [x][y] is K(x, y)."""
+
+    values: tuple
+    space: DiscreteSpace
+
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.values)
+        object.__setattr__(self, "values", rows)
+        n = self.space.n
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise InputError("kernel must be n x n for the space")
+
+
+def derivation(f: SimpleFunction) -> ProductKernel:
+    """The antisymmetric difference kernel K(x, y) = f(x) - f(y)."""
+    vals = tuple(
+        tuple(f.values[x] - f.values[y] for y in range(f.space.n))
+        for x in range(f.space.n)
+    )
+    return ProductKernel(vals, f.space)
+
+
+def kernel_left(m: SimpleFunction, K: ProductKernel) -> ProductKernel:
+    """(mK)(x, y) = m(x) K(x, y)."""
+    vals = tuple(
+        tuple(m.values[x] * K.values[x][y] for y in range(K.space.n))
+        for x in range(K.space.n)
+    )
+    return ProductKernel(vals, K.space)
+
+
+def kernel_right(K: ProductKernel, m: SimpleFunction) -> ProductKernel:
+    """(Km)(x, y) = m(y) K(x, y)."""
+    vals = tuple(
+        tuple(K.values[x][y] * m.values[y] for y in range(K.space.n))
+        for x in range(K.space.n)
+    )
+    return ProductKernel(vals, K.space)
+
+
+def kernel_add(K: ProductKernel, L: ProductKernel) -> ProductKernel:
+    vals = tuple(
+        tuple(a + b for a, b in zip(ra, rb))
+        for ra, rb in zip(K.values, L.values)
+    )
+    return ProductKernel(vals, K.space)
+
+
+def kernel_pairing(K: ProductKernel, L: ProductKernel):
+    """<K, L> with respect to mu (x) mu."""
+    w = K.space.weights
+    return sum(
+        (
+            K.values[x][y] * L.values[x][y] * w[x] * w[y]
+            for x in range(K.space.n)
+            for y in range(K.space.n)
+        ),
+        start=Fraction(0),
+    )
+
+
+def function_pairing(u: SimpleFunction, v: SimpleFunction):
+    """<u, v> with respect to mu."""
+    return integrate(multiply(u, v))
+
+
+def derivation_adjoint(K: ProductKernel) -> SimpleFunction:
+    """The divergence-style adjoint of the difference kernel calculus.
+
+    Sign convention: adjoint(derivation(f)) = -2 (f - mean f), so the
+    defining pairing reads <derivation u, K> = -<u, adjoint K> for every
+    u.  With this convention the oscillation form is recovered as
+    <adjoint(f . derivation g), h>.
+    """
+    w = K.space.weights
+    values = []
+    for z in range(K.space.n):
+        col = sum(
+            (K.values[x][z] * w[x] for x in range(K.space.n)), start=Fraction(0)
+        )
+        row = sum(
+            (K.values[z][y] * w[y] for y in range(K.space.n)), start=Fraction(0)
+        )
+        values.append(col - row)
+    return SimpleFunction(tuple(values), K.space)
+
+
+def variance_identity_check(f: SimpleFunction):
+    """Three routes to the variance: centered second moment, half the
+    double integral of squared differences, and half the squared kernel
+    norm of the difference kernel."""
+    centered = center(f)
+    first = integrate(multiply(centered, centered))
+    w = f.space.weights
+    second = sum(
+        (
+            (f.values[x] - f.values[y]) ** 2 * w[x] * w[y]
+            for x in range(f.space.n)
+            for y in range(f.space.n)
+        ),
+        start=Fraction(0),
+    ) / 2
+    K = derivation(f)
+    third = kernel_pairing(K, K) / 2
+    return first, second, third
+
+
+# ---------------------------------------------------------------------------
+# running-integral domination of step profiles
+
+def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
+    """Running-integral domination: int_0^t p <= int_0^t q for all t.
+
+    Both running integrals are piecewise linear with kinks only at the
+    merged segment boundaries, so checking the boundaries is enough.
+    """
+    widths, (pv, qv) = align(p, q)
+    run_p = run_q = Fraction(0)
+    for a, b, width in zip(pv, qv, widths):
+        run_p = run_p + a * width
+        run_q = run_q + b * width
+        if run_p > run_q:
+            return False
+    return True

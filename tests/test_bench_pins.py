@@ -1,7 +1,7 @@
 """Report drift check: each benchmark workload, run in-process at CLI
 seed 0, reproduces the first report hash pinned in bench/pins.json, the
 bit-sensitive float Lorentz workload reproduces its hash at every pinned
-CLI seed, and so does the exact thm32 workload.  Also checks
+CLI seed, and so do the exact thm32 workload and the search workload.  Also checks
 that the norm workload runs without scipy.  bench/ is only read."""
 
 import json
@@ -47,6 +47,15 @@ def test_thm32_workload_matches_pins(cli_seed, capsys):
     assert run(workload.cli_argv(cli_seed)) == 0
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == PINS["thm32-exact-64"]["hashes"][cli_seed]
+
+
+@pytest.mark.parametrize("cli_seed", range(PINNED_SEEDS))
+def test_search_workload_matches_every_pin(cli_seed, capsys):
+    workload = WORKLOADS["search-thm43-1t"]
+    assert run(workload.cli_argv(cli_seed)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert canonical_hash(report) == \
+        PINS["search-thm43-1t"]["hashes"][cli_seed]
 
 
 def test_norm_workload_runs_without_scipy():

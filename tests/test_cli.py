@@ -231,6 +231,59 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+#: one small run of each command that writes an --out file
+_SMALL_RUNS = {
+    "verify": ["verify", "--suite", "thm32", "--atoms", "3", "--trials", "2"],
+    "search": ["search", "--target", "thm32-ratio", "--iters", "2",
+               "--restarts", "1"],
+    "landscape": ["landscape", "--target", "thm32-ratio", "--grid", "3"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_unwritable_out_exits_2_with_one_line(command, where, tmp_path,
+                                              capsys):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" \
+        else tmp_path
+    assert run(_SMALL_RUNS[command] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InputError: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--input", "--norm"])
+def test_non_utf8_file_exits_2_with_one_line(flag, tmp_path, capsys):
+    path = tmp_path / "latin-1.json"
+    path.write_bytes('{"kind": "lp", "p": "2", "note": "\u00e9"}'
+                     .encode("latin-1"))
+    argv = ["rearrange", "--input", str(path), "--function", "f"] \
+        if flag == "--input" else \
+        ["verify", "--suite", "thm43", "--trials", "2", "--norm", f"@{path}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InputError: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--input", "--norm @file", "--norm"])
+def test_too_deeply_nested_json_exits_2_with_one_line(flag, tmp_path, capsys):
+    text = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ["rearrange", "--input", str(path), "--function", "f"] \
+        if flag == "--input" else \
+        ["verify", "--suite", "thm43", "--trials", "2", "--norm",
+         f"@{path}" if flag == "--norm @file" else text]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError: invalid ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_has_no_threads_flag(capsys):
     """verify runs its trials in order in one thread; --threads is no
     verify flag (search keeps it)."""

@@ -16,10 +16,9 @@ from oracles import (associate_norm_oracle, lorentz_associate_exact_lp,
 from rearrange_lab.errors import (ExactUnavailable, InputError,
                                   NonEqualAtomSpace)
 from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
-                                 LINF, LorentzLambda, Lp, associate_norm,
-                                 dual_exponent, exactly_evaluable,
-                                 _unit_grid, hardy_littlewood_check,
-                                 holder_check, norm, norm_from_json,
+                                 LINF, LorentzLambda, Lp, dual_exponent,
+                                 exactly_evaluable, _unit_grid,
+                                 hardy_littlewood_check, norm, norm_from_json,
                                  norm_to_json)
 from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      make_profile)
@@ -52,10 +51,10 @@ def test_dual_exponents():
 def test_associate_fixtures():
     sp = equal_space(2)
     h = simple((3, 4), sp)
-    assert associate_norm(L2, h, precision=53) == pytest.approx(
+    assert norm(Associate(L2), h, precision=53) == pytest.approx(
         math.sqrt(12.5), abs=1e-14)
-    assert associate_norm(L1, h) == 4
-    assert associate_norm(LINF, h) == F(7, 2)
+    assert norm(Associate(L1), h) == 4
+    assert norm(Associate(LINF), h) == F(7, 2)
 
 
 def test_exact_mode_refuses_roots():
@@ -167,16 +166,24 @@ def test_hardy_littlewood_random(pair):
     assert lhs <= rhs
 
 
+def _holder_chain(X, f, g):
+    """The integral of |fg|, the sorted pairing, and ||f||_X ||g||_X';
+    each term bounds the one before it."""
+    a, b = hardy_littlewood_check(f, g)
+    return a, b, norm(X, f, precision=53) * norm(Associate(X), g,
+                                                 precision=53)
+
+
 def test_holder_fixtures():
     sp = equal_space(2)
     f, g = simple((1, -2), sp), simple((3, 1), sp)
-    a, b, c = holder_check(L2, f, g, precision=53)
+    a, b, c = _holder_chain(L2, f, g)
     assert (a, b) == (F(5, 2), F(7, 2))
     assert float(c) == pytest.approx(math.sqrt(12.5), abs=1e-14)
     one = simple((1, 1), sp)
-    a, b, c = holder_check(L2, one, g, precision=53)
+    a, b, c = _holder_chain(L2, one, g)
     assert a == b == norm(L1, g)
-    assert holder_check(L2, f, simple((0, 0), sp), precision=53) == (0, 0, 0.0)
+    assert _holder_chain(L2, f, simple((0, 0), sp)) == (0, 0, 0.0)
 
 
 @given(function_pairs(equal_only=True, min_atoms=2))
@@ -184,7 +191,7 @@ def test_holder_fixtures():
 def test_holder_chain_random(pair):
     f, g = pair
     for X in (L1, L2, LINF, LAMBDA):
-        a, b, c = (float(x) for x in holder_check(X, f, g, precision=53))
+        a, b, c = (float(x) for x in _holder_chain(X, f, g))
         scale = max(1.0, abs(c))
         assert a <= b + 1e-9 * scale
         assert b <= c + 1e-9 * scale
@@ -239,7 +246,7 @@ def test_lorentz_closed_form_vs_second_associate_lp(f):
 @settings(max_examples=10, deadline=None)
 def test_associate_closed_forms_vs_oracle(f):
     for X in (L1, L2, LAMBDA):
-        closed = float(associate_norm(X, f, precision=53))
+        closed = float(norm(Associate(X), f, precision=53))
         oracle = associate_norm_oracle(X, f, starts=8, seed=3)
         assert oracle == pytest.approx(closed, rel=1e-9, abs=1e-9)
 

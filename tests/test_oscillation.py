@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from conftest import (function_pairs, function_triples, functions,
                       lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits)
-from oracles import former_bilinear_form
+from oracles import (ProductKernel, derivation, derivation_adjoint,
+                     former_bilinear_form, function_pairing, kernel_add,
+                     kernel_left, kernel_pairing, kernel_right,
+                     product_identity_check, profile_submajorizes,
+                     variance_identity_check)
 from rearrange_lab.errors import (EmptyInput, InputError, NotZeroMean,
                                   PreconditionViolated)
 from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
                                        bilinear_form, decomposition_from_json,
-                                       decomposition_to_json, derivation,
-                                       derivation_adjoint, function_pairing,
-                                       kernel_add, kernel_left,
-                                       kernel_pairing, kernel_right,
-                                       lemma31_bound, product_identity_check,
-                                       variance_identity_check,
+                                       decomposition_to_json, lemma31_bound,
                                        zero_mean_decompose)
 from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
 from rearrange_lab.scalars import binary_context
@@ -247,7 +246,6 @@ def test_adjoint_fixtures():
     assert derivation_adjoint(derivation(f)).values == (-2, 2)
     zero_kernel = kernel_left(simple((0, 0), sp), derivation(f))
     assert derivation_adjoint(zero_kernel).values == (0, 0)
-    from rearrange_lab.oscillation import ProductKernel
     sym = ProductKernel(((F(3), F(3)), (F(3), F(3))), sp)
     assert derivation_adjoint(sym).values == (0, 0)
 
@@ -377,7 +375,7 @@ def test_decomposition_contract(f):
     # (d') the blocks' profile sum carries the mass of g* and dominates
     # it in running integral; segment-wise equality is not available for
     # arbitrary zero-mean g (see the frozen counterexample below)
-    from rearrange_lab.rearrange import profile_moment, profile_submajorizes
+    from rearrange_lab.rearrange import profile_moment
     gstar = decreasing_rearrangement(g)
     total_profile = dec.profile_sum()
     assert profile_moment(total_profile, 1) == profile_moment(gstar, 1)
@@ -414,7 +412,7 @@ def test_decomposition_profile_sum_counterexample():
     sp = equal_space(5)
     g = simple((F(23, 20), F(-22, 20), F(-27, 20), F(13, 20), F(13, 20)), sp)
     dec = zero_mean_decompose(g)
-    from rearrange_lab.rearrange import profile_moment, profile_submajorizes
+    from rearrange_lab.rearrange import profile_moment
     gstar = decreasing_rearrangement(g)
     total = dec.profile_sum()
     assert total != gstar

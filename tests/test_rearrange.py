@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -14,14 +13,13 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      distribution_measure, equimeasurable,
                                      indicator_difference_rearrangement,
                                      layer_decompose, layer_reconstruct,
-                                     lp_moments_agree, make_profile,
-                                     nonexpansive_check, nonexpansive_holds,
+                                     lp_moments, make_profile,
+                                     nonexpansive_moments,
                                      profile_add, profile_difference_moment,
                                      profile_difference_sup,
                                      profile_from_json,
                                      profile_integrate_product, profile_leq,
                                      profile_level_measure, profile_to_json,
-                                     rearrangement_preserves_Lp,
                                      truncation_ladder)
 from rearrange_lab.scalars import (INF, binary_context,
                                    over_common_denominator, to_binary)
@@ -115,15 +113,12 @@ def test_profile_product_fixtures():
 
 def test_lp_preservation_fixtures():
     f = simple((3, -1, 2), WEIGHTED3)
-    a, b = rearrangement_preserves_Lp(f, 2)
-    assert a == b == math.sqrt(4.1)
-    a, b = rearrangement_preserves_Lp(f, INF)
-    assert a == b == 3
+    assert lp_moments(f, 2) == (F(41, 10), F(41, 10))
+    assert lp_moments(f, INF) == (3, 3)
     zero = simple((0, 0, 0), WEIGHTED3)
-    assert rearrangement_preserves_Lp(zero, 2) == (0.0, 0.0)
-    for check in (rearrangement_preserves_Lp, lp_moments_agree):
-        with pytest.raises(InputError):  # a truncated p would check p = 1
-            check(f, F(3, 2))
+    assert lp_moments(zero, 2) == (0, 0)
+    with pytest.raises(InputError):  # a truncated p would check p = 1
+        lp_moments(f, F(3, 2))
 
 
 def test_indicator_difference_fixtures():
@@ -140,15 +135,14 @@ def test_indicator_difference_fixtures():
 def test_nonexpansive_fixtures():
     sp = equal_space(2)
     f = simple((1, -1), sp)
-    assert nonexpansive_check(f, f, 1) == (0, 0)
+    assert nonexpansive_moments(f, f, 1) == (0, 0)
     g = simple((-1, 1), sp)
-    assert nonexpansive_check(f, g, 1) == (0, 2)
+    assert nonexpansive_moments(f, g, 1) == (0, 2)
     f, g = simple((2, 0), sp), simple((0, 1), sp)
-    assert nonexpansive_check(f, g, 1) == (F(1, 2), F(3, 2))
-    for check in (nonexpansive_check, nonexpansive_holds):
-        for p in (F(3, 2), F(5, 2), 2.5):  # truncated, p would check 1 or 2
-            with pytest.raises(InputError, match="integer p"):
-                check(f, g, p)
+    assert nonexpansive_moments(f, g, 1) == (F(1, 2), F(3, 2))
+    for p in (F(3, 2), F(5, 2), 2.5):  # truncated, p would check 1 or 2
+        with pytest.raises(InputError, match="integer p"):
+            nonexpansive_moments(f, g, p)
 
 
 def test_layer_cake_fixtures():
@@ -188,15 +182,17 @@ def test_profile_is_canonical(f):
 
 @given(functions(), st.integers(1, 3))
 def test_lp_moments_agree_random(f, p):
-    assert lp_moments_agree(f, p)
-    assert lp_moments_agree(f, INF)
+    for q in (p, INF):
+        m_f, m_p = lp_moments(f, q)
+        assert m_f == m_p
 
 
 @given(function_pairs())
 def test_nonexpansive_random(pair):
     f, g = pair
     for p in (1, 2, INF):
-        assert nonexpansive_holds(f, g, p)
+        lhs, rhs = nonexpansive_moments(f, g, p)
+        assert lhs <= rhs
 
 
 @given(function_pairs())
@@ -376,11 +372,9 @@ def test_binary_profile_differences_pad_with_int_zero(precision, swap):
         pf, pg = decreasing_rearrangement(fb), decreasing_rearrangement(gb)
         sup = profile_difference_sup(pf, pg)
         moment = profile_difference_moment(pf, pg, 2)
-        lhs, rhs = nonexpansive_check(fb, gb, 1)
-        holds = nonexpansive_holds(fb, gb, 1)
+        lhs, rhs = nonexpansive_moments(fb, gb, 1)
     assert type(sup) is type(moment) is type(lhs) is type(rhs) is kind
     assert (sup, moment, lhs, rhs) == (1, F(1, 2), F(1, 2), F(5, 2))
-    assert holds
 
 
 @given(off_lattice_spaces().flatmap(off_lattice_functions),

@@ -5,10 +5,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from conftest import same_bits
+from oracles import former_to_binary
 from rearrange_lab.scalars import (approximate_scalar, check_one_family,
                                    format_exponent, format_scalar,
                                    from_common_denominator, in_lowest_terms,
-                                   is_rational_literal,
                                    over_common_denominator, over_one_unit,
                                    parse_exponent, parse_scalar, shifted,
                                    to_binary, unit_product)
@@ -24,8 +25,6 @@ def test_parse_decimal_is_exact():
 def test_parse_rational_literal():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("-7/2") == Fraction(-7, 2)
-    assert is_rational_literal("3/4")
-    assert not is_rational_literal("0.75")
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1//2"])
@@ -76,6 +75,24 @@ def test_to_binary_precisions():
     assert abs(float(hi) - 1 / 3) < 1e-15
     with mpmath.workprec(120):
         assert abs(hi * 3 - 1) < mpmath.mpf(2) ** -110
+
+
+@pytest.mark.parametrize("precision", [None, 53, 80, 113])
+@pytest.mark.parametrize("q", [
+    0, 3, -7, 2**70 + 1, Fraction(3, 8), Fraction(-5, 1024),
+    Fraction(1, 3), Fraction(-22, 7), Fraction(10**30 + 1, 3**40),
+    0.0, 0.1, -2.5, 1 / 3, 1e300, 5e-324,
+], ids=repr)
+def test_to_binary_converts_its_input_as_the_former_wrapped_call(q, precision):
+    """to_binary(q, p) has the bits and the type of the former
+    to_binary(Fraction(q), p), for ints, Fractions with dyadic and other
+    denominators, and floats; None gives a Fraction for every input."""
+    result = to_binary(q, precision)
+    expected = former_to_binary(q, precision)
+    if precision is None:
+        assert type(result) is Fraction and result == expected
+    else:
+        assert same_bits(result, expected)
 
 
 def test_mixed_families_rejected():

@@ -9,13 +9,17 @@ from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
 from oracles import former_function_from_numerators
 from rearrange_lab.errors import InputError
-from rearrange_lab.scalars import (binary_context, over_common_denominator,
-                                   scalar_family, to_binary)
+from rearrange_lab.norms import hardy_littlewood_check
+from rearrange_lab.oscillation import bilinear_form, lemma31_bound
+from rearrange_lab.rearrange import nonexpansive_moments
+from rearrange_lab.scalars import (_type_family, binary_context,
+                                   over_common_denominator, to_binary)
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
-                                  equal_space, instance_from_json,
-                                  instance_to_json, integrate, multiply,
-                                  pos_neg_parts, scale, simple, support,
-                                  to_binary_function, to_binary_space)
+                                  common_space, equal_space,
+                                  instance_from_json, instance_to_json,
+                                  integrate, multiply, pos_neg_parts, scale,
+                                  simple, support, to_binary_function,
+                                  to_binary_space)
 
 
 def test_integrate_fixtures():
@@ -110,6 +114,30 @@ def test_multiply_pointwise():
     assert multiply(simple((2, 0), sp), simple((1, -1), sp)).values == (2, 0)
 
 
+#: two functions on different two-atom spaces
+_ON_EQUAL = simple((1, 0), equal_space(2))
+_ON_WEIGHTED = simple((1, -1), DiscreteSpace((F(1, 3), F(2, 3))))
+_BOTH = frozenset({0, 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, g: add(f, g),
+    lambda f, g: multiply(f, g),
+    lambda f, g: common_space(f, f, g),
+    lambda f, g: bilinear_form(_BOTH, _BOTH, f, g, f),
+    lambda f, g: lemma31_bound(f, f, g),
+    lambda f, g: hardy_littlewood_check(f, g),
+    lambda f, g: nonexpansive_moments(f, g, 1),
+], ids=["add", "multiply", "common_space", "bilinear_form", "lemma31_bound",
+        "hardy_littlewood_check", "nonexpansive_moments"])
+def test_functions_on_different_spaces_are_refused(call):
+    with pytest.raises(InputError,
+                       match="^functions live on different spaces$"):
+        call(_ON_EQUAL, _ON_WEIGHTED)
+    sp = _ON_EQUAL.space
+    assert common_space(_ON_EQUAL, simple((0, 1), sp)) is sp
+
+
 @pytest.mark.parametrize("weights", [
     (F(1, 5),) * 5,
     (F(1, 6),) * 6,
@@ -163,7 +191,7 @@ def test_integrate_kernel_is_the_scalar_loop_in_binary(f, precision):
 
 def _former_family_check(values, what):
     """The arithmetic-family guard as it classified every value."""
-    families = {scalar_family(v) for v in values} - {"any"}
+    families = {_type_family(type(v)) for v in values} - {"any"}
     if len(families) > 1:
         raise ValueError(f"{what} mixes arithmetic modes {sorted(families)}")
 

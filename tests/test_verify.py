@@ -281,6 +281,8 @@ GOLDEN_HASHES = [
     # 32 random 64-atom trials past the 128 fixture trials
     (dict(suite="thm32", mode="exact", atoms=64, trials=160, seed=10),
      "fa10657d222c776ddd49ebecb4f68877165dfc35169915576a1f765eb5d779cb"),
+    (dict(suite="rearrange", atoms=8, trials=40, seed=11),
+     "9df350cce6ce212fa49fd2c6792778b8ce11c22966af20fcfa02a2d534435605"),
 ]
 
 
