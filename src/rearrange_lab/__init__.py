@@ -3,9 +3,8 @@ verification of mean-oscillation product inequalities on finite
 probability spaces."""
 
 from .errors import (EmptyInput, ExactUnavailable, InfeasibleProblem,
-                     InputError, NonEqualAtomSpace, NotZeroMean,
-                     PreconditionViolated, RearrangeLabError,
-                     TooManyFreeParameters)
+                     InputError, NotZeroMean, PreconditionViolated,
+                     RearrangeLabError, TooManyFreeParameters)
 from .norms import (Associate, ConcaveWeight, Generated, L1, L2, LINF,
                     LorentzLambda, Lp, hardy_littlewood_check, norm)
 from .oscillation import (BlockDecomposition, ZeroMeanBlock, bilinear_form,

@@ -16,11 +16,6 @@ class PreconditionViolated(RearrangeLabError):
     """
 
 
-class NonEqualAtomSpace(PreconditionViolated):
-    """A norm kind that requires equal atom weights was evaluated on an
-    unequal-weight space."""
-
-
 class NotZeroMean(PreconditionViolated):
     """Zero-mean input required but the integral is nonzero."""
 

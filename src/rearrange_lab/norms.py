@@ -6,10 +6,12 @@ p = inf), ``LorentzLambda`` with a concave piecewise-linear weight,
 kind evaluates both on simple functions and on step profiles; the value
 depends only on the decreasing rearrangement.
 
-Lorentz and associate kinds insist on equal atom weights.  Associate
-norms of Lp and Lorentz kinds use closed forms.  The second associate of
-a Lorentz norm is the Lorentz norm itself (the Lorentz-Luxemburg theorem
-X'' = X), so it is evaluated exactly like one.
+Every kind runs on every finite probability space: a Lorentz norm is a
+Choquet integral, whose dual is the max over sets A of the integral of
+|g| on A over phi(mu(A)) (Bach, NIPS 2010).  Associate norms of Lp and
+Lorentz kinds use closed forms.  The second associate of a Lorentz norm
+is the Lorentz norm itself (the Lorentz-Luxemburg theorem X'' = X), so
+it is evaluated exactly like one.
 
 The Lorentz norm and its associate read phi from a table built once per
 weight and arithmetic family (exact, double, mpf at each precision), in
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .errors import ExactUnavailable, InputError, NonEqualAtomSpace
+from .errors import ExactUnavailable, InputError
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, format_exponent, \
@@ -219,14 +221,6 @@ def _simplify(X):
     return X
 
 
-def requires_equal_atoms(X) -> bool:
-    if isinstance(X, Lp):
-        return False
-    if isinstance(X, Generated):
-        return requires_equal_atoms(X.base)
-    return True  # Lorentz and associate kinds
-
-
 def exactly_evaluable(X) -> bool:
     """Whether the norm can be computed without an inexact root."""
     X = _simplify(X)
@@ -290,14 +284,6 @@ def _profile_of(f) -> StepProfile:
     return decreasing_rearrangement(f)
 
 
-def _check_space(X, f):
-    if isinstance(f, SimpleFunction) and requires_equal_atoms(X) \
-            and not f.space.equal_atoms:
-        raise NonEqualAtomSpace(
-            f"{type(X).__name__} norms need equal atom weights"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the norm
 
@@ -309,7 +295,6 @@ def norm(X, f, *, precision=None):
     selects the binary significand width for those steps.
     """
     X = _simplify(X)
-    _check_space(X, f)  # Associate(Lp(p)) is an Lp norm, fine on any space
     with binary_context(precision or DOUBLE_PRECISION):
         return _norm(X, f, precision)
 
@@ -399,10 +384,10 @@ def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
 def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
     """sup over s in (0,1] of H(s)/phi(s) with H the running integral.
 
-    Both H and phi are piecewise linear, so the sup is attained at a
-    breakpoint of either; on an equal-atom space this reduces to the
-    partial-sum formula max_k (sum of the k largest |h| values / n) /
-    phi(k/n).
+    On each atom interval H is linear and phi concave, so H - c phi is
+    convex for every c and the sup is attained at an atom boundary: it is
+    the max over sets A of the integral of |h| on A over phi(mu(A)), the
+    dual of the Lorentz norm on any finite space (Bach 2010).
     """
     best = 0
     for h, w in _unit_grid(phi, prof)[1]:

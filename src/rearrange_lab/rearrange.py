@@ -206,16 +206,13 @@ def profile_level_measure(profile: StepProfile, t):
 def _values_on_grid(values, bounds, cuts):
     """Value on each interval [cuts[j], cuts[j+1]) of the step function
     with segment values `values` between boundaries `bounds`, and beyond
-    them the int 0, which mixes with every arithmetic family."""
+    them the int 0, which mixes with every arithmetic family.  The
+    boundaries start at 0 and the cuts at or after it."""
+    n = len(values)
     out = []
-    seg = 0
     for t in cuts[:-1]:
-        while seg < len(values) and bounds[seg + 1] <= t:
-            seg += 1
-        if seg < len(values) and bounds[seg] <= t:
-            out.append(values[seg])
-        else:
-            out.append(0)
+        seg = bisect_right(bounds, t) - 1
+        out.append(values[seg] if seg < n else 0)
     return out
 
 

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 #: significand width of the native double, the default float-mode precision
 DOUBLE_PRECISION = 53
@@ -147,9 +148,7 @@ def to_binary(q, precision):
         return Fraction(q)
     if precision == DOUBLE_PRECISION:
         return float(q)
-    numerator, denominator = q.as_integer_ratio()
-    with mpmath.workprec(precision):
-        return mpmath.mpf(numerator) / denominator
+    return _rounded_mpf(*q.as_integer_ratio(), precision)
 
 
 def in_family(q, x):
@@ -159,8 +158,15 @@ def in_family(q, x):
     working precision.  A Lorentz weight's tables round its breakpoints
     with it once per family and precision (see norms.ConcaveWeight)."""
     if isinstance(x, mpmath.mpf):
-        return mpmath.mpf(q.numerator) / q.denominator
+        return _rounded_mpf(q.numerator, q.denominator, mpmath.mp.prec)
     return q
+
+
+def _rounded_mpf(numerator, denominator, precision):
+    """numerator / denominator rounded once to the nearest mpf of
+    `precision` bits, however wide the two ints are."""
+    return mpmath.mp.make_mpf(
+        from_rational(numerator, denominator, precision, round_nearest))
 
 
 #: the types of binary scalars; a sequence holding one is binary

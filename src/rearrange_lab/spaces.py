@@ -70,10 +70,6 @@ class DiscreteSpace:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def equal_atoms(self) -> bool:
-        return all(w == self.weights[0] for w in self.weights)
-
     def measure(self, atoms: Iterable[int]):
         """mu(A) for a set of atom indices."""
         return sum((self.weights[i] for i in atoms), start=Fraction(0) * self.weights[0])

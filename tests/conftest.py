@@ -26,6 +26,14 @@ def spaces(draw, min_atoms=1, max_atoms=6, equal_only=False):
     n = draw(st.integers(min_atoms, max_atoms))
     if equal_only or draw(st.booleans()):
         return equal_space(n)
+    return draw(random_rational_spaces(n, n))
+
+
+@st.composite
+def random_rational_spaces(draw, min_atoms=1, max_atoms=6):
+    """Weights k_i / sum(k) for k_i in 1..64, as verify's random-rational
+    scheme draws them."""
+    n = draw(st.integers(min_atoms, max_atoms))
     numerators = draw(
         st.lists(st.integers(1, 64), min_size=n, max_size=n)
     )

@@ -5,7 +5,10 @@ rearrange_lab.norms, used only by the tests (some need scipy).
 norm as a linear program over the polytope unit ball of the first
 associate; ``associate_norm_oracle`` maximizes the associate pairing by a
 derivative-free search; ``lorentz_associate_exact_lp`` maximizes it
-exactly over flat blocks.  None uses the dual closed forms they check.
+exactly over flat blocks; these two assume equal atoms.
+``lorentz_choquet_sum`` and ``lorentz_dual_subset_max`` evaluate a
+Lorentz norm and its associate from their definitions on any space.
+None uses the dual closed forms they check.
 The ``reference_*`` functions evaluate the Lorentz kinds the way the
 package did before phi had per-arithmetic tables, for bit-for-bit
 differential tests; ``reference_draw_values`` draws instance values the
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_rational
 
-from rearrange_lab.errors import (ExactUnavailable, InputError,
-                                  NonEqualAtomSpace)
+from rearrange_lab.errors import ExactUnavailable, InputError
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
 from rearrange_lab.rearrange import (StepProfile, _check_family,
@@ -137,8 +140,8 @@ def lorentz_associate_exact_lp(phi: ConcaveWeight, h: SimpleFunction):
     sits on a flat block 1_{1..k} scaled to unit norm; the exact maximum
     over those finitely many blocks is returned (all rational).
     """
-    if not h.space.equal_atoms:
-        raise NonEqualAtomSpace("exact LP oracle assumes equal atoms")
+    if len(set(h.space.weights)) != 1:
+        raise ValueError("the exact LP oracle assumes equal atoms")
     n = h.space.n
     hstar = sorted((abs(Fraction(v)) for v in h.values), reverse=True)
     best = Fraction(0)
@@ -149,6 +152,44 @@ def lorentz_associate_exact_lp(phi: ConcaveWeight, h: SimpleFunction):
         pairing = running * height / n
         if pairing > best:
             best = pairing
+    return best
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz norm and its associate from the definitions, on any space
+
+def exact_scalar(x) -> Fraction:
+    """A binary or exact scalar as the Fraction it equals."""
+    if isinstance(x, mpmath.mpf):
+        return Fraction(*to_rational(x._mpf_))
+    return Fraction(x)
+
+
+def lorentz_choquet_sum(phi: ConcaveWeight, f: SimpleFunction) -> Fraction:
+    """The Choquet integral of |f| against the capacity phi(mu(.)): the
+    atoms in decreasing order of |f|, each |f| times the rise of phi over
+    the atom's mass, exactly on the values of f's scalars."""
+    atoms = sorted(((abs(exact_scalar(v)), exact_scalar(w))
+                    for v, w in zip(f.values, f.space.weights)), reverse=True)
+    total = mass = Fraction(0)
+    for v, w in atoms:
+        total += v * (phi(mass + w) - phi(mass))
+        mass += w
+    return total
+
+
+def lorentz_dual_subset_max(phi: ConcaveWeight, h: SimpleFunction) -> Fraction:
+    """max over the 2^n - 1 nonempty sets A of atoms of the integral of
+    |h| on A over phi(mu(A)), the dual of the Choquet integral (Bach,
+    NIPS 2010), exactly on the values of h's scalars."""
+    values = [abs(exact_scalar(v)) for v in h.values]
+    weights = [exact_scalar(w) for w in h.space.weights]
+    best = Fraction(0)
+    for mask in range(1, 2 ** len(values)):
+        atoms = [i for i in range(len(values)) if mask >> i & 1]
+        ratio = sum(values[i] * weights[i] for i in atoms) \
+            / phi(sum(weights[i] for i in atoms))
+        best = max(best, ratio)
     return best
 
 
@@ -269,8 +310,8 @@ def associate_norm_oracle(X, h: SimpleFunction, *, starts=32, seed=0,
     from scipy.optimize import minimize
 
     n = h.space.n
-    if not h.space.equal_atoms:
-        raise NonEqualAtomSpace("the pairing oracle assumes equal atoms")
+    if len(set(h.space.weights)) != 1:
+        raise ValueError("the pairing oracle assumes equal atoms")
     cvec = sorted((abs(float(v)) for v in h.values), reverse=True)
     ratio = _pairing_objective(cvec, n, X, precision)
     rng = _random.Random(seed)

@@ -144,6 +144,23 @@ def test_verify_exact_mode_accepts_lorentz_associate(capsys):
     assert doc["trials"] == 20 and doc["violations"] == []
 
 
+@pytest.mark.parametrize("mode,descriptor", [
+    ("exact", {"kind": "lorentz", "phi": [["0", "0"], ["1/2", "3/4"],
+                                          ["1", "1"]]}),
+    ("float", {"kind": "associate", "base": {"kind": "lorentz", "phi": [
+        ["0", "0"], ["1/2", "3/4"], ["1", "1"]]}}),
+])
+def test_verify_lorentz_kinds_on_weighted_spaces(mode, descriptor, capsys):
+    """thm43 with a Lorentz norm or its associate runs on random-rational
+    weights, and exits 0 with no violation."""
+    assert run(["verify", "--suite", "thm43", "--weights", "random-rational",
+                "--mode", mode, "--atoms", "7", "--trials", "60",
+                "--seed", "3", "--norm", json.dumps(descriptor)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["weight_scheme"] == "random-rational"
+    assert doc["violations"] == [] and doc["grazes"] == 0
+
+
 def test_verify_exact_mode_rejects_rooty_exponents(capsys):
     assert run(["verify", "--suite", "thm41", "--mode", "exact",
                 "--trials", "5", "--exponents", "1,2,2,2,2"]) == 2

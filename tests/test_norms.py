@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (function_pairs, functions, lattice_values,
-                      off_lattice_functions, off_lattice_spaces, same_bits)
-from oracles import (associate_norm_oracle, lorentz_associate_exact_lp,
-                     reference_boundaries, reference_lorentz_associate_norm,
-                     reference_lorentz_norm, reference_partial_integrals,
-                     reference_phi, reference_total_length,
-                     reference_unit_grid, second_associate_lp_oracle)
-from rearrange_lab.errors import (ExactUnavailable, InputError,
-                                  NonEqualAtomSpace)
+                      off_lattice_functions, off_lattice_spaces,
+                      random_rational_spaces, same_bits, spaces)
+from oracles import (associate_norm_oracle, exact_scalar,
+                     lorentz_associate_exact_lp, lorentz_choquet_sum,
+                     lorentz_dual_subset_max, reference_boundaries,
+                     reference_lorentz_associate_norm, reference_lorentz_norm,
+                     reference_partial_integrals, reference_phi,
+                     reference_total_length, reference_unit_grid,
+                     second_associate_lp_oracle)
+from rearrange_lab.errors import ExactUnavailable, InputError
 from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
                                  LINF, LorentzLambda, Lp, dual_exponent,
                                  exactly_evaluable, _unit_grid,
@@ -67,17 +69,6 @@ def test_exact_mode_refuses_roots():
     assert norm(LAMBDA, f) == 4 * PHI(F(1, 2)) + 3 * (1 - PHI(F(1, 2)))
 
 
-def test_equal_atom_requirement():
-    sp = DiscreteSpace((F(1, 4), F(3, 4)))
-    f = simple((1, 2), sp)
-    norm(L2, f, precision=53)  # Lp accepts weighted spaces
-    # Associate(L2) is L2, so it accepts them too
-    assert norm(Associate(L2), f, precision=53) == norm(L2, f, precision=53)
-    for X in (LAMBDA, Generated(LAMBDA, 2), Associate(LAMBDA)):
-        with pytest.raises(NonEqualAtomSpace):
-            norm(X, f, precision=53)
-
-
 def test_generated_norm_of_lp_associate_accepts_weighted_spaces():
     sp = DiscreteSpace((F(1, 4), F(3, 4)))
     f = simple((1, 2), sp)
@@ -94,11 +85,11 @@ def test_concave_weight_validation():
         ConcaveWeight(((0, F(1, 10)), (1, 1)))  # phi(0) != 0
 
 
-@given(functions(equal_only=True, min_atoms=2))
+@given(functions(min_atoms=2))
 @settings(max_examples=60)
 def test_norm_axioms_on_samples(f):
-    n = f.space.n
-    shuffled = SimpleFunction(tuple(reversed(f.values)), f.space)
+    shuffled = SimpleFunction(tuple(reversed(f.values)),
+                              DiscreteSpace(tuple(reversed(f.space.weights))))
     doubled = SimpleFunction(tuple(2 * v for v in f.values), f.space)
     bigger = SimpleFunction(
         tuple(abs(v) + F(1, 2) for v in f.values), f.space)
@@ -106,7 +97,7 @@ def test_norm_axioms_on_samples(f):
         a = float(norm(X, f, precision=53))
         # absolute homogeneity
         assert float(norm(X, doubled, precision=53)) == pytest.approx(2 * a, rel=1e-12)
-        # rearrangement invariance under atom permutations
+        # rearrangement invariance under atom permutations with their weights
         assert float(norm(X, shuffled, precision=53)) == pytest.approx(a, rel=1e-12)
         # ideal property
         assert a <= float(norm(X, bigger, precision=53)) + 1e-12
@@ -115,7 +106,7 @@ def test_norm_axioms_on_samples(f):
         assert float(norm(X, prof, precision=53)) == pytest.approx(a, rel=1e-12)
 
 
-@given(function_pairs(equal_only=True, min_atoms=2))
+@given(function_pairs(min_atoms=2))
 @settings(max_examples=60)
 def test_triangle_inequality_on_samples(pair):
     f, g = pair
@@ -127,7 +118,7 @@ def test_triangle_inequality_on_samples(pair):
         assert lhs <= rhs + 1e-10
 
 
-@given(functions(equal_only=True, min_atoms=2))
+@given(functions(min_atoms=2))
 @settings(max_examples=60)
 def test_unit_normalization_and_embedding(f):
     one = SimpleFunction((F(1),) * f.space.n, f.space)
@@ -186,7 +177,7 @@ def test_holder_fixtures():
     assert _holder_chain(L2, f, simple((0, 0), sp)) == (0, 0, 0.0)
 
 
-@given(function_pairs(equal_only=True, min_atoms=2))
+@given(function_pairs(min_atoms=2))
 @settings(max_examples=40)
 def test_holder_chain_random(pair):
     f, g = pair
@@ -223,7 +214,7 @@ def test_second_associate_fixtures():
     assert not exactly_evaluable(_second_associate(L2))
 
 
-@given(functions(equal_only=True, min_atoms=2))
+@given(functions(min_atoms=2))
 @settings(max_examples=25, deadline=None)
 def test_second_associate_is_the_norm(f):
     for X, precision in ((L1, None), (L2, 53), (Lp(3), 53), (LAMBDA, None)):
@@ -232,7 +223,7 @@ def test_second_associate_is_the_norm(f):
                 == norm(X, f, precision=precision)
 
 
-@given(functions(equal_only=True, min_atoms=2, max_atoms=9))
+@given(functions(min_atoms=2, max_atoms=9))
 @settings(max_examples=25, deadline=None)
 def test_lorentz_closed_form_vs_second_associate_lp(f):
     prof = decreasing_rearrangement(f)
@@ -255,6 +246,78 @@ def test_associate_closed_forms_vs_oracle(f):
 @settings(max_examples=60)
 def test_lorentz_associate_closed_form_equals_exact_lp(f):
     assert norm(Associate(LAMBDA), f) == lorentz_associate_exact_lp(PHI, f)
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz kinds on weighted spaces against their definitions
+
+@st.composite
+def _weighted_functions(draw, precision):
+    """A lattice or off-lattice function on a random-rational space of 2
+    to 6 atoms, rounded to `precision` bits (None: exact)."""
+    space = draw(random_rational_spaces(2, 6))
+    if draw(st.booleans()):
+        f = draw(off_lattice_functions(space))
+    else:
+        f = SimpleFunction(draw(lattice_values(space.n)), space)
+    if precision is None:
+        return f
+    return to_binary_function(f, to_binary_space(space, precision), precision)
+
+
+def _assert_close(got, expected, precision):
+    """got is the exact expected, or for a precision within
+    2^-(precision - 8) of it relative."""
+    if precision is None:
+        assert got == expected
+    else:
+        error = abs(exact_scalar(got) - expected)
+        assert error <= F(1, 2 ** (precision - 8)) * expected, \
+            (got, expected)
+
+
+def _check_lorentz_kinds(f, precision):
+    """The Lorentz norm is the Choquet sum, its associate the subset max,
+    and Generated(Lorentz, 2) the root of the Choquet sum of |f|^2."""
+    squares = [exact_scalar(v) ** 2 for v in f.values]
+    square = SimpleFunction(tuple(squares), DiscreteSpace(
+        tuple(exact_scalar(w) for w in f.space.weights)))
+    for phi in (PHI, PHI_ODD):
+        X = LorentzLambda(phi)
+        _assert_close(norm(X, f, precision=precision),
+                      lorentz_choquet_sum(phi, f), precision)
+        _assert_close(norm(Associate(X), f, precision=precision),
+                      lorentz_dual_subset_max(phi, f), precision)
+        if precision is not None:
+            root = exact_scalar(norm(Generated(X, 2), f, precision=precision))
+            _assert_close(root ** 2, lorentz_choquet_sum(phi, square),
+                          precision)
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lorentz_kinds_are_their_definitions_on_weighted_spaces(precision,
+                                                                data):
+    _check_lorentz_kinds(data.draw(_weighted_functions(precision)), precision)
+
+
+@pytest.mark.parametrize("precision,numerators,side", [
+    (53, (15, 49, 10, 29), -1), (53, (47, 27, 7, 11), 1),
+    (113, (9, 33, 16), -1), (113, (32, 63, 48, 42), 1),
+])
+def test_lorentz_kinds_with_rounded_weights_off_one(precision, numerators,
+                                                    side):
+    """Random-rational weights whose rounded total lies below (side -1) or
+    above (side 1) 1, as the profile's last boundary in `precision`."""
+    space = DiscreteSpace(tuple(F(k, sum(numerators)) for k in numerators))
+    values = (F(3, 4), F(-2), F(5, 4), F(1, 2))[:space.n]
+    binary = to_binary_space(space, precision)
+    f = to_binary_function(SimpleFunction(values, space), binary, precision)
+    with binary_context(precision):
+        last = decreasing_rearrangement(f).boundaries[-1]
+    assert (last > 1) - (last < 1) == side
+    _check_lorentz_kinds(f, precision)
 
 
 def test_norm_descriptor_json_roundtrip():
@@ -445,12 +508,11 @@ def _lorentz_inputs(draw, precision):
     phi = draw(WEIGHTS)
     if draw(st.booleans()):
         return phi, draw(_raw_profiles(phi, precision))
-    n = draw(st.integers(1, 9))
-    space = equal_space(n)
+    space = draw(spaces(max_atoms=9))
     if draw(st.booleans()):
         f = draw(off_lattice_functions(space))
     else:
-        f = SimpleFunction(draw(lattice_values(n)), space)
+        f = SimpleFunction(draw(lattice_values(space.n)), space)
     if precision is None:
         return phi, f
     binary = to_binary_space(space, precision)

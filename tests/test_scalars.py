@@ -2,14 +2,17 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given
+from mpmath.libmp import from_rational, round_nearest
 
 from conftest import same_bits
-from oracles import former_to_binary
+from oracles import exact_scalar, former_to_binary
 from rearrange_lab.scalars import (approximate_scalar, check_one_family,
                                    format_exponent, format_scalar,
-                                   from_common_denominator, in_lowest_terms,
+                                   from_common_denominator, in_family,
+                                   in_lowest_terms,
                                    over_common_denominator, over_one_unit,
                                    parse_exponent, parse_scalar, shifted,
                                    to_binary, unit_product)
@@ -93,6 +96,23 @@ def test_to_binary_converts_its_input_as_the_former_wrapped_call(q, precision):
         assert type(result) is Fraction and result == expected
     else:
         assert same_bits(result, expected)
+
+
+@pytest.mark.parametrize("precision", [80, 113])
+@given(st.integers(-(2**150), 2**150), st.integers(2**100, 2**150))
+def test_wide_rationals_round_once(precision, numerator, denominator):
+    """to_binary and in_family round a rational with wide numerator and
+    denominator once, to the nearest mpf: the bits of from_rational, half
+    an ulp from the exact value at most."""
+    q = Fraction(numerator, denominator)
+    expected = from_rational(q.numerator, q.denominator, precision,
+                             round_nearest)
+    result = to_binary(q, precision)
+    with mpmath.workprec(precision):
+        assert in_family(q, mpmath.mpf(1))._mpf_ == expected
+    assert result._mpf_ == expected
+    _, _, exp, bc = expected
+    assert abs(exact_scalar(result) - q) <= Fraction(2) ** (exp + bc - precision) / 2
 
 
 def test_mixed_families_rejected():

@@ -70,11 +70,6 @@ def test_weight_validation():
         SimpleFunction((F(1),), equal_space(2))
 
 
-def test_equal_atoms_flag():
-    assert equal_space(4).equal_atoms
-    assert not DiscreteSpace((F(1, 4), F(3, 4))).equal_atoms
-
-
 @given(functions(), st.integers(-5, 5), st.integers(-5, 5))
 def test_integrate_linear(f, a, b):
     g = SimpleFunction(tuple(reversed(f.values)), f.space)

@@ -2,7 +2,8 @@ import json
 from fractions import Fraction as F
 
 from conftest import same_bits
-from oracles import former_random_instance, reference_draw_values
+from oracles import (exact_scalar, former_random_instance,
+                     reference_draw_values)
 
 import hypothesis.strategies as st
 import mpmath
@@ -102,7 +103,7 @@ def test_generator_weight_schemes():
     assert sum(inst.space.weights) == 1
     assert all(w > 0 for w in inst.space.weights)
     eq = generate_instance(TrialConfig(suite="rearrange", atoms=4, trials=10), 3)
-    assert eq.space.equal_atoms
+    assert eq.space is equal_space(4)
 
 
 def test_thm32_sides_fixtures():
@@ -283,6 +284,13 @@ GOLDEN_HASHES = [
      "fa10657d222c776ddd49ebecb4f68877165dfc35169915576a1f765eb5d779cb"),
     (dict(suite="rearrange", atoms=8, trials=40, seed=11),
      "9df350cce6ce212fa49fd2c6792778b8ce11c22966af20fcfa02a2d534435605"),
+    # Lorentz kinds on weighted spaces: no violation, graze or negative gap
+    (dict(suite="thm43", mode="exact", norm=LORENTZ,
+          weight_scheme="random-rational", atoms=6, trials=40, seed=12),
+     "41754f1e855d2dac0f752432bd5e476f18c89830ac3dc5e6a17d8410fc06f29f"),
+    (dict(suite="thm43", mode="float", norm=LORENTZ_ASSOCIATE,
+          weight_scheme="random-rational", atoms=6, trials=40, seed=13),
+     "7f8ef95dc18f63e39382c928748df3e4a67590bc76cd3ac5b55a265072684344"),
 ]
 
 
@@ -374,14 +382,6 @@ def test_thm43_sides_at_113_bits_match_double(X, atoms):
             assert abs(float(hi) - float(lo)) <= 1e-9 * max(1.0, abs(lo))
 
 
-def _exact(x):
-    """A binary or exact scalar as the Fraction it equals."""
-    if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp
-        return F(man) * F(2) ** exp
-    return F(x)
-
-
 @pytest.mark.parametrize("atoms", [5, 8])
 def test_thm43_associate_form_is_certified_at_113_bits(atoms):
     """With X = Associate(Lorentz), the associate form needs X'' = Lorentz;
@@ -395,7 +395,7 @@ def test_thm43_associate_form_is_certified_at_113_bits(atoms):
                          QUAD_PRECISION)["associate_form"]
         for q, e in zip(quad, exact):
             assert isinstance(q, mpmath.mpf)
-            assert abs(_exact(q) - e) <= F(1, 2**100) * abs(e)
+            assert abs(exact_scalar(q) - e) <= F(1, 2**100) * abs(e)
 
 
 @pytest.mark.parametrize("atoms", [5, 8])
