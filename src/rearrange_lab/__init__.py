@@ -16,7 +16,7 @@ from .rearrange import (LayerCake, StepProfile, decreasing_rearrangement,
 from .scalars import INF, format_scalar, parse_scalar
 from .search import SearchProblem, SearchResult, landscape_rows, search
 from .spaces import (AtomSet, DiscreteSpace, SimpleFunction, center,
-                     equal_space, integrate, pos_neg_parts, support)
+                     equal_space, integrate, support)
 from .verify import (TrialConfig, VerificationReport, generate_instance,
                      run_suite)
 

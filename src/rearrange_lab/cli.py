@@ -6,12 +6,19 @@ boundary; given identical flags and inputs, stdout is byte-identical
 across runs.
 
 Exit codes: 0 success / no violations; 1 certified violation found (the
-report is still written); 2 input or flag error; 3 precondition violation
-in the input data.  Errors print a single machine-parsable line to
-stderr: ``error: <Category>: <message>``.
+report is still written); otherwise the ``exit_code`` of the error: 2
+input or flag error, 3 precondition violation in the input data.  Errors
+print a single machine-parsable line to stderr: ``error: <Category>:
+<message>``.
+
+``verify --mode`` defaults to the suite's own arithmetic: exact for
+thm32, lemma31 and rearrange, float for thm41 and thm43.  The rearrange
+suite runs exactly only, and ``--suite all`` runs each suite in its own
+arithmetic, so it takes no ``--mode``.
 
 The environment variable REARRANGE_LAB_PRECISION sets the float-mode
-significand width in bits (default 53; rechecks always run at 113).
+significand width in bits, at least 53 (default 53; rechecks always run
+at 113).
 """
 
 from __future__ import annotations
@@ -21,29 +28,24 @@ import json
 import os
 import sys
 
-from .errors import (ExactUnavailable, InfeasibleProblem, InputError,
-                     PreconditionViolated, RearrangeLabError,
-                     TooManyFreeParameters)
+from .errors import InputError, RearrangeLabError
 from .norms import norm_from_json
 from .oscillation import decomposition_to_json, zero_mean_decompose
 from .rearrange import decreasing_rearrangement, profile_to_json
 from .scalars import DOUBLE_PRECISION, parse_exponent
 from .search import SearchProblem, landscape_csv, landscape_rows, search
-from .verify import (SUITE_IDS, TrialConfig, canonical_json, run_suite,
-                     validate_exponents)
-
-_EXACT_DEFAULT_SUITES = ("thm32", "lemma31", "rearrange")
+from .verify import SUITE_IDS, TrialConfig, canonical_json, run_suite
 
 
-class _FlagError(Exception):
-    pass
+class FlagError(InputError):
+    """A command-line flag problem (``exit_code`` 2)."""
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag problems as single-line errors."""
 
     def error(self, message):
-        raise _FlagError(message)
+        raise FlagError(message)
 
 
 def _build_parser() -> _Parser:
@@ -125,10 +127,9 @@ def _parse_exponents_flag(text):
         return None
     parts = [p.strip() for p in text.split(",")]
     try:
-        exps = tuple(parse_exponent(p) for p in parts)
+        return tuple(parse_exponent(p) for p in parts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return validate_exponents(exps)
 
 
 def _load_function(args):
@@ -171,35 +172,26 @@ def _precision_from_env() -> int:
         raise InputError(
             f"REARRANGE_LAB_PRECISION must be an integer, got {raw!r}"
         ) from exc
-    if precision < 2:
-        raise InputError("REARRANGE_LAB_PRECISION must be at least 2")
+    if precision < DOUBLE_PRECISION:
+        raise InputError(
+            f"REARRANGE_LAB_PRECISION must be at least {DOUBLE_PRECISION} "
+            f"(a double), got {precision}")
     return precision
 
 
 def _verify_command(args) -> int:
+    if args.suite == "all" and args.mode is not None:
+        raise FlagError("--suite all runs each suite in its own arithmetic "
+                        "and takes no --mode")
     precision = _precision_from_env()
-    norm_flag = _parse_norm_flag(args.norm)
-    exps_flag = _parse_exponents_flag(args.exponents)
+    norm = _parse_norm_flag(args.norm)
+    exponents = _parse_exponents_flag(args.exponents)
     suites = SUITE_IDS if args.suite == "all" else (args.suite,)
-    reports = []
-    for suite in suites:
-        mode = args.mode
-        if mode is None:
-            mode = "exact" if suite in _EXACT_DEFAULT_SUITES else "float"
-        elif args.suite == "all" and suite not in _EXACT_DEFAULT_SUITES:
-            mode = "float"
-        cfg = TrialConfig(
-            suite=suite,
-            atoms=args.atoms,
-            weight_scheme=args.weights,
-            trials=args.trials,
-            seed=args.seed,
-            mode=mode,
-            precision=precision,
-            exponents=exps_flag if suite == "thm41" else None,
-            norm=norm_flag if suite == "thm43" else None,
-        )
-        reports.append(run_suite(cfg))
+    reports = [run_suite(TrialConfig(
+        suite=suite, atoms=args.atoms, weight_scheme=args.weights,
+        trials=args.trials, seed=args.seed, mode=args.mode,
+        precision=precision, exponents=exponents, norm=norm))
+        for suite in suites]
     if args.suite == "all":
         doc = {"suites": [r.to_json_dict() for r in reports]}
     else:
@@ -208,27 +200,21 @@ def _verify_command(args) -> int:
     return 1 if any(r.violations for r in reports) else 0
 
 
+def _search_problem(args, atoms) -> SearchProblem:
+    return SearchProblem(target=args.target, atoms=atoms,
+                         exponents=_parse_exponents_flag(args.exponents),
+                         norm=_parse_norm_flag(args.norm))
+
+
 def _search_command(args) -> int:
-    problem = SearchProblem(
-        target=args.target,
-        atoms=args.atoms,
-        exponents=_parse_exponents_flag(args.exponents),
-        norm=_parse_norm_flag(args.norm),
-    )
-    result = search(problem, args.iters, args.restarts, seed=args.seed,
-                    threads=args.threads)
+    result = search(_search_problem(args, args.atoms), args.iters,
+                    args.restarts, seed=args.seed, threads=args.threads)
     _emit(canonical_json(result.to_json_dict()), args.out)
     return 1 if result.violation else 0
 
 
 def _landscape_command(args) -> int:
-    problem = SearchProblem(
-        target=args.target,
-        atoms=2,
-        exponents=_parse_exponents_flag(args.exponents),
-        norm=_parse_norm_flag(args.norm),
-    )
-    rows = landscape_rows(problem, args.grid)
+    rows = landscape_rows(_search_problem(args, 2), args.grid)
     csv_text = landscape_csv(rows)
     if args.out:
         _write_file(args.out, csv_text)
@@ -257,19 +243,9 @@ def run(argv=None) -> int:
         if args.command == "landscape":
             return _landscape_command(args)
         raise InputError(f"unknown command {args.command!r}")
-    except _FlagError as exc:
-        print(f"error: FlagError: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, ExactUnavailable) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionViolated, InfeasibleProblem,
-            TooManyFreeParameters) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except RearrangeLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def main() -> None:

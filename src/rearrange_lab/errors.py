@@ -1,19 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class carries the
+CLI exit code of its errors as ``exit_code``."""
 
 
 class RearrangeLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``exit_code`` 2."""
+    exit_code = 2
 
 
 class InputError(RearrangeLabError):
-    """Malformed input data or invalid configuration (CLI exit code 2)."""
+    """Malformed input data or invalid configuration (``exit_code`` 2)."""
 
 
 class PreconditionViolated(RearrangeLabError):
     """An operation was called with data violating its stated hypothesis.
 
-    The message names the failed hypothesis (CLI exit code 3).
+    The message names the failed hypothesis (``exit_code`` 3).
     """
+    exit_code = 3
 
 
 class NotZeroMean(PreconditionViolated):
@@ -26,12 +29,15 @@ class EmptyInput(PreconditionViolated):
 
 class ExactUnavailable(RearrangeLabError):
     """Exact arithmetic was requested for a quantity that involves an
-    inexact root; use a binary-float precision instead."""
+    inexact root; use a binary-float precision instead (``exit_code`` 2)."""
 
 
 class InfeasibleProblem(RearrangeLabError):
-    """The search constraint set is empty."""
+    """The search constraint set is empty (``exit_code`` 3)."""
+    exit_code = 3
 
 
 class TooManyFreeParameters(RearrangeLabError):
-    """A landscape was requested with more free parameters than supported."""
+    """A landscape was requested with more free parameters than supported
+    (``exit_code`` 3)."""
+    exit_code = 3

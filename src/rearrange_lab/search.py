@@ -5,7 +5,8 @@ multiplicative, and sign-flip coordinate moves, re-centering the
 zero-mean variable after every move where the hypothesis requires it.
 The objective is scale-invariant in each function separately, so the
 climb works inside a fixed box.  Each target is a form of a suite in
-verify's table `_TRIALS`, and the objective evaluates that form alone
+verify's table `_TRIALS`, reads the parameters `suite_parameters` keeps
+for that suite, and the objective evaluates that form alone
 (thm43-ratio: the norm form, five float norms; the associate form is
 never evaluated, so a norm without an associate evaluation can be
 searched).  Ratios certified above 1 would indicate an implementation
@@ -19,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleProblem, InputError, TooManyFreeParameters
-from .norms import Lp
-from .scalars import DOUBLE_PRECISION, format_exponent
-from . import norms as norms_mod
+from .scalars import DOUBLE_PRECISION
 from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
-from .verify import (DEFAULT_EXPONENTS, _TRIALS, Instance, _certified,
-                     _evaluate, _keyed_rng, _recheck, _recheck_mode,
-                     validate_exponents)
+from .verify import (_TRIALS, Instance, _certified, _evaluate, _keyed_rng,
+                     _recheck, _recheck_mode, parameters_json,
+                     suite_parameters)
 
 #: target -> (verify suite, form label of that suite)
 TARGETS = {
@@ -48,21 +47,20 @@ RHS_FLOOR = 1e-4
 class SearchProblem:
     target: str
     atoms: int = 2
-    exponents: tuple = None        # thm41-ratio
-    norm: object = None            # thm43-ratio
+    exponents: tuple = None        # read by thm41-ratio only
+    norm: object = None            # read by thm43-ratio only
 
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InputError(f"unknown search target {self.target!r}")
+        exponents, norm = suite_parameters(self.suite, self.exponents,
+                                           self.norm)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "norm", norm)
         if self.atoms < 2:
             raise InfeasibleProblem(
                 "a single atom forces RHS = 0 on every admissible instance"
             )
-        if self.target == "thm41-ratio":
-            exps = self.exponents or DEFAULT_EXPONENTS
-            object.__setattr__(self, "exponents", validate_exponents(exps))
-        if self.target == "thm43-ratio" and self.norm is None:
-            object.__setattr__(self, "norm", Lp(2))
 
     @property
     def suite(self) -> str:
@@ -78,12 +76,8 @@ class SearchProblem:
         return DiscreteSpace(tuple(1.0 / n for _ in range(n)))
 
     def canonical_dict(self) -> dict:
-        out = {"target": self.target, "atoms": self.atoms}
-        if self.exponents is not None:
-            out["exponents"] = [format_exponent(p) for p in self.exponents]
-        if self.norm is not None:
-            out["norm"] = norms_mod.norm_to_json(self.norm)
-        return out
+        return {"target": self.target, "atoms": self.atoms,
+                **parameters_json(self.exponents, self.norm)}
 
 
 @dataclass

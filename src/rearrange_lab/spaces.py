@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable
 
 from .errors import InputError
 from .scalars import (approximate_scalar, check_one_family, format_scalar,
@@ -77,7 +78,8 @@ class DiscreteSpace:
     def check_atoms(self, atoms: Iterable[int]) -> AtomSet:
         s = frozenset(atoms)
         n = self.n
-        if any(not isinstance(i, int) or not 0 <= i < n for i in s):
+        if s and not (all(map(isinstance, s, repeat(int)))
+                      and 0 <= min(s) and max(s) < n):
             raise InputError(f"atom indices out of range for n={n}: {sorted(s)}")
         return s
 
@@ -158,10 +160,6 @@ SimpleFunction.values = functools.cached_property(_scaled_values)
 SimpleFunction.values.__set_name__(SimpleFunction, "values")
 
 
-def simple(values: Sequence, space: DiscreteSpace) -> SimpleFunction:
-    return SimpleFunction(tuple(values), space)
-
-
 def integrate(f: SimpleFunction):
     """The expected value of f: sum of value * weight over atoms, in int
     numerators for exact scalars."""
@@ -183,19 +181,6 @@ def support(f: SimpleFunction) -> AtomSet:
     return frozenset(i for i, v in enumerate(f.values) if v != 0)
 
 
-def pos_neg_parts(f: SimpleFunction):
-    """Split f = f_plus - f_minus into nonnegative parts with disjoint
-    supports."""
-    zero = 0 * f.values[0] if f.values else 0
-    plus = tuple(v if v > 0 else zero for v in f.values)
-    minus = tuple(-v if v < 0 else zero for v in f.values)
-    return SimpleFunction(plus, f.space), SimpleFunction(minus, f.space)
-
-
-def scale(f: SimpleFunction, c) -> SimpleFunction:
-    return SimpleFunction(tuple(c * v for v in f.values), f.space)
-
-
 def common_space(*functions: SimpleFunction) -> DiscreteSpace:
     """The space of the first function, which every other one must share
     (same weights)."""
@@ -204,11 +189,6 @@ def common_space(*functions: SimpleFunction) -> DiscreteSpace:
         if f.space.weights != space.weights:
             raise InputError("functions live on different spaces")
     return space
-
-
-def add(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    space = common_space(f, g)
-    return SimpleFunction(tuple(a + b for a, b in zip(f.values, g.values)), space)
 
 
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:

@@ -10,7 +10,7 @@ arithmetic that certifies it: exact for the root-free thm32 and lemma31,
 113 bits for the product rules thm41 and thm43.  A negative float gap is
 re-evaluated in that arithmetic and certified by the one rule
 `_certified`; otherwise it is logged as a graze.  The rearrange suite
-checks properties rather than an inequality and has its own trial.
+checks properties rather than an inequality, exactly, in its own trial.
 
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
 lemma31 (its off-support cross-term bound), thm41 (the Lp product rule),
@@ -77,16 +77,41 @@ def validate_exponents(exponents) -> tuple:
     return tuple(exponents)
 
 
+def suite_parameters(suite, exponents=None, norm=None) -> tuple:
+    """(exponents, norm) as suite reads them: given exponents validated,
+    the defaults DEFAULT_EXPONENTS (thm41) and Lp(2) (thm43) applied, and
+    None for a parameter the suite does not read."""
+    if exponents is not None:
+        exponents = validate_exponents(exponents)
+    if suite == "thm41":
+        return exponents or DEFAULT_EXPONENTS, None
+    if suite == "thm43":
+        return None, Lp(2) if norm is None else norm
+    return None, None
+
+
+def parameters_json(exponents, norm) -> dict:
+    """The canonical rendering of the parameters a suite reads."""
+    out = {}
+    if exponents is not None:
+        out["exponents"] = [format_exponent(p) for p in exponents]
+    if norm is not None:
+        out["norm"] = norms_mod.norm_to_json(norm)
+    return out
+
+
 @dataclass(frozen=True)
 class TrialConfig:
-    """Configuration of one verification run."""
+    """Configuration of one verification run.  Mode None is the suite's
+    default arithmetic, its certifying one in `_TRIALS`: exact for
+    thm32, lemma31 and rearrange, float for thm41 and thm43."""
 
     suite: str
     atoms: int = 4
     weight_scheme: str = "equal"  # equal | random-rational
     trials: int = 10000
     seed: int = 0
-    mode: str = "exact"           # exact | float
+    mode: str = None              # exact | float | None
     precision: int = DOUBLE_PRECISION
     exponents: tuple = None
     norm: object = None
@@ -94,35 +119,35 @@ class TrialConfig:
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
             raise InputError(f"unknown suite {self.suite!r}")
+        exponents, X = suite_parameters(self.suite, self.exponents, self.norm)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "norm", X)
         if self.atoms < 1:
             raise InputError("need at least one atom")
         if self.trials < 1:
             raise InputError("need at least one trial")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
+        forms, certifying = _TRIALS[self.suite]
+        if self.mode is None:
+            object.__setattr__(
+                self, "mode", "exact" if certifying is None else "float")
         if self.mode not in ("exact", "float"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.suite == "thm41":
-            exps = self.exponents or DEFAULT_EXPONENTS
-            object.__setattr__(self, "exponents", validate_exponents(exps))
-            if self.mode == "exact" and any(
-                p != INF and p != 1 for p in self.exponents
-            ):
-                raise InputError(
-                    "exact mode for thm41 needs all exponents in {1, inf}"
-                )
-        if self.suite == "thm43":
-            X = self.norm if self.norm is not None else Lp(2)
-            object.__setattr__(self, "norm", X)
-            if self.mode == "exact" and not (
-                exactly_evaluable(X) and exactly_evaluable(Associate(X))
-            ):
-                raise InputError(
-                    "exact mode for thm43 needs an exactly evaluable norm pair"
-                )
+        if self.mode == "float" and forms is None:
+            raise InputError(f"the {self.suite} suite runs in exact mode only")
+        exact = self.mode == "exact"
+        if exact and exponents is not None and not all(
+                exactly_evaluable(Lp(p)) for p in exponents):
+            raise InputError(
+                "exact mode for thm41 needs all exponents in {1, inf}")
+        if exact and X is not None and not (
+                exactly_evaluable(X) and exactly_evaluable(Associate(X))):
+            raise InputError(
+                "exact mode for thm43 needs an exactly evaluable norm pair")
 
     def canonical_dict(self) -> dict:
-        out = {
+        return {
             "suite": self.suite,
             "atoms": self.atoms,
             "weight_scheme": self.weight_scheme,
@@ -132,12 +157,8 @@ class TrialConfig:
             "seed": self.seed,
             "mode": self.mode,
             "precision": self.precision,
+            **parameters_json(self.exponents, self.norm),
         }
-        if self.exponents is not None:
-            out["exponents"] = [format_exponent(p) for p in self.exponents]
-        if self.norm is not None:
-            out["norm"] = norms_mod.norm_to_json(self.norm)
-        return out
 
 
 @dataclass(frozen=True)
@@ -367,15 +388,18 @@ def _thm43_forms(cfg, fns, precision, labels):
                        labels=labels)
 
 
-#: suite -> (forms, certifying precision; None is exact).  forms(cfg,
-#: functions, precision, labels) returns {label: (lhs, rhs)} for the
-#: labels asked for, every form for labels None; a single-form suite has
-#: the one label None.  cfg supplies the exponents or the norm.
+#: suite -> (forms, certifying precision; None is exact), which is also
+#: the suite's default mode.  forms(cfg, functions, precision, labels)
+#: returns {label: (lhs, rhs)} for the labels asked for, every form for
+#: labels None; a single-form suite has the one label None.  cfg supplies
+#: the exponents or the norm.  Forms None: the suite checks properties
+#: in exact mode only.
 _TRIALS = {
     "thm32": (_thm32_forms, None),
     "lemma31": (_lemma31_forms, None),
     "thm41": (_thm41_forms, QUAD_PRECISION),
     "thm43": (_thm43_forms, QUAD_PRECISION),
+    "rearrange": (None, None),
 }
 
 

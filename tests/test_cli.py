@@ -12,7 +12,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from rearrange_lab.cli import run
+from rearrange_lab import cli, errors
+from rearrange_lab.cli import FlagError, run
 from rearrange_lab.oscillation import decomposition_from_json
 from rearrange_lab.rearrange import profile_from_json
 from rearrange_lab.spaces import space_from_json
@@ -220,6 +221,73 @@ def test_precision_env_var(monkeypatch, capsys):
     assert doc["config"]["precision"] == 64
     monkeypatch.setenv("REARRANGE_LAB_PRECISION", "bogus")
     assert run(["verify", "--suite", "thm32", "--trials", "5"]) == 2
+
+
+@pytest.mark.parametrize("precision", ["2", "24", "52"])
+def test_precision_below_a_double_exits_2(precision, monkeypatch, capsys):
+    """Below 53 bits the program's own rounded weights would fail the
+    weight-sum check; the variable is refused first, by name."""
+    monkeypatch.setenv("REARRANGE_LAB_PRECISION", precision)
+    assert run(["verify", "--suite", "thm41", "--mode", "float",
+                "--atoms", "6", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: InputError: REARRANGE_LAB_PRECISION must be at least 53 "
+        f"(a double), got {precision}\n")
+    monkeypatch.setenv("REARRANGE_LAB_PRECISION", "53")
+    assert run(["verify", "--suite", "thm41", "--mode", "float",
+                "--atoms", "6", "--trials", "5"]) == 0
+
+
+def test_rearrange_suite_in_float_mode_exits_2(capsys):
+    assert run(["verify", "--suite", "rearrange", "--mode", "float",
+                "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: InputError: the rearrange suite runs in "
+                            "exact mode only\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_all_takes_no_mode(mode, capsys):
+    assert run(["verify", "--suite", "all", "--mode", mode,
+                "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FlagError: ")
+    assert captured.err.count("\n") == 1
+
+
+#: every error class the CLI can meet, with its exit code
+EXIT_CODES = {
+    errors.RearrangeLabError: 2,
+    errors.InputError: 2,
+    FlagError: 2,
+    errors.ExactUnavailable: 2,
+    errors.PreconditionViolated: 3,
+    errors.NotZeroMean: 3,
+    errors.EmptyInput: 3,
+    errors.InfeasibleProblem: 3,
+    errors.TooManyFreeParameters: 3,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.RearrangeLabError)}
+    assert set(EXIT_CODES) == classes | {FlagError}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_each_error_exits_with_its_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_search_command", fail)
+    assert cls.exit_code == EXIT_CODES[cls]
+    assert run(["search", "--target", "thm32-ratio"]) == EXIT_CODES[cls]
+    assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
 
 
 def test_verify_all_aggregates(capsys):

@@ -56,6 +56,8 @@ MATRIX = {
                    "random-rational", "--exponents", "2,4,4,4,4"], None),
     "thm41-precision-80": (_VERIFY + ["--suite", "thm41", "--trials", "30"],
                            "80"),
+    "thm41-precision-48": (_VERIFY + ["--suite", "thm41", "--trials", "30"],
+                           "48"),
     "thm43": (_VERIFY + ["--suite", "thm43", "--trials", "20"], None),
     "thm43-lorentz-exact-weighted": (
         _VERIFY + ["--suite", "thm43", "--trials", "20", "--mode", "exact",
@@ -114,12 +116,14 @@ EXPECTED = {
     "all": (
         "ffe490bbfb55b86a0006465ba70d0f211c678dc0afcc21adbe892ab643edb189",
         0, ""),
+    # exited 0 before --suite all refused --mode
     "all-exact": (
-        "ffe490bbfb55b86a0006465ba70d0f211c678dc0afcc21adbe892ab643edb189",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: FlagError"),
+    # exited 0 before --suite all refused --mode
     "all-float": (
-        "a2306503de599e5728ec2ffffd589afc48405e261061acbba72ed11d35adae9c",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: FlagError"),
     "decompose": (
         "8e65f6f6abe1b5a6a81ed313b63685dbdae7079cd9f8f9815d03e7089ab3c51d",
         0, ""),
@@ -168,17 +172,19 @@ EXPECTED = {
     "rearrange-suite": (
         "f62adf518da4c87be3dce40db722ee19d432aa09f9795d566bf76facf659fde0",
         0, ""),
+    # exited 0 before the suite refused float mode
     "rearrange-suite-float": (
-        "c4fde03eca64d16f36cc37b65a77c1b2f29bf045940c46060f4e0b06587424a5",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
     "rearrange-suite-weighted": (
         "1a9645831b9ce3eb01fbbb55081d4896b973f6a43f32a6d628cd5cdcf190fbfb",
         0, ""),
     "search-thm32": (
         "cda094ee960bb2f8ef219a9e8bfba97706717733a2d0f7c7e2284c0f7f388bfc",
         0, ""),
+    # its config listed the unread flags
     "search-thm32-unread-flags": (
-        "552086edbd4b577f6dc274c5bbfa8cac1f1a37ff7cc5dd4b1f99e9a47b090751",
+        "cda094ee960bb2f8ef219a9e8bfba97706717733a2d0f7c7e2284c0f7f388bfc",
         0, ""),
     "search-thm41": (
         "6c9eff59372ffdcd004385ef609df7f5ea91db16c576049f6a533e90b0f24ffa",
@@ -186,8 +192,9 @@ EXPECTED = {
     "search-thm43-lorentz": (
         "1c1168be937ab9681602878639491964e5f4613f5b30b43fefa63c05fd4ddada",
         0, ""),
+    # its config listed the unread flag
     "search-thm43-unread-exponents": (
-        "07d060823fd3e847efeea26f5cccc267761c8a98df6d43f67d7c7f8b6c8c29f9",
+        "8b655d8a61daf131d85a66caee4eb0971a920e13c031bad5a1b5b910543b17cf",
         0, ""),
     "thm32": (
         "3fadc4b7aeb68dd2136f5e07d3f108b4ac4c467bf09e055d03c1a735ea0f9044",
@@ -207,6 +214,10 @@ EXPECTED = {
     "thm41-exact": (
         "7a68a20b3847162788565d7281381c1c4b83ec17d9bd45200842f991069a9d44",
         0, ""),
+    # exited 0 before the 53-bit precision floor
+    "thm41-precision-48": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
     "thm41-precision-80": (
         "a49679a761bd7373f73c164f5640b28de85e2ed28115000ee15b1346ef22d553",
         0, ""),

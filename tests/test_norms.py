@@ -26,7 +26,7 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      make_profile)
 from rearrange_lab.scalars import INF, binary_context, in_family, to_binary
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
-                                  simple, to_binary_function, to_binary_space)
+                                  to_binary_function, to_binary_space)
 
 PHI = ConcaveWeight(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
 LAMBDA = LorentzLambda(PHI)
@@ -35,10 +35,10 @@ KINDS = (L1, L2, Lp(3), LINF, LAMBDA, Generated(LAMBDA, 2), Associate(LAMBDA))
 
 def test_norm_fixtures():
     sp = equal_space(2)
-    f = simple((3, 4), sp)
+    f = SimpleFunction((3, 4), sp)
     assert norm(L2, f, precision=53) == pytest.approx(math.sqrt(12.5), abs=1e-14)
     assert norm(LINF, f) == decreasing_rearrangement(f).sup == 4
-    g = simple((1, -2, 3), equal_space(3))
+    g = SimpleFunction((1, -2, 3), equal_space(3))
     assert norm(Generated(L1, 2), g, precision=53) == pytest.approx(
         float(norm(L2, g, precision=53)), abs=1e-14)
 
@@ -52,7 +52,7 @@ def test_dual_exponents():
 
 def test_associate_fixtures():
     sp = equal_space(2)
-    h = simple((3, 4), sp)
+    h = SimpleFunction((3, 4), sp)
     assert norm(Associate(L2), h, precision=53) == pytest.approx(
         math.sqrt(12.5), abs=1e-14)
     assert norm(Associate(L1), h) == 4
@@ -60,7 +60,7 @@ def test_associate_fixtures():
 
 
 def test_exact_mode_refuses_roots():
-    f = simple((3, 4), equal_space(2))
+    f = SimpleFunction((3, 4), equal_space(2))
     with pytest.raises(ExactUnavailable):
         norm(L2, f)
     with pytest.raises(ExactUnavailable):
@@ -71,7 +71,7 @@ def test_exact_mode_refuses_roots():
 
 def test_generated_norm_of_lp_associate_accepts_weighted_spaces():
     sp = DiscreteSpace((F(1, 4), F(3, 4)))
-    f = simple((1, 2), sp)
+    f = SimpleFunction((1, 2), sp)
     assert norm(Generated(Associate(L2), 3), f, precision=53) == \
         norm(Generated(L2, 3), f, precision=53)
 
@@ -134,19 +134,21 @@ def test_lp_rearrangement_invariance_on_weighted_spaces():
     # equimeasurable redistributions across different weighted spaces
     sp_a = DiscreteSpace((F(1, 4), F(1, 4), F(1, 2)))
     sp_b = DiscreteSpace((F(1, 2), F(1, 4), F(1, 4)))
-    f = simple((3, 3, -1), sp_a)  # |f| = 3 on measure 1/2, 1 on measure 1/2
-    g = simple((3, -1, -1), sp_b)  # same distribution of |values|
+    # |f| = 3 on measure 1/2, 1 on measure 1/2
+    f = SimpleFunction((3, 3, -1), sp_a)
+    g = SimpleFunction((3, -1, -1), sp_b)  # same distribution of |values|
     for p in (1, 2, 3):
         assert norm(Lp(p), f, precision=53) == norm(Lp(p), g, precision=53)
 
 
 def test_hardy_littlewood_fixtures():
     sp = equal_space(2)
-    f, g = simple((1, -2), sp), simple((3, 1), sp)
+    f, g = SimpleFunction((1, -2), sp), SimpleFunction((3, 1), sp)
     assert hardy_littlewood_check(f, g) == (F(5, 2), F(7, 2))
-    sorted_pair = hardy_littlewood_check(simple((2, 1), sp), simple((3, 1), sp))
+    sorted_pair = hardy_littlewood_check(SimpleFunction((2, 1), sp),
+                                         SimpleFunction((3, 1), sp))
     assert sorted_pair[0] == sorted_pair[1]  # similarly ordered: equality
-    zero = simple((0, 0), sp)
+    zero = SimpleFunction((0, 0), sp)
     assert hardy_littlewood_check(f, zero) == (0, 0)
 
 
@@ -167,14 +169,14 @@ def _holder_chain(X, f, g):
 
 def test_holder_fixtures():
     sp = equal_space(2)
-    f, g = simple((1, -2), sp), simple((3, 1), sp)
+    f, g = SimpleFunction((1, -2), sp), SimpleFunction((3, 1), sp)
     a, b, c = _holder_chain(L2, f, g)
     assert (a, b) == (F(5, 2), F(7, 2))
     assert float(c) == pytest.approx(math.sqrt(12.5), abs=1e-14)
-    one = simple((1, 1), sp)
+    one = SimpleFunction((1, 1), sp)
     a, b, c = _holder_chain(L2, one, g)
     assert a == b == norm(L1, g)
-    assert _holder_chain(L2, f, simple((0, 0), sp)) == (0, 0, 0.0)
+    assert _holder_chain(L2, f, SimpleFunction((0, 0), sp)) == (0, 0, 0.0)
 
 
 @given(function_pairs(min_atoms=2))
@@ -200,7 +202,7 @@ def _second_associate(X, depth=2):
 
 def test_second_associate_fixtures():
     """X'' = X (Lorentz-Luxemburg), exactly, where X is evaluable exactly."""
-    f = simple((1, 2, 3), equal_space(3))
+    f = SimpleFunction((1, 2, 3), equal_space(3))
     assert norm(_second_associate(L1), f) == norm(L1, f) == 2
     assert norm(_second_associate(Lp(3), 4), f, precision=53) == \
         norm(Lp(3), f, precision=53)
@@ -208,7 +210,7 @@ def test_second_associate_fixtures():
     assert norm(_second_associate(LAMBDA, 4), f) == norm(LAMBDA, f)
     assert norm(Generated(_second_associate(LAMBDA), 2), f, precision=53) == \
         norm(Generated(LAMBDA, 2), f, precision=53)
-    zero = simple((0, 0, 0), equal_space(3))
+    zero = SimpleFunction((0, 0, 0), equal_space(3))
     assert norm(_second_associate(L2), zero, precision=53) == 0
     assert exactly_evaluable(_second_associate(LAMBDA))
     assert not exactly_evaluable(_second_associate(L2))
@@ -426,7 +428,7 @@ def test_exact_norms_equal_the_former_loop(X, f):
 @pytest.mark.parametrize("X", [Lp(F(3, 2)), Generated(L1, F(3, 2))],
                          ids=["lp", "generated"])
 def test_exact_fractional_power_is_unavailable(X):
-    f = simple((F(1, 3), 0, F(-2, 7)), equal_space(3))
+    f = SimpleFunction((F(1, 3), 0, F(-2, 7)), equal_space(3))
     with pytest.raises(ExactUnavailable):
         norm(X, f)
     binary = to_binary_function(f, to_binary_space(f.space, 53), 53)

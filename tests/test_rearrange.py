@@ -23,18 +23,19 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      truncation_ladder)
 from rearrange_lab.scalars import (INF, binary_context,
                                    over_common_denominator, to_binary)
-from rearrange_lab.spaces import (DiscreteSpace, equal_space, simple,
+from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
                                   to_binary_function, to_binary_space)
 
 WEIGHTED3 = DiscreteSpace((F(1, 5), F(3, 10), F(1, 2)))
 
 
 def test_rearrangement_fixtures():
-    f = simple((3, -1, 2), WEIGHTED3)
+    f = SimpleFunction((3, -1, 2), WEIGHTED3)
     prof = decreasing_rearrangement(f)
     assert prof.segments == ((3, F(1, 5)), (2, F(1, 2)), (1, F(3, 10)))
-    assert decreasing_rearrangement(simple((0, 0), equal_space(2))).segments == ()
-    prof = decreasing_rearrangement(simple((1, -1), equal_space(2)))
+    zero = SimpleFunction((0, 0), equal_space(2))
+    assert decreasing_rearrangement(zero).segments == ()
+    prof = decreasing_rearrangement(SimpleFunction((1, -1), equal_space(2)))
     assert prof.segments == ((1, 1),)
 
 
@@ -112,20 +113,20 @@ def test_profile_product_fixtures():
 
 
 def test_lp_preservation_fixtures():
-    f = simple((3, -1, 2), WEIGHTED3)
+    f = SimpleFunction((3, -1, 2), WEIGHTED3)
     assert lp_moments(f, 2) == (F(41, 10), F(41, 10))
     assert lp_moments(f, INF) == (3, 3)
-    zero = simple((0, 0, 0), WEIGHTED3)
+    zero = SimpleFunction((0, 0, 0), WEIGHTED3)
     assert lp_moments(zero, 2) == (0, 0)
     with pytest.raises(InputError):  # a truncated p would check p = 1
         lp_moments(f, F(3, 2))
 
 
 def test_indicator_difference_fixtures():
-    f = simple((1, -1), equal_space(2))
+    f = SimpleFunction((1, -1), equal_space(2))
     left, right = indicator_difference_rearrangement(f, F(1, 2))
     assert left == right == make_profile([(F(1), F(1))])
-    f = simple((3, -1, 2), WEIGHTED3)
+    f = SimpleFunction((3, -1, 2), WEIGHTED3)
     left, right = indicator_difference_rearrangement(f, F(1))
     assert left == right == make_profile([(F(1), F(7, 10))])
     left, right = indicator_difference_rearrangement(f, F(3))
@@ -134,11 +135,11 @@ def test_indicator_difference_fixtures():
 
 def test_nonexpansive_fixtures():
     sp = equal_space(2)
-    f = simple((1, -1), sp)
+    f = SimpleFunction((1, -1), sp)
     assert nonexpansive_moments(f, f, 1) == (0, 0)
-    g = simple((-1, 1), sp)
+    g = SimpleFunction((-1, 1), sp)
     assert nonexpansive_moments(f, g, 1) == (0, 2)
-    f, g = simple((2, 0), sp), simple((0, 1), sp)
+    f, g = SimpleFunction((2, 0), sp), SimpleFunction((0, 1), sp)
     assert nonexpansive_moments(f, g, 1) == (F(1, 2), F(3, 2))
     for p in (F(3, 2), F(5, 2), 2.5):  # truncated, p would check 1 or 2
         with pytest.raises(InputError, match="integer p"):
@@ -147,14 +148,14 @@ def test_nonexpansive_fixtures():
 
 def test_layer_cake_fixtures():
     sp = equal_space(2)
-    cake = layer_decompose(simple((2, F(1, 2)), sp))
+    cake = layer_decompose(SimpleFunction((2, F(1, 2)), sp))
     assert cake.thresholds == (0, F(1, 2), 2)
     assert cake.pos_sets == (frozenset({0, 1}), frozenset({0}))
     assert cake.neg_sets == (frozenset(), frozenset())
-    cake = layer_decompose(simple((1, -1), sp))
+    cake = layer_decompose(SimpleFunction((1, -1), sp))
     assert cake.pos_sets == (frozenset({0}),)
     assert cake.neg_sets == (frozenset({1}),)
-    assert layer_decompose(simple((0, 0), sp)).thresholds == ()
+    assert layer_decompose(SimpleFunction((0, 0), sp)).thresholds == ()
 
 
 @given(functions())
@@ -198,7 +199,8 @@ def test_nonexpansive_random(pair):
 @given(function_pairs())
 def test_sublinearity_at_zero(pair):
     f, g = pair
-    fg = simple(tuple(a + b for a, b in zip(f.values, g.values)), f.space)
+    fg = SimpleFunction(tuple(a + b for a, b in zip(f.values, g.values)),
+                        f.space)
     assert decreasing_rearrangement(fg).sup <= (
         decreasing_rearrangement(f).sup + decreasing_rearrangement(g).sup
     )
@@ -361,7 +363,8 @@ def test_binary_profile_differences_pad_with_int_zero(precision, swap):
     """The shorter profile is padded with the int 0, which mixes with mpf
     (Fraction - mpf raises); the exact values are all binary here."""
     space = equal_space(4)
-    f, g = simple((3, -1, 2, 0), space), simple((1, 2, -2, 1), space)
+    f = SimpleFunction((3, -1, 2, 0), space)
+    g = SimpleFunction((1, 2, -2, 1), space)
     if swap:
         f, g = g, f
     kind = float if precision == 53 else mpmath.mpf
@@ -480,7 +483,7 @@ def test_equimeasurable_and_layer_cake_in_binary(precision):
     with binary_context(precision):
         space = to_binary_space(WEIGHTED3, precision)
         for values in ((3, -1, 2), (3, 0, 2), (0, 0, 0)):
-            f = to_binary_function(simple(values, WEIGHTED3), space,
+            f = to_binary_function(SimpleFunction(values, WEIGHTED3), space,
                                    precision)
             assert equimeasurable(f, decreasing_rearrangement(f))
             cake = layer_decompose(f)
@@ -491,7 +494,7 @@ def test_equimeasurable_and_layer_cake_in_binary(precision):
 
 
 def test_exact_layer_cake_stays_fraction():
-    f = simple((F(3), F(-1), F(2)), WEIGHTED3)
+    f = SimpleFunction((F(3), F(-1), F(2)), WEIGHTED3)
     cake = layer_decompose(f)
     assert cake.thresholds == (0, 1, 2, 3)
     assert all(type(t) is F for t in cake.thresholds)

@@ -33,6 +33,26 @@ def test_thm41_canonical_dict_exponents_are_rational_literals():
     assert problem.canonical_dict()["exponents"] == ["1", "3/2", "3", "inf", "1"]
 
 
+@pytest.mark.parametrize("target,kept", [
+    ("thm32-ratio", {}),
+    ("thm41-ratio", {"exponents": ["2", "4", "4", "4", "4"]}),
+    ("thm43-ratio", {"norm": {"kind": "lp", "p": "3"}}),
+])
+def test_config_lists_only_the_parameters_the_target_reads(target, kept):
+    exps = (Fraction(2), Fraction(4), Fraction(4), Fraction(4), Fraction(4))
+    problem = SearchProblem(target, atoms=3, exponents=exps, norm=Lp(3))
+    assert problem.canonical_dict() == {"target": target, "atoms": 3, **kept}
+    config = search(problem, 2, 1).config
+    assert {k: v for k, v in config.items()
+            if k in ("exponents", "norm")} == kept
+
+
+def test_unread_exponents_are_still_validated():
+    with pytest.raises(InputError, match="1/r"):
+        SearchProblem("thm32-ratio", exponents=tuple(
+            Fraction(p) for p in (1, 2, 2, 3, 3)))
+
+
 def test_thm32_search_finds_equality():
     res = search(SearchProblem(target="thm32-ratio", atoms=2),
                  iters=1000, restarts=8, seed=0)

@@ -14,47 +14,50 @@ from rearrange_lab.oscillation import bilinear_form, lemma31_bound
 from rearrange_lab.rearrange import nonexpansive_moments
 from rearrange_lab.scalars import (_type_family, binary_context,
                                    over_common_denominator, to_binary)
-from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, add, center,
+from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
                                   common_space, equal_space,
                                   instance_from_json, instance_to_json,
-                                  integrate, multiply, pos_neg_parts, scale,
-                                  simple, support, to_binary_function,
-                                  to_binary_space)
+                                  integrate, multiply, support,
+                                  to_binary_function, to_binary_space)
 
 
 def test_integrate_fixtures():
     sp = equal_space(2)
-    assert integrate(simple((1, -1), sp)) == 0
+    assert integrate(SimpleFunction((1, -1), sp)) == 0
     sp3 = DiscreteSpace((F(1, 5), F(3, 10), F(1, 2)))
-    assert integrate(simple((3, -1, 2), sp3)) == F(13, 10)
-    assert integrate(simple((F(7, 3),) * 3, sp3)) == F(7, 3)
+    assert integrate(SimpleFunction((3, -1, 2), sp3)) == F(13, 10)
+    assert integrate(SimpleFunction((F(7, 3),) * 3, sp3)) == F(7, 3)
 
 
 def test_center_fixtures():
     sp = equal_space(2)
-    assert center(simple((2, 0), sp)).values == (1, -1)
-    assert center(simple((0, 0), sp)).values == (0, 0)
+    assert center(SimpleFunction((2, 0), sp)).values == (1, -1)
+    assert center(SimpleFunction((0, 0), sp)).values == (0, 0)
     sp3 = DiscreteSpace((F(1, 5), F(3, 10), F(1, 2)))
-    assert center(simple((3, -1, 2), sp3)).values == (
+    assert center(SimpleFunction((3, -1, 2), sp3)).values == (
         F(17, 10), F(-23, 10), F(7, 10))
 
 
 def test_support_fixtures():
     sp = equal_space(3)
-    assert support(simple((1, 0, -2), sp)) == {0, 2}
-    assert support(simple((0, 0, 0), sp)) == set()
-    assert support(simple((1, 1, 1), sp)) == {0, 1, 2}
+    assert support(SimpleFunction((1, 0, -2), sp)) == {0, 2}
+    assert support(SimpleFunction((0, 0, 0), sp)) == set()
+    assert support(SimpleFunction((1, 1, 1), sp)) == {0, 1, 2}
 
 
-def test_pos_neg_fixtures():
-    sp = equal_space(3)
-    plus, minus = pos_neg_parts(simple((3, -1, 0), sp))
-    assert plus.values == (3, 0, 0) and minus.values == (0, 1, 0)
-    plus, minus = pos_neg_parts(simple((1, 2, 3), sp))
-    assert plus.values == (1, 2, 3) and minus.values == (0, 0, 0)
-    sp2 = equal_space(2)
-    plus, minus = pos_neg_parts(simple((-2, -2), sp2))
-    assert plus.values == (0, 0) and minus.values == (2, 2)
+@pytest.mark.parametrize("atoms", [
+    [0, 1.0], [0, 0.5], [-1, 0], [0, 3], ["0"],
+], ids=["float-index", "fractional-index", "negative", "index-n", "string"])
+def test_check_atoms_refuses_bad_indices(atoms):
+    with pytest.raises(InputError, match=r"^atom indices out of range for n=3"):
+        equal_space(3).check_atoms(atoms)
+
+
+def test_check_atoms_accepts_indices_bools_and_the_empty_set():
+    space = equal_space(3)
+    assert space.check_atoms([2, 0, 2]) == frozenset({0, 2})
+    assert space.check_atoms([False, True]) == frozenset({0, 1})
+    assert space.check_atoms(()) == frozenset()
 
 
 def test_weight_validation():
@@ -73,7 +76,8 @@ def test_weight_validation():
 @given(functions(), st.integers(-5, 5), st.integers(-5, 5))
 def test_integrate_linear(f, a, b):
     g = SimpleFunction(tuple(reversed(f.values)), f.space)
-    combo = add(scale(f, a), scale(g, b))
+    combo = SimpleFunction(
+        tuple(a * u + b * v for u, v in zip(f.values, g.values)), f.space)
     assert integrate(combo) == a * integrate(f) + b * integrate(g)
 
 
@@ -87,16 +91,6 @@ def test_center_idempotent_and_kills_constants(f):
 
 
 @given(functions())
-def test_pos_neg_parts_properties(f):
-    plus, minus = pos_neg_parts(f)
-    assert all(v >= 0 for v in plus.values)
-    assert all(v >= 0 for v in minus.values)
-    assert all(p * m == 0 for p, m in zip(plus.values, minus.values))
-    assert tuple(p - m for p, m in zip(plus.values, minus.values)) == f.values
-    assert support(plus) & support(minus) == set()
-
-
-@given(functions())
 def test_instance_json_roundtrip(f):
     doc = instance_to_json(f.space, {"f": f})
     space, funcs = instance_from_json(doc)
@@ -106,31 +100,31 @@ def test_instance_json_roundtrip(f):
 
 def test_multiply_pointwise():
     sp = equal_space(2)
-    assert multiply(simple((2, 0), sp), simple((1, -1), sp)).values == (2, 0)
+    product = multiply(SimpleFunction((2, 0), sp), SimpleFunction((1, -1), sp))
+    assert product.values == (2, 0)
 
 
 #: two functions on different two-atom spaces
-_ON_EQUAL = simple((1, 0), equal_space(2))
-_ON_WEIGHTED = simple((1, -1), DiscreteSpace((F(1, 3), F(2, 3))))
+_ON_EQUAL = SimpleFunction((1, 0), equal_space(2))
+_ON_WEIGHTED = SimpleFunction((1, -1), DiscreteSpace((F(1, 3), F(2, 3))))
 _BOTH = frozenset({0, 1})
 
 
 @pytest.mark.parametrize("call", [
-    lambda f, g: add(f, g),
     lambda f, g: multiply(f, g),
     lambda f, g: common_space(f, f, g),
     lambda f, g: bilinear_form(_BOTH, _BOTH, f, g, f),
     lambda f, g: lemma31_bound(f, f, g),
     lambda f, g: hardy_littlewood_check(f, g),
     lambda f, g: nonexpansive_moments(f, g, 1),
-], ids=["add", "multiply", "common_space", "bilinear_form", "lemma31_bound",
+], ids=["multiply", "common_space", "bilinear_form", "lemma31_bound",
         "hardy_littlewood_check", "nonexpansive_moments"])
 def test_functions_on_different_spaces_are_refused(call):
     with pytest.raises(InputError,
                        match="^functions live on different spaces$"):
         call(_ON_EQUAL, _ON_WEIGHTED)
     sp = _ON_EQUAL.space
-    assert common_space(_ON_EQUAL, simple((0, 1), sp)) is sp
+    assert common_space(_ON_EQUAL, SimpleFunction((0, 1), sp)) is sp
 
 
 @pytest.mark.parametrize("weights", [

@@ -18,7 +18,7 @@ from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
                                    format_scalar)
 from rearrange_lab.search import SearchProblem, search
-from rearrange_lab.spaces import equal_space, integrate
+from rearrange_lab.spaces import SimpleFunction, equal_space, integrate
 from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, SUITE_IDS, TrialConfig,
                                   _binary_instance, _evaluate, _keyed_rng,
                                   _lattice_function, _recheck, _run_trial,
@@ -60,6 +60,37 @@ def test_config_validation():
         TrialConfig(suite="thm43", mode="exact", norm=Lp(2))
     TrialConfig(suite="thm43", mode="exact", norm=L1)
     TrialConfig(suite="thm43", mode="exact", norm=LorentzLambda(PHI))
+
+
+@pytest.mark.parametrize("suite,mode", [
+    ("thm32", "exact"), ("lemma31", "exact"), ("thm41", "float"),
+    ("thm43", "float"), ("rearrange", "exact"),
+])
+def test_default_mode_is_the_arithmetic_that_runs(suite, mode):
+    """Mode None is the suite's certifying arithmetic, and the report's
+    config names the arithmetic its gaps were taken in."""
+    assert TrialConfig(suite=suite).mode == mode
+    rep = run_suite(TrialConfig(suite=suite, atoms=3, trials=4, seed=1))
+    assert rep.config["mode"] == mode
+    assert isinstance(rep.min_gap, float) == (mode == "float")
+
+
+def test_rearrange_suite_refuses_float_mode():
+    with pytest.raises(InputError,
+                       match="^the rearrange suite runs in exact mode only$"):
+        TrialConfig(suite="rearrange", mode="float")
+
+
+@pytest.mark.parametrize("suite,kept", [
+    ("thm32", {}), ("lemma31", {}), ("rearrange", {}),
+    ("thm41", {"exponents": ["2", "4", "4", "4", "4"]}),
+    ("thm43", {"norm": {"kind": "lp", "p": "3"}}),
+])
+def test_config_lists_only_the_parameters_the_suite_reads(suite, kept):
+    cfg = TrialConfig(suite=suite, mode="float" if kept else None,
+                      exponents=(F(2), F(4), F(4), F(4), F(4)), norm=Lp(3))
+    assert {k: v for k, v in cfg.canonical_dict().items()
+            if k in ("exponents", "norm")} == kept
 
 
 def test_generator_determinism_and_contracts():
@@ -107,14 +138,13 @@ def test_generator_weight_schemes():
 
 
 def test_thm32_sides_fixtures():
-    from rearrange_lab.spaces import equal_space, simple
     sp = equal_space(2)
-    f, g = simple((1, 1), sp), simple((1, -1), sp)
-    assert thm32_sides(f, g, simple((-1, 1), sp)) == (2, 2)
-    lhs, rhs = thm32_sides(f, g, simple((1, -1), sp))
+    f, g = SimpleFunction((1, 1), sp), SimpleFunction((1, -1), sp)
+    assert thm32_sides(f, g, SimpleFunction((-1, 1), sp)) == (2, 2)
+    lhs, rhs = thm32_sides(f, g, SimpleFunction((1, -1), sp))
     assert rhs - lhs == 4
-    zero = simple((0, 0), sp)
-    assert thm32_sides(f, zero, simple((1, -1), sp)) == (0, 0)
+    zero = SimpleFunction((0, 0), sp)
+    assert thm32_sides(f, zero, SimpleFunction((1, -1), sp)) == (0, 0)
 
 
 def test_suites_run_clean_smoke():
@@ -329,7 +359,7 @@ def test_random_instances_are_the_former_fraction_draws(suite, weights, atoms,
     generator drew as Fractions: values of the same types, and the
     numerator pair it would have kept."""
     cfg = TrialConfig(suite=suite, weight_scheme=weights, atoms=atoms,
-                      seed=seed, mode="float", trials=1)
+                      seed=seed, trials=1)
     inst = generate_instance(cfg, index)
     space, functions = former_random_instance(cfg, index)
     assert inst.space == space and list(inst.functions) == list(functions)
