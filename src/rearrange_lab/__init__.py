@@ -4,7 +4,7 @@ probability spaces."""
 
 from .errors import (EmptyInput, ExactUnavailable, InfeasibleProblem,
                      InputError, NotZeroMean, PreconditionViolated,
-                     RearrangeLabError, TooManyFreeParameters)
+                     RearrangeLabError)
 from .norms import (Associate, ConcaveWeight, Generated, L1, L2, LINF,
                     LorentzLambda, Lp, hardy_littlewood_check, norm)
 from .oscillation import (BlockDecomposition, ZeroMeanBlock, bilinear_form,
@@ -14,7 +14,7 @@ from .rearrange import (LayerCake, StepProfile, decreasing_rearrangement,
                         layer_reconstruct, lp_moments, nonexpansive_moments,
                         profile_integrate_product)
 from .scalars import INF, format_scalar, parse_scalar
-from .search import SearchProblem, SearchResult, landscape_rows, search
+from .search import SearchProblem, SearchResult, search
 from .spaces import (AtomSet, DiscreteSpace, SimpleFunction, center,
                      equal_space, integrate, support)
 from .verify import (TrialConfig, VerificationReport, generate_instance,

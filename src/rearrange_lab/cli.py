@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: rearrange, decompose, verify, search, landscape.  All
+Subcommands: rearrange, decompose, verify and search.  All
 numeric I/O uses string literals so exact values survive the CLI
 boundary; given identical flags and inputs, stdout is byte-identical
 across runs.
@@ -33,8 +33,9 @@ from .norms import norm_from_json
 from .oscillation import decomposition_to_json, zero_mean_decompose
 from .rearrange import decreasing_rearrangement, profile_to_json
 from .scalars import DOUBLE_PRECISION, parse_exponent
-from .search import SearchProblem, landscape_csv, landscape_rows, search
-from .verify import SUITE_IDS, TrialConfig, canonical_json, run_suite
+from .search import SearchProblem, search
+from .verify import (SUITE_IDS, TrialConfig, canonical_json, check_precision,
+                     run_suite)
 
 
 class FlagError(InputError):
@@ -85,14 +86,6 @@ def _build_parser() -> _Parser:
     p_se.add_argument("--exponents", default=None)
     p_se.add_argument("--threads", type=int, default=1)
     p_se.add_argument("--out", default=None)
-
-    p_la = sub.add_parser("landscape", help="ratio table over a parameter grid")
-    p_la.add_argument("--target", required=True,
-                      choices=("thm32-ratio", "thm41-ratio", "thm43-ratio"))
-    p_la.add_argument("--grid", type=int, default=101)
-    p_la.add_argument("--norm", default=None)
-    p_la.add_argument("--exponents", default=None)
-    p_la.add_argument("--out", default=None, help="CSV output file (stdout otherwise)")
     return parser
 
 
@@ -147,18 +140,15 @@ def _load_instance(path):
     return instance_from_json(_load_json_file(path))
 
 
-def _write_file(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
-
-
 def _emit(text: str, out_path=None) -> None:
     """Write text to out_path, if given, and then to stdout."""
     if out_path:
-        _write_file(out_path, text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write {out_path}: {exc.strerror}") from exc
     sys.stdout.write(text)
 
 
@@ -172,11 +162,7 @@ def _precision_from_env() -> int:
         raise InputError(
             f"REARRANGE_LAB_PRECISION must be an integer, got {raw!r}"
         ) from exc
-    if precision < DOUBLE_PRECISION:
-        raise InputError(
-            f"REARRANGE_LAB_PRECISION must be at least {DOUBLE_PRECISION} "
-            f"(a double), got {precision}")
-    return precision
+    return check_precision(precision, "REARRANGE_LAB_PRECISION")
 
 
 def _verify_command(args) -> int:
@@ -200,27 +186,14 @@ def _verify_command(args) -> int:
     return 1 if any(r.violations for r in reports) else 0
 
 
-def _search_problem(args, atoms) -> SearchProblem:
-    return SearchProblem(target=args.target, atoms=atoms,
-                         exponents=_parse_exponents_flag(args.exponents),
-                         norm=_parse_norm_flag(args.norm))
-
-
 def _search_command(args) -> int:
-    result = search(_search_problem(args, args.atoms), args.iters,
-                    args.restarts, seed=args.seed, threads=args.threads)
+    problem = SearchProblem(target=args.target, atoms=args.atoms,
+                            exponents=_parse_exponents_flag(args.exponents),
+                            norm=_parse_norm_flag(args.norm))
+    result = search(problem, args.iters, args.restarts, seed=args.seed,
+                    threads=args.threads)
     _emit(canonical_json(result.to_json_dict()), args.out)
     return 1 if result.violation else 0
-
-
-def _landscape_command(args) -> int:
-    rows = landscape_rows(_search_problem(args, 2), args.grid)
-    csv_text = landscape_csv(rows)
-    if args.out:
-        _write_file(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    return 0
 
 
 def run(argv=None) -> int:
@@ -240,8 +213,6 @@ def run(argv=None) -> int:
             return _verify_command(args)
         if args.command == "search":
             return _search_command(args)
-        if args.command == "landscape":
-            return _landscape_command(args)
         raise InputError(f"unknown command {args.command!r}")
     except RearrangeLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -35,9 +35,3 @@ class ExactUnavailable(RearrangeLabError):
 class InfeasibleProblem(RearrangeLabError):
     """The search constraint set is empty (``exit_code`` 3)."""
     exit_code = 3
-
-
-class TooManyFreeParameters(RearrangeLabError):
-    """A landscape was requested with more free parameters than supported
-    (``exit_code`` 3)."""
-    exit_code = 3

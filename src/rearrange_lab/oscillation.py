@@ -18,8 +18,7 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
-from .rearrange import StepProfile, decreasing_rearrangement, make_profile
-from .scalars import format_scalar, in_family, parse_scalar, unit_product
+from .scalars import format_scalar, in_family, unit_product
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
                      SimpleFunction, common_space, integrate, support)
 
@@ -114,29 +113,10 @@ class ZeroMeanBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Ordered zero-mean two-level blocks with nested decreasing supports.
-
-    The blocks always sum to the decomposed function pointwise, and the
-    sum of their rearrangements carries the same total mass as g* and
-    dominates it in running integral.  Segment-wise equality of the
-    profile sum with g* holds for two-level inputs (and, e.g., the
-    worked four-atom case) but not for arbitrary zero-mean functions: a
-    block's balance-scaled side can interleave in value with later
-    blocks, and no decomposition within these invariants avoids that.
-    """
+    """Ordered zero-mean two-level blocks with nested decreasing supports;
+    they sum to the decomposed function pointwise."""
 
     blocks: tuple
-
-    def profile_sum(self) -> StepProfile:
-        """Segment-wise sum of the blocks' decreasing rearrangements."""
-        from .rearrange import profile_add
-
-        total = make_profile([])
-        for block in self.blocks:
-            total = profile_add(
-                total, decreasing_rearrangement(block.to_function())
-            )
-        return total
 
 
 def zero_mean_decompose(g: SimpleFunction) -> BlockDecomposition:
@@ -148,8 +128,7 @@ def zero_mean_decompose(g: SimpleFunction) -> BlockDecomposition:
     height is capped by the lighter side is emitted and subtracted.  The
     lighter side loses at least one level per round, so at most
     (#positive levels + #negative levels) blocks are produced and
-    supports are nested decreasing.  See BlockDecomposition for what the
-    blocks' rearrangements do and do not reconstruct.
+    supports are nested decreasing.
     """
     total = integrate(g)
     if total != 0:
@@ -255,20 +234,3 @@ def decomposition_to_json(dec: BlockDecomposition) -> dict:
             for b in dec.blocks
         ]
     }
-
-
-def decomposition_from_json(obj: dict, space: DiscreteSpace) -> BlockDecomposition:
-    try:
-        blocks = tuple(
-            ZeroMeanBlock(
-                parse_scalar(item["a"]),
-                frozenset(item["A"]),
-                parse_scalar(item["b"]),
-                frozenset(item["B"]),
-                space,
-            )
-            for item in obj["blocks"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad decomposition object: {exc}") from exc
-    return BlockDecomposition(blocks)

@@ -4,7 +4,7 @@ The decreasing rearrangement f* of a simple function f is the
 nonincreasing, right-continuous step function on [0, infinity) that is
 equimeasurable with |f|.  It is represented canonically as a
 `StepProfile`: strictly decreasing positive values with positive segment
-lengths, zero beyond the total length.  Products, sums, and L^p integrals
+lengths, zero beyond the total length.  Products and L^p integrals
 of profiles are computed on the merged breakpoint grid, exactly when the
 scalars are exact.  `align` is the one builder of that grid: it returns the
 width of every grid interval and each profile's value on it, and every
@@ -33,7 +33,7 @@ from itertools import accumulate
 from .errors import InputError
 from .scalars import (INF, check_one_family, format_scalar,
                       from_common_denominator, in_lowest_terms,
-                      over_common_denominator, over_one_unit, parse_scalar)
+                      over_common_denominator, over_one_unit)
 from .spaces import DiscreteSpace, SimpleFunction, common_space
 
 
@@ -263,22 +263,10 @@ def profile_integrate_product(profiles):
     return total * unit
 
 
-def profile_add(p: StepProfile, q: StepProfile) -> StepProfile:
-    """Pointwise sum (still nonincreasing, hence a valid profile)."""
-    widths, (pv, qv) = align(p, q)
-    return make_profile((a + b, w) for a, b, w in zip(pv, qv, widths))
-
-
 def profile_leq(p: StepProfile, q: StepProfile) -> bool:
     """Pointwise p <= q on [0, infinity)."""
     _, (pv, qv) = align(p, q)
     return all(a <= b for a, b in zip(pv, qv))
-
-
-def profile_moment(profile: StepProfile, p) -> Fraction:
-    """Integral of profile^p over [0, infinity) for a positive integer p."""
-    p = int(p)
-    return sum((v**p * l for v, l in profile.segments), start=Fraction(0))
 
 
 def profile_difference_moment(p: StepProfile, q: StepProfile, k: int):
@@ -313,7 +301,7 @@ def lp_moments(f: SimpleFunction, p):
         return max((abs(v) for v in f.values), default=Fraction(0)), prof.sup
     k = _integer_exponent(p, "Lp preservation")
     m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
-    return m_f, profile_moment(prof, k)
+    return m_f, sum((v**k * l for v, l in prof.segments), start=Fraction(0))
 
 
 def indicator_difference_rearrangement(f: SimpleFunction, t):
@@ -448,11 +436,3 @@ def profile_to_json(profile: StepProfile) -> dict:
     return {
         "segments": [[format_scalar(v), format_scalar(l)] for v, l in profile.segments]
     }
-
-
-def profile_from_json(obj: dict) -> StepProfile:
-    try:
-        pairs = [(parse_scalar(v), parse_scalar(l)) for v, l in obj["segments"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad profile object: {exc}") from exc
-    return StepProfile(tuple(pairs))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleProblem, InputError, TooManyFreeParameters
+from .errors import InfeasibleProblem, InputError
 from .scalars import DOUBLE_PRECISION
 from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
 from .verify import (_TRIALS, Instance, _certified, _evaluate, _keyed_rng,
@@ -239,62 +239,3 @@ def search(problem: SearchProblem, iters: int, restarts: int,
         violation=violation,
         config=dict(problem.canonical_dict(), iters=iters, seed=seed),
     )
-
-
-# ---------------------------------------------------------------------------
-# ratio landscapes (two-atom parameter families)
-
-#: the range of the landscape parameter t
-LANDSCAPE_LO, LANDSCAPE_HI = -2.0, 2.0
-
-
-def landscape_rows(problem: SearchProblem, grid: int):
-    """Tabulate LHS, RHS, and their ratio along the one-parameter family
-    f = (1, t) with g = (1, -1) fixed (and h = (-1, 1) for the
-    rearrangement-bound target), for grid values of t spread evenly over
-    [LANDSCAPE_LO, LANDSCAPE_HI]; requires the two-atom space."""
-    if problem.atoms != 2:
-        raise TooManyFreeParameters(
-            "landscapes need the two-atom symmetry reduction"
-        )
-    if grid < 1:
-        raise InputError("grid resolution must be >= 1")
-    space = problem.space()
-    lo, hi = LANDSCAPE_LO, LANDSCAPE_HI
-    points = [lo] if grid == 1 else [
-        lo + (hi - lo) * k / (grid - 1) for k in range(grid)
-    ]
-    rows = []
-    for t in points:
-        state = {"f": [1.0, t], "g": [1.0, -1.0]}
-        if problem.target == "thm32-ratio":
-            state["h"] = [-1.0, 1.0]
-        funcs = _state_functions(problem, state, space)
-        lhs, rhs = _sides(problem, funcs)
-        lhs, rhs = float(lhs), float(rhs)
-        rows.append({
-            "param1": t,
-            "param2": "",
-            "lhs": lhs,
-            "rhs": rhs,
-            "ratio": lhs / rhs if rhs != 0 else "",
-        })
-    return rows
-
-
-def landscape_csv(rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param1", "param2", "lhs", "rhs", "ratio"])
-    for row in rows:
-        writer.writerow([
-            repr(row["param1"]),
-            row["param2"],
-            repr(row["lhs"]),
-            repr(row["rhs"]),
-            repr(row["ratio"]) if row["ratio"] != "" else "",
-        ])
-    return buf.getvalue()

@@ -100,6 +100,15 @@ def parameters_json(exponents, norm) -> dict:
     return out
 
 
+def check_precision(precision: int, name: str) -> int:
+    """The float-mode significand width, at least a double's; `name` is
+    what the error message calls it."""
+    if precision < DOUBLE_PRECISION:
+        raise InputError(f"{name} must be at least {DOUBLE_PRECISION} "
+                         f"(a double), got {precision}")
+    return precision
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Configuration of one verification run.  Mode None is the suite's
@@ -128,6 +137,7 @@ class TrialConfig:
             raise InputError("need at least one trial")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
+        check_precision(self.precision, "precision")
         forms, certifying = _TRIALS[self.suite]
         if self.mode is None:
             object.__setattr__(

@@ -27,7 +27,10 @@ and ``variance_identity_check``) are an independent oracle for
 `bilinear_form`: the oscillation form is the pairing of
 derivation_adjoint(f . derivation g) with h.  ``profile_submajorizes``
 checks running-integral domination of step profiles for the
-block-decomposition tests.
+block-decomposition tests, and ``profile_sum`` adds the blocks'
+rearrangements with ``profile_add``.  ``profile_from_json`` and
+``decomposition_from_json`` parse the CLI's rearrange and decompose
+output back, for round-trip tests.
 """
 
 import math
@@ -40,11 +43,13 @@ from mpmath.libmp import to_rational
 from rearrange_lab.errors import ExactUnavailable, InputError
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
+from rearrange_lab.oscillation import BlockDecomposition, ZeroMeanBlock
 from rearrange_lab.rearrange import (StepProfile, _check_family,
-                                     _values_on_grid, align)
+                                     _values_on_grid, align,
+                                     decreasing_rearrangement, make_profile)
 from rearrange_lab.scalars import (DOUBLE_PRECISION, INF,
                                    from_common_denominator, in_family,
-                                   in_lowest_terms)
+                                   in_lowest_terms, parse_scalar)
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction,
                                   _check_values, center, common_space,
                                   integrate, multiply)
@@ -639,3 +644,58 @@ def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
         if run_p > run_q:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the blocks' profile sum
+
+def profile_add(p: StepProfile, q: StepProfile) -> StepProfile:
+    """Pointwise sum (still nonincreasing, hence a valid profile)."""
+    widths, (pv, qv) = align(p, q)
+    return make_profile((a + b, w) for a, b, w in zip(pv, qv, widths))
+
+
+def profile_sum(dec: BlockDecomposition) -> StepProfile:
+    """Segment-wise sum of the blocks' decreasing rearrangements.
+
+    For the decomposition of g, the sum carries the same total mass as
+    g* and dominates it in running integral.  Segment-wise equality with g* holds for two-level
+    inputs (and, e.g., the worked four-atom case) but not for arbitrary
+    zero-mean functions: a block's balance-scaled side can interleave in
+    value with later blocks, and no decomposition within these
+    invariants avoids that.
+    """
+    total = make_profile([])
+    for block in dec.blocks:
+        total = profile_add(
+            total, decreasing_rearrangement(block.to_function())
+        )
+    return total
+
+
+# ---------------------------------------------------------------------------
+# parsers of the CLI's profile and block JSON
+
+def profile_from_json(obj: dict) -> StepProfile:
+    try:
+        pairs = [(parse_scalar(v), parse_scalar(l)) for v, l in obj["segments"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad profile object: {exc}") from exc
+    return StepProfile(tuple(pairs))
+
+
+def decomposition_from_json(obj: dict, space: DiscreteSpace) -> BlockDecomposition:
+    try:
+        blocks = tuple(
+            ZeroMeanBlock(
+                parse_scalar(item["a"]),
+                frozenset(item["A"]),
+                parse_scalar(item["b"]),
+                frozenset(item["B"]),
+                space,
+            )
+            for item in obj["blocks"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad decomposition object: {exc}") from exc
+    return BlockDecomposition(blocks)

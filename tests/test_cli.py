@@ -14,9 +14,9 @@ from hypothesis import given, settings
 
 from rearrange_lab import cli, errors
 from rearrange_lab.cli import FlagError, run
-from rearrange_lab.oscillation import decomposition_from_json
-from rearrange_lab.rearrange import profile_from_json
 from rearrange_lab.spaces import space_from_json
+
+from oracles import decomposition_from_json, profile_from_json
 
 INSTANCE = {
     "space": {"weights": ["0.2", "0.3", "0.5"]},
@@ -201,18 +201,6 @@ def test_search_infeasible_exits_3(capsys):
     assert capsys.readouterr().err.startswith("error: InfeasibleProblem:")
 
 
-def test_landscape_command(tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    assert run(["landscape", "--target", "thm41-ratio", "--grid", "7",
-                "--out", str(out)]) == 0
-    text = out.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "param1,param2,lhs,rhs,ratio"
-    assert len(lines) == 8
-    assert run(["landscape", "--target", "thm32-ratio", "--grid", "3"]) == 0
-    assert capsys.readouterr().out.count("\n") == 4
-
-
 def test_precision_env_var(monkeypatch, capsys):
     monkeypatch.setenv("REARRANGE_LAB_PRECISION", "64")
     assert run(["verify", "--suite", "thm41", "--trials", "10",
@@ -269,7 +257,6 @@ EXIT_CODES = {
     errors.NotZeroMean: 3,
     errors.EmptyInput: 3,
     errors.InfeasibleProblem: 3,
-    errors.TooManyFreeParameters: 3,
 }
 
 
@@ -321,7 +308,6 @@ _SMALL_RUNS = {
     "verify": ["verify", "--suite", "thm32", "--atoms", "3", "--trials", "2"],
     "search": ["search", "--target", "thm32-ratio", "--iters", "2",
                "--restarts", "1"],
-    "landscape": ["landscape", "--target", "thm32-ratio", "--grid", "3"],
 }
 
 

@@ -148,15 +148,18 @@ EXPECTED = {
     "error-unknown-flag": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         2, "error: FlagError"),
+    # exited 0 with a CSV before the landscape subcommand was removed
     "landscape-thm32": (
-        "e7f7e311bbd9deac2eb3848e4096d34e7d1717c04ee76bb806175b3ee0951413",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: FlagError"),
+    # exited 0 with a CSV before the landscape subcommand was removed
     "landscape-thm41": (
-        "8fd08e33e3c011b062c990520ca19c21a91191752b88bb3375a6fe975b3f98f4",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: FlagError"),
+    # exited 0 with a CSV before the landscape subcommand was removed
     "landscape-thm43": (
-        "8fd08e33e3c011b062c990520ca19c21a91191752b88bb3375a6fe975b3f98f4",
-        0, ""),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: FlagError"),
     "lemma31": (
         "8d00f7db2162fd4df2a86eb06152ca455186c2beeb1d49e4230270c7ef2002b7",
         0, ""),

@@ -12,12 +12,13 @@ from conftest import (function_pairs, function_triples, functions,
 from oracles import (ProductKernel, derivation, derivation_adjoint,
                      former_bilinear_form, function_pairing, kernel_add,
                      kernel_left, kernel_pairing, kernel_right,
-                     product_identity_check, profile_submajorizes,
+                     decomposition_from_json, product_identity_check,
+                     profile_submajorizes, profile_sum,
                      variance_identity_check)
 from rearrange_lab.errors import (EmptyInput, InputError, NotZeroMean,
                                   PreconditionViolated)
-from rearrange_lab.oscillation import (BlockDecomposition, ZeroMeanBlock,
-                                       bilinear_form, decomposition_from_json,
+from rearrange_lab.norms import L1, norm
+from rearrange_lab.oscillation import (ZeroMeanBlock, bilinear_form,
                                        decomposition_to_json, lemma31_bound,
                                        zero_mean_decompose)
 from rearrange_lab.rearrange import decreasing_rearrangement, make_profile
@@ -318,7 +319,7 @@ def test_decomposition_worked_fixture():
     assert (b2.a, b2.A, b2.b, b2.B) == (2, frozenset({0}), 1, frozenset({2, 3}))
     gstar = decreasing_rearrangement(g)
     assert gstar.segments == ((3, F(1, 4)), (2, F(1, 2)), (1, F(1, 4)))
-    assert dec.profile_sum() == gstar
+    assert profile_sum(dec) == gstar
     assert decreasing_rearrangement(b1.to_function()) == \
         make_profile([(F(1), F(1))])
     assert decreasing_rearrangement(b2.to_function()) == \
@@ -374,10 +375,9 @@ def test_decomposition_contract(f):
     # (d') the blocks' profile sum carries the mass of g* and dominates
     # it in running integral; segment-wise equality is not available for
     # arbitrary zero-mean g (see the frozen counterexample below)
-    from rearrange_lab.rearrange import profile_moment
     gstar = decreasing_rearrangement(g)
-    total_profile = dec.profile_sum()
-    assert profile_moment(total_profile, 1) == profile_moment(gstar, 1)
+    total_profile = profile_sum(dec)
+    assert norm(L1, total_profile) == norm(L1, gstar)
     assert profile_submajorizes(gstar, total_profile)
     # (e) round count within the level budget
     m = len({v for v in g.values if v > 0})
@@ -400,7 +400,7 @@ def test_decomposition_profile_sum_exact_for_two_level(data):
     g = SimpleFunction(values, sp)
     dec = zero_mean_decompose(g)
     assert len(dec.blocks) == 1
-    assert dec.profile_sum() == decreasing_rearrangement(g)
+    assert profile_sum(dec) == decreasing_rearrangement(g)
 
 
 def test_decomposition_profile_sum_counterexample():
@@ -412,13 +412,12 @@ def test_decomposition_profile_sum_counterexample():
     g = SimpleFunction(
         (F(23, 20), F(-22, 20), F(-27, 20), F(13, 20), F(13, 20)), sp)
     dec = zero_mean_decompose(g)
-    from rearrange_lab.rearrange import profile_moment
     gstar = decreasing_rearrangement(g)
-    total = dec.profile_sum()
+    total = profile_sum(dec)
     assert total != gstar
     assert total.segments[0] == (F(59, 40), F(1, 5))
     assert gstar.segments[0] == (F(27, 20), F(1, 5))
-    assert profile_moment(total, 1) == profile_moment(gstar, 1)
+    assert norm(L1, total) == norm(L1, gstar)
     assert profile_submajorizes(gstar, total)
 
 

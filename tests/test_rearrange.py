@@ -7,7 +7,8 @@ from hypothesis import given, settings
 
 from conftest import (function_pairs, functions, off_lattice_functions,
                       off_lattice_scalars, off_lattice_spaces, same_bits)
-from oracles import former_profile_from_numerators
+from oracles import (former_profile_from_numerators, profile_add,
+                     profile_from_json)
 from rearrange_lab.errors import InputError
 from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      distribution_measure, equimeasurable,
@@ -15,9 +16,8 @@ from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
                                      layer_decompose, layer_reconstruct,
                                      lp_moments, make_profile,
                                      nonexpansive_moments,
-                                     profile_add, profile_difference_moment,
+                                     profile_difference_moment,
                                      profile_difference_sup,
-                                     profile_from_json,
                                      profile_integrate_product, profile_leq,
                                      profile_level_measure, profile_to_json,
                                      truncation_ladder)

@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rearrange_lab.errors import (InfeasibleProblem, InputError,
-                                  TooManyFreeParameters)
+from rearrange_lab.errors import InfeasibleProblem, InputError
 from conftest import same_bits
 from rearrange_lab.norms import (L1, Associate, ConcaveWeight, LorentzLambda,
                                  Lp)
 from rearrange_lab.scalars import INF
 from rearrange_lab.search import (SearchProblem, _excess_certificate, _sides,
-                                  _state_functions,
-                                  landscape_csv, landscape_rows, search)
+                                  _state_functions, search)
 from rearrange_lab.spaces import instance_from_json, integrate
 from rearrange_lab.verify import thm43_sides
 
@@ -101,44 +99,6 @@ def test_search_determinism():
     assert a == b == c
     d = search(prob, 200, 4, seed=12).to_json_dict()
     assert d != a
-
-
-def test_landscape_thm41_rows():
-    rows = landscape_rows(SearchProblem(target="thm41-ratio", atoms=2), 101)
-    assert len(rows) == 101
-    assert rows[0]["param1"] == -2.0 and rows[-1]["param1"] == 2.0
-    for row in rows:
-        assert row["ratio"] == "" or row["ratio"] <= 1 + 1e-12
-
-
-def test_landscape_thm32_equality_at_one():
-    rows = landscape_rows(SearchProblem(target="thm32-ratio", atoms=2), 81)
-    hit = [r for r in rows if abs(r["param1"] - 1.0) < 1e-12]
-    assert hit and hit[0]["ratio"] == pytest.approx(1.0, abs=1e-12)
-    assert all(r["ratio"] == "" or r["ratio"] <= 1 + 1e-12 for r in rows)
-
-
-def test_landscape_degenerate_grid():
-    assert len(landscape_rows(SearchProblem(target="thm32-ratio", atoms=2), 1)) == 1
-
-
-def test_landscape_csv_shape():
-    rows = landscape_rows(SearchProblem(target="thm43-ratio", atoms=2,
-                                        norm=Lp(2)), 5)
-    text = landscape_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "param1,param2,lhs,rhs,ratio"
-    assert len(lines) == 6
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert len(parts) == 5
-        assert float(parts[4]) <= 1 + 1e-12
-
-
-def test_landscape_needs_two_atoms():
-    prob = SearchProblem(target="thm32-ratio", atoms=3)
-    with pytest.raises(TooManyFreeParameters):
-        landscape_rows(prob, 11)
 
 
 @pytest.mark.parametrize("target", ["thm41-ratio", "thm43-ratio"])

@@ -62,6 +62,19 @@ def test_config_validation():
     TrialConfig(suite="thm43", mode="exact", norm=LorentzLambda(PHI))
 
 
+@pytest.mark.parametrize("precision", [0, 24, 52])
+def test_precision_below_a_double_is_refused_by_name(precision):
+    """A library caller meets the CLI's floor, not a weight-sum error
+    that blames the input for the program's own rounding."""
+    with pytest.raises(InputError, match=(
+            "^precision must be at least 53 "
+            rf"\(a double\), got {precision}$")):
+        run_suite(TrialConfig(suite="thm41", mode="float",
+                              precision=precision, atoms=6, trials=5))
+    run_suite(TrialConfig(suite="thm41", mode="float", precision=53,
+                          atoms=6, trials=5))
+
+
 @pytest.mark.parametrize("suite,mode", [
     ("thm32", "exact"), ("lemma31", "exact"), ("thm41", "float"),
     ("thm43", "float"), ("rearrange", "exact"),
