@@ -81,6 +81,21 @@ def test_unknown_flag_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: FlagError:")
 
 
+def test_landscape_is_no_subcommand(capsys):
+    """The two-atom landscape table equalled L1 for every r.i. norm and
+    was removed; its old invocation is argparse's invalid choice, and
+    the help lists only the four subcommands that remain."""
+    assert run(["landscape", "--target", "thm41-ratio", "--grid", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: FlagError: argument command: invalid choice: 'landscape'")
+    assert captured.err.count("\n") == 1
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    assert "{rearrange,decompose,verify,search}" in capsys.readouterr().out
+
+
 def test_invalid_exponents_exit_2(capsys):
     assert run(["verify", "--suite", "thm41", "--trials", "5",
                 "--exponents", "1,2,2,3,3"]) == 2

@@ -443,6 +443,19 @@ def test_decomposition_json_roundtrip():
     assert back.blocks == dec.blocks
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({}, "^bad decomposition object: "),
+    ({"blocks": 5}, "^bad decomposition object: "),
+    ({"blocks": [{"a": "1", "A": [0], "B": [1]}]},
+     "^bad decomposition object: "),
+    ({"blocks": [{"a": "1", "A": [0], "b": "2", "B": [1]}]},
+     "^block is not balanced"),
+])
+def test_decomposition_from_json_refuses_malformed_objects(doc, message):
+    with pytest.raises(InputError, match=message):
+        decomposition_from_json(doc, equal_space(4))
+
+
 # ---------------------------------------------------------------------------
 # the off-support cross-term bound
 

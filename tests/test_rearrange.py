@@ -240,6 +240,17 @@ def test_profile_json_roundtrip():
     assert profile_from_json(doc) == prof
 
 
+@pytest.mark.parametrize("doc", [
+    {},
+    {"segments": 3},
+    {"segments": [["x", "1"]]},
+    {"segments": [["1"]]},
+])
+def test_profile_from_json_refuses_malformed_objects(doc):
+    with pytest.raises(InputError, match="^bad profile object: "):
+        profile_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # the integer-numerator kernels against plain scalar loops
 

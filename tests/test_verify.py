@@ -75,6 +75,16 @@ def test_precision_below_a_double_is_refused_by_name(precision):
                           atoms=6, trials=5))
 
 
+@pytest.mark.parametrize("precision", [53, 64, 113])
+def test_precision_at_or_above_a_double_is_kept(precision):
+    """The floor refuses nothing from 53 bits up; the report carries the
+    width the caller asked for."""
+    assert verify_mod.check_precision(precision, "precision") == precision
+    report = run_suite(TrialConfig(suite="thm41", mode="float",
+                                   precision=precision, atoms=6, trials=5))
+    assert report.to_json_dict()["config"]["precision"] == precision
+
+
 @pytest.mark.parametrize("suite,mode", [
     ("thm32", "exact"), ("lemma31", "exact"), ("thm41", "float"),
     ("thm43", "float"), ("rearrange", "exact"),
