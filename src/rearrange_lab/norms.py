@@ -14,10 +14,10 @@ is the Lorentz norm itself (the Lorentz-Luxemburg theorem X'' = X), so
 it is evaluated exactly like one.
 
 The Lorentz norm and its associate read phi from a table built once per
-weight and arithmetic family (exact, double, mpf at each precision), in
-one walk over the profile's boundaries and phi's breakpoints.  In floats
-the results are those of exact breakpoints mixed with float scalars, bit
-for bit: comparisons are exact and each operation rounds as
+weight and arithmetic family (exact, double, mpf at each precision), at
+the profile's boundaries and, for the associate, phi's breakpoints.  In
+floats the results are those of exact breakpoints mixed with float
+scalars, bit for bit: comparisons are exact and each operation rounds as
 float(a) op float(b) would.
 """
 
@@ -45,11 +45,10 @@ from .spaces import SimpleFunction, common_space
 class _WeightTable(NamedTuple):
     """phi in one arithmetic family (see ConcaveWeight).
 
-    ``points`` has one entry (below, s, phi(s), at, piece) per breakpoint
-    t_k in (0, 1]: a scalar b of the family is < t_k exactly when b <
-    below; s is t_k as a point of the family's unit grid; ``at`` is phi(b)
-    for a b equal to t_k, or None if the family has no such b; piece is
-    the linear piece of the b between the previous breakpoint and t_k.
+    ``points`` has one entry (below, on, t, phi(t)) per breakpoint t in
+    (0, 1], t and phi(t) as the family computes with them: a scalar b of
+    the family is < t exactly when b < below, and == t when on and b ==
+    below.
     """
 
     zero: object  # phi(t) for t <= 0
@@ -92,9 +91,10 @@ class ConcaveWeight:
     with a float: t is compared with the breakpoints exactly (through the
     nearest doubles below and above them), each constant of the linear
     formula is the exact difference or breakpoint rounded once, and
-    phi(t) is the Fraction 0 or 1 for t <= 0 or t >= 1.  An mpf t gets
-    the breakpoints rounded to the working precision, one table per
-    precision.
+    phi(t) is the Fraction 0 or 1 for t <= 0 or t >= 1; a breakpoint and
+    its value are kept as the doubles a Fraction rounds to in a float
+    operation.  An mpf t gets the breakpoints rounded to the working
+    precision, one table per precision.
     """
 
     breakpoints: tuple  # ((t, phi(t)), ...)
@@ -136,22 +136,17 @@ class ConcaveWeight:
         pieces = [(t0, v0, v1 - v0, t1 - t0)
                   for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
         if isinstance(x, float):  # Fraction op float is float(a) op float(b)
-            pieces = [tuple(map(float, piece)) for piece in pieces]
-            table = _WeightTable(pts[0][1], pts[-1][1],
-                                 [_double_at_most(t) for t, _ in pts[1:]],
-                                 pieces, [])
-            table.points.extend(
-                (_double_at_least(t), t, v,
-                 _phi(table, float(t)) if float(t) == t else None, piece)
-                for (t, v), piece in zip(pts[1:], pieces))
-            return table
+            return _WeightTable(
+                pts[0][1], pts[-1][1],
+                [_double_at_most(t) for t, _ in pts[1:]],
+                [tuple(map(float, piece)) for piece in pieces],
+                [(_double_at_least(t), float(t) == t, float(t), float(v))
+                 for t, v in pts[1:]])
         table = _WeightTable(pts[0][1], pts[-1][1], [t for t, _ in pts[1:]],
                              pieces, [])
         for t, _ in pts[1:]:  # rounding to mpf may merge breakpoints
             if not table.points or t != table.points[-1][0]:
-                w = _phi(table, t)
-                table.points.append(
-                    (t, t, w, w, pieces[bisect_left(table.ends, t)]))
+                table.points.append((t, True, t, _phi(table, t)))
         return table
 
 
@@ -190,10 +185,6 @@ class Associate:
 L1 = Lp(1)
 L2 = Lp(2)
 LINF = Lp(INF)
-
-#: the sup norm of an empty profile
-_ZERO = Fraction(0)
-
 
 def dual_exponent(p):
     if p == INF:
@@ -327,57 +318,22 @@ def _lp_norm(p, f, precision):
     else:
         values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
     if isinstance(p, float):
-        return max(values, default=_ZERO)
+        return max(values, default=Fraction(0))
     total = 0  # a plain loop: sum() compensates float sums from Python 3.12
     for v, w in zip(_powers(values, p, precision), weights):
         total = total + v * w
     return _root(total, p, precision)
 
 
-def _unit_grid(phi: ConcaveWeight, prof: StepProfile):
-    """phi along the profile, from one walk over the profile's boundaries
-    and phi's breakpoints in the profile's arithmetic.
-
-    Returns (at_bounds, grid): phi(min(b, 1)) for each boundary b, and
-    (H(s), phi(s)) for each point s of the unit grid -- the boundaries in
-    (0, 1] merged with phi's breakpoints in (0, 1], a boundary standing
-    for a breakpoint equal to it -- in ascending order, where H(s) is the
-    integral of the profile over [0, s].  The profile's lengths are of one
-    arithmetic family, as in every profile built from a SimpleFunction.
-    """
-    bounds, segments = prof.boundaries, prof.segments
-    table = phi._table_for(bounds[-1])
-    at_bounds, grid = [_ZERO], []  # phi(0) of the int boundary 0 is exact
-    prefix, j, n = 0, 0, len(segments)  # prefix: segments ending by s
-    for below, s, w, at, (t0, v0, dv, dt) in table.points:
-        while j < n and bounds[j + 1] < below:  # boundaries before s
-            b = bounds[j + 1]
-            prefix = prefix + segments[j][0] * (b - bounds[j])
-            j += 1
-            at_bounds.append(v0 + dv * (b - t0) / dt)
-            if j == n or bounds[j + 1] != b:  # equal boundaries: one point
-                grid.append((prefix, at_bounds[-1]))
-        if at is not None and j < n and bounds[j + 1] == below:
-            b = bounds[j + 1]  # boundaries at s stand for it
-            while j < n and bounds[j + 1] == b:
-                prefix = prefix + segments[j][0] * (bounds[j + 1] - bounds[j])
-                j += 1
-                at_bounds.append(at)
-            grid.append((prefix, at))
-        elif j < n:
-            grid.append((prefix + segments[j][0] * (s - bounds[j]), w))
-        else:
-            grid.append((prefix, w))
-    at_bounds += [table.one] * (n - j)  # boundaries beyond 1
-    return at_bounds, grid
-
-
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
-    """Stieltjes sum of the profile against d(phi)."""
-    total = 0
-    at_bounds = _unit_grid(phi, prof)[0]
-    for (v, _), a, b in zip(prof.segments, at_bounds, at_bounds[1:]):
-        total = total + v * (b - a)
+    """Stieltjes sum of the profile against d(phi), phi read at each
+    boundary."""
+    bounds = prof.boundaries
+    table = phi._table_for(bounds[-1])
+    total, low = 0, table.zero
+    for (v, _), b in zip(prof.segments, bounds[1:]):
+        high = _phi(table, b)
+        total, low = total + v * (high - low), high
     return total
 
 
@@ -387,10 +343,30 @@ def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
     On each atom interval H is linear and phi concave, so H - c phi is
     convex for every c and the sup is attained at an atom boundary: it is
     the max over sets A of the integral of |h| on A over phi(mu(A)), the
-    dual of the Lorentz norm on any finite space (Bach 2010).
+    dual of the Lorentz norm on any finite space (Bach 2010).  One pass
+    takes the boundaries up to 1, a second phi's breakpoints that no
+    boundary equals: a float boundary next to one reads phi through a
+    rounded formula, and the breakpoint's phi(t) can round the sup right.
     """
-    best = 0
-    for h, w in _unit_grid(phi, prof)[1]:
+    bounds, segments = prof.boundaries, prof.segments
+    table = phi._table_for(bounds[-1])
+    best = prefix = 0
+    running = [0]  # H at each boundary <= 1
+    for (v, _), a, b in zip(segments, bounds, bounds[1:]):
+        if b > 1:
+            break
+        prefix = prefix + v * (b - a)
+        running.append(prefix)
+        ratio = prefix / _phi(table, b)
+        if ratio > best:
+            best = ratio
+    for below, on, s, w in table.points:
+        j = bisect_left(bounds, below) - 1  # the last boundary before t
+        if on and j + 1 < len(bounds) and bounds[j + 1] == below:
+            continue  # a boundary stands for t
+        h = running[j]
+        if j < len(segments):
+            h = h + segments[j][0] * (s - bounds[j])
         ratio = h / w
         if ratio > best:
             best = ratio

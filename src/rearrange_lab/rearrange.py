@@ -6,20 +6,17 @@ equimeasurable with |f|.  It is represented canonically as a
 `StepProfile`: strictly decreasing positive values with positive segment
 lengths, zero beyond the total length.  Products and L^p integrals
 of profiles are computed on the merged breakpoint grid, exactly when the
-scalars are exact.  `align` is the one builder of that grid: it returns the
-width of every grid interval and each profile's value on it, and every
-pairwise profile operation here is a single pass over its output.
+scalars are exact.  `align` is the one builder of that grid, on the int
+numerators that profiles keep, and every profile operation here is a
+single pass over its output that scales back once.
 
-The two kernels of the thm32 bound read the int numerators that
-functions, spaces and profiles keep from construction, and scale back
-once.  `decreasing_rearrangement` adds the weight numerators of equal
-magnitudes of f's numerators and sorts the distinct magnitudes, and
-`StepProfile.from_numerators` checks the merged segments on those ints
-and keeps them; the segments are scaled back on first read only.
-`profile_integrate_product` puts the profiles' length numerators on one
-unit and integrates on ints, scaling the one integral back.  Binary
-scalars run the same code with the unit 1, in their own arithmetic and
-in the order of operations of a plain loop.
+The kernels read the int numerators that functions, spaces and profiles
+keep from construction.  `decreasing_rearrangement` adds the weight
+numerators of equal magnitudes of f's numerators and sorts the distinct
+magnitudes, and `StepProfile.from_numerators` checks the merged segments
+on those ints and keeps them; the segments are scaled back on first read
+only.  Binary scalars run the same code with the unit 1, in their own
+arithmetic and in the order of operations of a plain loop.
 """
 
 from __future__ import annotations
@@ -27,13 +24,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, reduce
+from itertools import accumulate, repeat
+from math import prod
+from operator import add, le, sub
 
 from .errors import InputError
 from .scalars import (INF, check_one_family, format_scalar,
                       from_common_denominator, in_lowest_terms,
-                      over_common_denominator, over_one_unit)
+                      over_common_denominator, over_one_unit, unit_product)
 from .spaces import DiscreteSpace, SimpleFunction, common_space
 
 
@@ -203,84 +202,66 @@ def profile_level_measure(profile: StepProfile, t):
 # ---------------------------------------------------------------------------
 # merged-grid arithmetic
 
-def _values_on_grid(values, bounds, cuts):
-    """Value on each interval [cuts[j], cuts[j+1]) of the step function
-    with segment values `values` between boundaries `bounds`, and beyond
-    them the int 0, which mixes with every arithmetic family.  The
-    boundaries start at 0 and the cuts at or after it."""
-    n = len(values)
-    out = []
-    for t in cuts[:-1]:
-        seg = bisect_right(bounds, t) - 1
-        out.append(values[seg] if seg < n else 0)
-    return out
-
-
-def _grid(steps):
-    """(widths, rows) of step functions given as (values, boundaries)."""
-    cuts = sorted(set().union(*(bounds for _, bounds in steps)))
-    widths = [b - a for a, b in zip(cuts, cuts[1:])]
-    return widths, [_values_on_grid(values, bounds, cuts)
-                    for values, bounds in steps]
-
-
 def align(*profiles):
-    """Put profiles on their merged breakpoint grid.
+    """Put profiles on their merged breakpoint grid, in the numerators
+    they keep: (widths, rows, unit), the widths over the one length unit
+    that `over_one_unit` gives all profiles, and per profile its value
+    numerators on the grid over its own ``value_unit``, the int 0 (which
+    mixes with every arithmetic family) beyond its length."""
+    lengths, unit = over_one_unit(
+        [(p.length_numerators, p.length_unit) for p in profiles])
+    bounds = [(0, *accumulate(numerators)) for numerators in lengths]
+    cuts = sorted(set().union(*bounds))
+    widths = [b - a for a, b in zip(cuts, cuts[1:])]
+    rows = [list(map((None, *p.value_numerators, 0).__getitem__,  # 1 + segment
+                     map(bisect_right, repeat(ends), cuts[:-1])))
+            for p, ends in zip(profiles, bounds)]
+    return widths, rows, unit
 
-    Returns (widths, rows): the width of each grid interval, and for each
-    profile the list of its values on those intervals.
-    """
-    return _grid([(tuple(v for v, _ in p.segments), p.boundaries)
-                  for p in profiles])
+
+def _on_one_unit(p: StepProfile, q: StepProfile):
+    """align(p, q) as (widths, unit, rows, value unit), the rows on one
+    unit; an empty profile's zeros take the other's (its own is exact, and
+    a Fraction does not mix with an mpf)."""
+    widths, rows, unit = align(p, q)
+    units = [a.value_unit if a.value_numerators else b.value_unit
+             for a, b in ((p, q), (q, p))]
+    rows, value_unit = over_one_unit(list(zip(rows, units)))
+    return widths, unit, rows, value_unit
 
 
 def profile_integrate_product(profiles):
     """Integral over [0, infinity) of the pointwise product of profiles
-    (the int 0, which mixes with every arithmetic family, if one is empty).
-
-    Each profile's value numerators keep their own unit and its length
-    numerators are put on one unit shared by all profiles, so the grid is
-    built and integrated in ints and the integral is multiplied by the
-    product of the units once.
+    (the int 0, which mixes with every arithmetic family, if one is empty),
+    from the left over `align`'s grid (`sum` would compensate float sums
+    from Python 3.12 on) and multiplied by the product of the units once.
     """
     if not profiles:
         raise InputError("need at least one profile")
     if any(not p.length_numerators for p in profiles):
         return 0
-    lengths, unit = over_one_unit(
-        [(p.length_numerators, p.length_unit) for p in profiles])
-    steps = []
-    for p, numerators in zip(profiles, lengths):
-        steps.append((p.value_numerators, (0, *accumulate(numerators))))
-        unit = unit * p.value_unit
-    widths, rows = _grid(steps)
-    total = 0
-    for j, width in enumerate(widths):
-        term = width
-        for row in rows:
-            term = term * row[j]
-        total = total + term
-    return total * unit
+    widths, rows, unit = align(*profiles)
+    total = reduce(add, map(prod, zip(widths, *rows)), 0)
+    return total * unit_product(unit, *(p.value_unit for p in profiles))
 
 
 def profile_leq(p: StepProfile, q: StepProfile) -> bool:
     """Pointwise p <= q on [0, infinity)."""
-    _, (pv, qv) = align(p, q)
-    return all(a <= b for a, b in zip(pv, qv))
+    _, _, (pv, qv), _ = _on_one_unit(p, q)
+    return all(map(le, pv, qv))
 
 
 def profile_difference_moment(p: StepProfile, q: StepProfile, k: int):
-    """Integral of |p - q|^k on the merged grid."""
-    widths, (pv, qv) = align(p, q)
-    return sum(
-        (abs(a - b) ** k * w for a, b, w in zip(pv, qv, widths)),
-        start=Fraction(0),
-    )
+    """Integral of |p - q|^k on the merged grid, scaled back once."""
+    widths, unit, (pv, qv), value_unit = _on_one_unit(p, q)
+    total = reduce(add, (abs(a - b) ** k * w
+                         for a, b, w in zip(pv, qv, widths)), 0)
+    return total * (value_unit ** k * unit)
 
 
 def profile_difference_sup(p: StepProfile, q: StepProfile):
-    _, (pv, qv) = align(p, q)
-    return max((abs(a - b) for a, b in zip(pv, qv)), default=Fraction(0))
+    _, _, (pv, qv), value_unit = _on_one_unit(p, q)
+    return max(map(abs, map(sub, pv, qv)), default=0) * value_unit
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import InfeasibleProblem, InputError
 from .scalars import DOUBLE_PRECISION
 from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
 from .verify import (_TRIALS, Instance, _certified, _evaluate, _keyed_rng,
-                     _recheck, _recheck_mode, parameters_json,
+                     _recheck, _recheck_mode, check_int, parameters_json,
                      suite_parameters)
 
 #: target -> (verify suite, form label of that suite)
@@ -57,7 +57,7 @@ class SearchProblem:
                                            self.norm)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "norm", norm)
-        if self.atoms < 2:
+        if check_int(self.atoms, "atoms") < 2:
             raise InfeasibleProblem(
                 "a single atom forces RHS = 0 on every admissible instance"
             )
@@ -206,7 +206,8 @@ def search(problem: SearchProblem, iters: int, restarts: int,
     """Coordinate hill climbing from seeded restarts; deterministic in
     (problem, iters, restarts, seed) and independent of restart order or
     thread schedule (results reduce in restart order)."""
-    if iters < 1 or restarts < 1 or threads < 1:
+    if any(check_int(value, name) < 1 for value, name in (
+            (iters, "iters"), (restarts, "restarts"), (threads, "threads"))):
         raise InputError("iters, restarts and threads must be >= 1")
     space = problem.space()
 

@@ -75,16 +75,20 @@ class DiscreteSpace:
         """mu(A) for a set of atom indices."""
         return sum((self.weights[i] for i in atoms), start=Fraction(0) * self.weights[0])
 
+    @functools.cached_property
+    def all_atoms(self) -> AtomSet:
+        """The set of all atom indices, built once per space."""
+        return frozenset(range(self.n))
+
     def check_atoms(self, atoms: Iterable[int]) -> AtomSet:
         s = frozenset(atoms)
-        n = self.n
-        if s and not (all(map(isinstance, s, repeat(int)))
-                      and 0 <= min(s) and max(s) < n):
-            raise InputError(f"atom indices out of range for n={n}: {sorted(s)}")
+        if not (all(map(isinstance, s, repeat(int))) and s <= self.all_atoms):
+            raise InputError(
+                f"atom indices out of range for n={self.n}: {sorted(s)}")
         return s
 
     def complement(self, atoms: AtomSet) -> AtomSet:
-        return frozenset(range(self.n)) - atoms
+        return self.all_atoms - atoms
 
 
 @functools.cache

@@ -100,10 +100,17 @@ def parameters_json(exponents, norm) -> dict:
     return out
 
 
+def check_int(value, name: str) -> int:
+    """value, an int and not a bool; `name` is what the error calls it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_precision(precision: int, name: str) -> int:
-    """The float-mode significand width, at least a double's; `name` is
-    what the error message calls it."""
-    if precision < DOUBLE_PRECISION:
+    """The float-mode significand width, an int at least a double's;
+    `name` is what the error message calls it."""
+    if check_int(precision, name) < DOUBLE_PRECISION:
         raise InputError(f"{name} must be at least {DOUBLE_PRECISION} "
                          f"(a double), got {precision}")
     return precision
@@ -131,9 +138,9 @@ class TrialConfig:
         exponents, X = suite_parameters(self.suite, self.exponents, self.norm)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "norm", X)
-        if self.atoms < 1:
+        if check_int(self.atoms, "atoms") < 1:
             raise InputError("need at least one atom")
-        if self.trials < 1:
+        if check_int(self.trials, "trials") < 1:
             raise InputError("need at least one trial")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
@@ -303,8 +310,7 @@ def thm32_sides(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     """LHS = oscillation form over the whole space; RHS = twice the
     product integral of the three rearrangements."""
     space = f.space
-    omega = frozenset(range(space.n))
-    lhs = bilinear_form(omega, omega, f, g, h)
+    lhs = bilinear_form(space.all_atoms, space.all_atoms, f, g, h)
     rhs = 2 * profile_integrate_product([
         decreasing_rearrangement(f),
         decreasing_rearrangement(g),

@@ -28,12 +28,16 @@ and ``variance_identity_check``) are an independent oracle for
 derivation_adjoint(f . derivation g) with h.  ``profile_submajorizes``
 checks running-integral domination of step profiles for the
 block-decomposition tests, and ``profile_sum`` adds the blocks'
-rearrangements with ``profile_add``.  ``profile_from_json`` and
+rearrangements with ``profile_add``; both read `align`'s numerator grid.
+The ``scalar_*`` functions are the pairwise profile kernels on the
+former grid of the profiles' scalars (``scalar_align``), the reference of
+the differential tests of `align`'s kernels.  ``profile_from_json`` and
 ``decomposition_from_json`` parse the CLI's rearrange and decompose
 output back, for round-trip tests.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,8 +48,7 @@ from rearrange_lab.errors import ExactUnavailable, InputError
 from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
 from rearrange_lab.oscillation import BlockDecomposition, ZeroMeanBlock
-from rearrange_lab.rearrange import (StepProfile, _check_family,
-                                     _values_on_grid, align,
+from rearrange_lab.rearrange import (StepProfile, _check_family, align,
                                      decreasing_rearrangement, make_profile)
 from rearrange_lab.scalars import (DOUBLE_PRECISION, INF,
                                    from_common_denominator, in_family,
@@ -216,7 +219,7 @@ def second_associate_lp_oracle(phi: ConcaveWeight, prof: StepProfile, precision)
     grid = reference_unit_grid(phi, prof)
     lengths = [float(b - a) for a, b in zip(grid, grid[1:])]
     m = len(lengths)
-    fvals = [float(v) for v in _values_on_grid(
+    fvals = [float(v) for v in values_on_grid(
         [v for v, _ in prof.segments], prof.boundaries, grid)]
     c = [-(fv * l) for fv, l in zip(fvals, lengths)]  # maximize sum f*_j L_j h_j
     a_ub, b_ub = [], []
@@ -628,6 +631,50 @@ def variance_identity_check(f: SimpleFunction):
 
 
 # ---------------------------------------------------------------------------
+# the profile grid in scalars, as the package built it before `align` read
+# the profiles' numerators
+
+def values_on_grid(values, bounds, cuts):
+    """Value on each interval [cuts[j], cuts[j+1]) of the step function
+    with segment values `values` between boundaries `bounds`, and beyond
+    them the int 0, which mixes with every arithmetic family.  The
+    boundaries start at 0 and the cuts at or after it."""
+    n = len(values)
+    out = []
+    for t in cuts[:-1]:
+        seg = bisect_right(bounds, t) - 1
+        out.append(values[seg] if seg < n else 0)
+    return out
+
+
+def scalar_align(*profiles):
+    """(widths, rows): the width of each interval of the profiles' merged
+    breakpoint grid, and each profile's values on those intervals."""
+    steps = [(tuple(v for v, _ in p.segments), p.boundaries)
+             for p in profiles]
+    cuts = sorted(set().union(*(bounds for _, bounds in steps)))
+    widths = [b - a for a, b in zip(cuts, cuts[1:])]
+    return widths, [values_on_grid(values, bounds, cuts)
+                    for values, bounds in steps]
+
+
+def scalar_profile_leq(p: StepProfile, q: StepProfile) -> bool:
+    _, (pv, qv) = scalar_align(p, q)
+    return all(a <= b for a, b in zip(pv, qv))
+
+
+def scalar_difference_moment(p: StepProfile, q: StepProfile, k: int):
+    widths, (pv, qv) = scalar_align(p, q)
+    return sum((abs(a - b) ** k * w for a, b, w in zip(pv, qv, widths)),
+               start=Fraction(0))
+
+
+def scalar_difference_sup(p: StepProfile, q: StepProfile):
+    _, (pv, qv) = scalar_align(p, q)
+    return max((abs(a - b) for a, b in zip(pv, qv)), default=Fraction(0))
+
+
+# ---------------------------------------------------------------------------
 # running-integral domination of step profiles
 
 def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
@@ -636,9 +683,11 @@ def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
     Both running integrals are piecewise linear with kinks only at the
     merged segment boundaries, so checking the boundaries is enough.
     """
-    widths, (pv, qv) = align(p, q)
+    widths, rows, unit = align(p, q)
+    pv, qv = (from_common_denominator(row, r.value_unit)
+              for row, r in zip(rows, (p, q)))
     run_p = run_q = Fraction(0)
-    for a, b, width in zip(pv, qv, widths):
+    for a, b, width in zip(pv, qv, from_common_denominator(widths, unit)):
         run_p = run_p + a * width
         run_q = run_q + b * width
         if run_p > run_q:
@@ -651,8 +700,11 @@ def profile_submajorizes(p: StepProfile, q: StepProfile) -> bool:
 
 def profile_add(p: StepProfile, q: StepProfile) -> StepProfile:
     """Pointwise sum (still nonincreasing, hence a valid profile)."""
-    widths, (pv, qv) = align(p, q)
-    return make_profile((a + b, w) for a, b, w in zip(pv, qv, widths))
+    widths, rows, unit = align(p, q)
+    pv, qv = (from_common_denominator(row, r.value_unit)
+              for row, r in zip(rows, (p, q)))
+    return make_profile((a + b, w) for a, b, w in
+                        zip(pv, qv, from_common_denominator(widths, unit)))
 
 
 def profile_sum(dec: BlockDecomposition) -> StepProfile:

@@ -2,7 +2,9 @@
 seed 0, reproduces the first report hash pinned in bench/pins.json, the
 bit-sensitive float Lorentz workload reproduces its hash at every pinned
 CLI seed, and so do the exact thm32 workload and the search workload.  Also checks
-that the norm workload runs without scipy.  bench/ is only read."""
+that the norm workload runs without scipy, and that the traced replay of
+the verify workloads (what ``bench/run.py --trace 1`` runs) reproduces
+their reports.  bench/ is only read."""
 
 import json
 import os
@@ -21,6 +23,7 @@ _BENCH_WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))
 WORKLOADS = _BENCH_WORKLOADS["WORKLOADS"]
 PINNED_SEEDS = _BENCH_WORKLOADS["PINNED_SEEDS"]
 PINS = json.loads((BENCH / "pins.json").read_text())
+REPLAY = runpy.run_path(str(BENCH / "replay.py"))
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -56,6 +59,20 @@ def test_search_workload_matches_every_pin(cli_seed, capsys):
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == \
         PINS["search-thm43-1t"]["hashes"][cli_seed]
+
+
+@pytest.mark.parametrize("name", ["thm43-lorentz-float", "thm32-exact-64"])
+def test_traced_replay_reproduces_the_report(name, capsys):
+    """The replay recomputes every trial through the public kernels and
+    finds the CLI report's minimum gap, argmin and configuration, and the
+    direct 113-bit recheck probe raises nothing."""
+    workload = WORKLOADS[name]
+    assert run(workload.cli_argv(0)) == 0
+    report = json.loads(capsys.readouterr().out)
+    replay = REPLAY["replay_verify"](workload, 0, report, seconds=0)
+    assert replay["problems"] == []
+    assert replay["notes"] == []
+    assert replay["extra"]["verify.recheck.failed"] == 0
 
 
 def test_norm_workload_runs_without_scipy():

@@ -3,14 +3,16 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import pytest
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (function_pairs, functions, off_lattice_functions,
                       off_lattice_scalars, off_lattice_spaces, same_bits)
 from oracles import (former_profile_from_numerators, profile_add,
-                     profile_from_json)
+                     profile_from_json, scalar_difference_moment,
+                     scalar_difference_sup, scalar_profile_leq)
 from rearrange_lab.errors import InputError
-from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
+from rearrange_lab.rearrange import (StepProfile, align,
+                                     decreasing_rearrangement,
                                      distribution_measure, equimeasurable,
                                      indicator_difference_rearrangement,
                                      layer_decompose, layer_reconstruct,
@@ -299,19 +301,21 @@ def product_integral_reference(profiles):
 
 
 @st.composite
-def off_lattice_profile_lists(draw):
-    """One to three profiles from off-lattice (value, length) pairs; a
-    profile is empty when all its values are 0."""
-    profiles = []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(0, 5))
-        values = draw(st.lists(off_lattice_scalars(0, 10**30),
-                               min_size=n, max_size=n))
-        lengths = draw(st.lists(off_lattice_scalars(1, 10**6),
-                                min_size=n, max_size=n))
-        profiles.append(make_profile(
-            sorted(zip(values, lengths), key=lambda pair: -pair[0])))
-    return profiles
+def off_lattice_profiles(draw):
+    """A profile from off-lattice (value, length) pairs; it is empty when
+    all its values are 0."""
+    n = draw(st.integers(0, 5))
+    values = draw(st.lists(off_lattice_scalars(0, 10**30),
+                           min_size=n, max_size=n))
+    lengths = draw(st.lists(off_lattice_scalars(1, 10**6),
+                            min_size=n, max_size=n))
+    return make_profile(
+        sorted(zip(values, lengths), key=lambda pair: -pair[0]))
+
+
+def off_lattice_profile_lists():
+    """One to three off-lattice profiles."""
+    return st.lists(off_lattice_profiles(), min_size=1, max_size=3)
 
 
 def _binary_profile(profile, precision):
@@ -510,3 +514,56 @@ def test_exact_layer_cake_stays_fraction():
     assert cake.thresholds == (0, 1, 2, 3)
     assert all(type(t) is F for t in cake.thresholds)
     assert all(type(v) is F for v in layer_reconstruct(cake).values)
+
+
+@st.composite
+def _profile_pairs(draw):
+    """Two off-lattice profiles: independent, equal, or the second with
+    the first's values scaled up (so that p <= q)."""
+    p = draw(off_lattice_profiles())
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return p, draw(off_lattice_profiles())
+    factor = 1 if kind == 1 else draw(st.integers(2, 5))
+    return p, make_profile((v * factor, l) for v, l in p.segments)
+
+
+@given(_profile_pairs(), off_lattice_profile_lists(),
+       st.sampled_from([None, 53, 113]), st.integers(1, 3))
+@example(pair=(make_profile([(F(3), F(1, 2))]), make_profile([])),
+         profiles=[make_profile([])], precision=113, k=2)
+@settings(max_examples=150, deadline=None)
+def test_aligned_kernels_are_the_scalar_grid(pair, profiles, precision, k):
+    """The kernels on align's numerator grid give the value and type of
+    the former grid of scalars (the product integral: of the former
+    kernel), exactly and bit for bit in binary; empty profiles included
+    (a binary one made by make_profile has the exact unit of no
+    scalars)."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            pair = [_binary_profile(p, precision) for p in pair]
+            profiles = [_binary_profile(p, precision) for p in profiles]
+        for a, b in (pair, pair[::-1]):
+            for got, expected in (
+                    (profile_leq(a, b), scalar_profile_leq(a, b)),
+                    (profile_difference_moment(a, b, k),
+                     scalar_difference_moment(a, b, k)),
+                    (profile_difference_sup(a, b),
+                     scalar_difference_sup(a, b)),
+                    (profile_integrate_product([a, b]),
+                     product_integral_reference([a, b])),
+                    (profile_integrate_product(profiles),
+                     product_integral_reference(profiles))):
+                assert same_bits(got, expected), (a, b, got, expected)
+
+
+def test_align_keeps_the_numerators():
+    """Widths over one length unit, each row in its profile's value
+    numerators with int zeros beyond its length."""
+    p = make_profile([(F(3, 2), F(1, 3)), (F(1, 2), F(1, 6))])
+    q = make_profile([(F(2, 5), F(1, 4))])
+    widths, rows, unit = align(p, q)
+    assert unit == F(1, 12) and widths == [3, 1, 2]
+    assert p.value_unit == F(1, 2) and rows[0] == [3, 3, 1]
+    assert q.value_unit == F(1, 5) and rows[1] == [2, 0, 0]
+    assert align(make_profile([]), make_profile([])) == ([], [[], []], 1)

@@ -53,6 +53,24 @@ def test_check_atoms_refuses_bad_indices(atoms):
         equal_space(3).check_atoms(atoms)
 
 
+@pytest.mark.parametrize("space", [
+    equal_space(1), DiscreteSpace((F(1, 5), F(3, 10), F(1, 2))),
+    DiscreteSpace((0.25, 0.75)),
+], ids=["one-atom", "weighted", "double"])
+def test_one_index_set_per_space(space):
+    """The space keeps one set of its indices; check_atoms tests subsets
+    against it and still refuses a float equal to an index."""
+    n = space.n
+    assert space.all_atoms == frozenset(range(n))
+    assert space.all_atoms is space.all_atoms
+    assert space.complement(frozenset({0})) == frozenset(range(1, n))
+    assert space.check_atoms(range(n)) == space.all_atoms
+    for bad in ([1.0], [-1], [n], [0.0]):
+        with pytest.raises(InputError,
+                           match=rf"^atom indices out of range for n={n}"):
+            space.check_atoms(bad)
+
+
 def test_check_atoms_accepts_indices_bools_and_the_empty_set():
     space = equal_space(3)
     assert space.check_atoms([2, 0, 2]) == frozenset({0, 2})

@@ -62,6 +62,36 @@ def test_config_validation():
     TrialConfig(suite="thm43", mode="exact", norm=LorentzLambda(PHI))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("precision", "64"), ("precision", None), ("precision", 60.5),
+    ("precision", 64.0), ("precision", True), ("atoms", "8"),
+    ("atoms", 8.0), ("atoms", True), ("trials", 5.0), ("trials", None),
+])
+def test_config_integers_are_checked_as_ints(field, value):
+    """A non-int or bool count or width is an input error naming the
+    field: a string or None raised TypeError, 60.5 and 64.0 ran, and
+    True ran as one atom."""
+    config = dict(suite="thm41", mode="float", atoms=6, trials=5)
+    config[field] = value
+    with pytest.raises(InputError,
+                       match=rf"^{field} must be an integer, got "):
+        TrialConfig(**config)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("atoms", 3.0), ("atoms", "3"), ("atoms", True), ("iters", "10"),
+    ("iters", 10.0), ("restarts", 2.0), ("restarts", True),
+    ("threads", None),
+])
+def test_search_integers_are_checked_as_ints(field, value):
+    run = dict(atoms=3, iters=10, restarts=1, threads=1)
+    run[field] = value
+    with pytest.raises(InputError,
+                       match=rf"^{field} must be an integer, got "):
+        search(SearchProblem(target="thm43-ratio", atoms=run.pop("atoms")),
+               **run)
+
+
 @pytest.mark.parametrize("precision", [0, 24, 52])
 def test_precision_below_a_double_is_refused_by_name(precision):
     """A library caller meets the CLI's floor, not a weight-sum error
