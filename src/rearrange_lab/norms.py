@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 import mpmath
@@ -34,8 +35,9 @@ import mpmath
 from .errors import ExactUnavailable, InputError
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
-from .scalars import DOUBLE_PRECISION, INF, binary_context, format_exponent, \
-    format_scalar, in_family, parse_exponent, parse_scalar, to_binary
+from .scalars import DOUBLE_PRECISION, INF, binary_context, dot, \
+    format_exponent, format_scalar, in_family, parse_exponent, parse_scalar, \
+    to_binary
 from .spaces import SimpleFunction, common_space
 
 
@@ -319,10 +321,7 @@ def _lp_norm(p, f, precision):
         values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
     if isinstance(p, float):
         return max(values, default=Fraction(0))
-    total = 0  # a plain loop: sum() compensates float sums from Python 3.12
-    for v, w in zip(_powers(values, p, precision), weights):
-        total = total + v * w
-    return _root(total, p, precision)
+    return _root(dot(_powers(values, p, precision), weights), p, precision)
 
 
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
@@ -330,11 +329,8 @@ def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):
     boundary."""
     bounds = prof.boundaries
     table = phi._table_for(bounds[-1])
-    total, low = 0, table.zero
-    for (v, _), b in zip(prof.segments, bounds[1:]):
-        high = _phi(table, b)
-        total, low = total + v * (high - low), high
-    return total
+    phis = [_phi(table, b) for b in bounds]
+    return dot([v for v, _ in prof.segments], map(sub, phis[1:], phis))
 
 
 def _lorentz_associate_norm(phi: ConcaveWeight, prof: StepProfile):
@@ -380,7 +376,7 @@ def hardy_littlewood_check(f: SimpleFunction, g: SimpleFunction):
     """Return (integral of |fg| d(mu), integral of f* g*); the first never
     exceeds the second."""
     weights = common_space(f, g).weights
-    lhs = sum(abs(a * b) * w for a, b, w in zip(f.values, g.values, weights))
+    lhs = dot([abs(a * b) for a, b in zip(f.values, g.values)], weights)
     rhs = profile_integrate_product(
         [decreasing_rearrangement(f), decreasing_rearrangement(g)]
     )

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 from .errors import EmptyInput, InputError, NotZeroMean, PreconditionViolated
-from .scalars import format_scalar, in_family, unit_product
+from .scalars import dot, format_scalar, in_family, unit_product
 from .spaces import (WEIGHT_SUM_TOLERANCE, AtomSet, DiscreteSpace,
                      SimpleFunction, common_space, integrate, support)
 
@@ -35,11 +33,9 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
     integrals run on the int numerators the functions and the space keep
     and the result is scaled once by unit_f unit_g unit_h unit_w^2.
 
-    Each integral multiplies its columns (the rows gathered in the atom
-    set's iteration order) term by term from the left and sums the terms
-    from the left, all in C-level `map` and `reduce`: `sum` would
-    compensate float sums from Python 3.12 on.  One set passed as both A
-    and B (as thm32 passes the whole space) is checked and gathered once.
+    Each integral is the `dot` of its columns, the rows gathered in the
+    atom set's iteration order.  One set passed as both A and B (as thm32
+    passes the whole space) is checked and gathered once.
     """
     space = common_space(f, g, h)
     same = A is B
@@ -54,17 +50,11 @@ def bilinear_form(A, B, f: SimpleFunction, g: SimpleFunction,
         fB, gB, wB = ([row[i] for i in B] for row in (
             f.numerators, g.numerators, space.numerators))
 
-    def over(*columns):
-        terms = columns[0]
-        for column in columns[1:]:
-            terms = map(mul, terms, column)
-        return reduce(add, terms, 0)
-
     return (
-        over(fB, gB, wB) * over(hA, wA)
-        - over(fB, wB) * over(gA, hA, wA)
-        + over(gB, wB) * over(fA, hA, wA)
-        - over(wB) * over(fA, gA, hA, wA)
+        dot(fB, gB, wB) * dot(hA, wA)
+        - dot(fB, wB) * dot(gA, hA, wA)
+        + dot(gB, wB) * dot(fA, hA, wA)
+        - dot(wB) * dot(fA, gA, hA, wA)
     ) * unit_product(f.unit, g.unit, h.unit, space.unit, space.unit)
 
 
@@ -169,10 +159,6 @@ def zero_mean_decompose(g: SimpleFunction) -> BlockDecomposition:
 # ---------------------------------------------------------------------------
 # the support-overlap bound (suite id lemma31)
 
-def _grid_indicator(S: AtomSet, x: int, y: int) -> int:
-    return 1 if (x in S or y in S) else 0
-
-
 def _zero_mean(g: SimpleFunction) -> bool:
     """Zero mean in g's arithmetic: exactly for exact values; for binary
     floats, which round an exactly centered g, up to WEIGHT_SUM_TOLERANCE
@@ -180,7 +166,7 @@ def _zero_mean(g: SimpleFunction) -> bool:
     mean = integrate(g)
     if isinstance(mean, (int, Fraction)):
         return mean == 0
-    mass = sum(abs(v) * w for v, w in zip(g.values, g.space.weights))
+    mass = dot(map(abs, g.values), g.space.weights)
     return abs(mean) <= in_family(WEIGHT_SUM_TOLERANCE, mean) * mass
 
 
@@ -209,13 +195,11 @@ def lemma31_bound(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     lhs = bilinear_form(Gc, G, f, g, h) + bilinear_form(G, Gc, f, g, h)
 
     F, H = support(f), support(h)
-    rhs = 0  # an int, so an empty sum still mixes with mpf
-    for y in G:
-        wy = abs(g.values[y]) * space.weights[y]
-        for x in Gc:
-            if _grid_indicator(F, x, y) and _grid_indicator(H, x, y):
-                rhs += wy * space.weights[x]
-    rhs = 2 * rhs
+    w = space.weights
+    pairs = [(y, x) for y in G for x in Gc
+             if (x in F or y in F) and (x in H or y in H)]
+    rhs = 2 * dot([abs(g.values[y]) * w[y] for y, _ in pairs],
+                  [w[x] for _, x in pairs])
     return lhs, rhs
 
 

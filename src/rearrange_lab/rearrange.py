@@ -24,13 +24,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, repeat
-from math import prod
-from operator import add, le, sub
+from operator import le, sub
 
 from .errors import InputError
-from .scalars import (INF, check_one_family, format_scalar,
+from .scalars import (INF, check_one_family, dot, format_scalar,
                       from_common_denominator, in_lowest_terms,
                       over_common_denominator, over_one_unit, unit_product)
 from .spaces import DiscreteSpace, SimpleFunction, common_space
@@ -195,8 +194,8 @@ def distribution_measure(f: SimpleFunction, t):
 
 
 def profile_level_measure(profile: StepProfile, t):
-    """Lebesgue measure of {profile > t}."""
-    return sum((l for v, l in profile.segments if v > t), start=Fraction(0))
+    """Lebesgue measure of {profile > t} (the int 0 for an empty set)."""
+    return dot(l for v, l in profile.segments if v > t)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +231,17 @@ def _on_one_unit(p: StepProfile, q: StepProfile):
 
 def profile_integrate_product(profiles):
     """Integral over [0, infinity) of the pointwise product of profiles
-    (the int 0, which mixes with every arithmetic family, if one is empty),
-    from the left over `align`'s grid (`sum` would compensate float sums
-    from Python 3.12 on) and multiplied by the product of the units once.
+    (the int 0, which mixes with every arithmetic family, if one is empty):
+    the `dot` of `align`'s widths and rows, multiplied by the product of
+    the units once.
     """
     if not profiles:
         raise InputError("need at least one profile")
     if any(not p.length_numerators for p in profiles):
         return 0
     widths, rows, unit = align(*profiles)
-    total = reduce(add, map(prod, zip(widths, *rows)), 0)
-    return total * unit_product(unit, *(p.value_unit for p in profiles))
+    return dot(widths, *rows) * unit_product(
+        unit, *(p.value_unit for p in profiles))
 
 
 def profile_leq(p: StepProfile, q: StepProfile) -> bool:
@@ -254,8 +253,7 @@ def profile_leq(p: StepProfile, q: StepProfile) -> bool:
 def profile_difference_moment(p: StepProfile, q: StepProfile, k: int):
     """Integral of |p - q|^k on the merged grid, scaled back once."""
     widths, unit, (pv, qv), value_unit = _on_one_unit(p, q)
-    total = reduce(add, (abs(a - b) ** k * w
-                         for a, b, w in zip(pv, qv, widths)), 0)
+    total = dot([abs(a - b) ** k for a, b in zip(pv, qv)], widths)
     return total * (value_unit ** k * unit)
 
 
@@ -281,8 +279,8 @@ def lp_moments(f: SimpleFunction, p):
     if p == INF:
         return max((abs(v) for v in f.values), default=Fraction(0)), prof.sup
     k = _integer_exponent(p, "Lp preservation")
-    m_f = sum(abs(v) ** k * w for v, w in zip(f.values, f.space.weights))
-    return m_f, sum((v**k * l for v, l in prof.segments), start=Fraction(0))
+    m_f = dot([abs(v) ** k for v in f.values], f.space.weights)
+    return m_f, dot([v**k * l for v, l in prof.segments])
 
 
 def indicator_difference_rearrangement(f: SimpleFunction, t):
@@ -314,7 +312,7 @@ def nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
         )
         return profile_difference_sup(pf, pg), rhs
     k = _integer_exponent(p, "non-expansiveness")
-    rhs = sum(abs(a - b) ** k * w for a, b, w in zip(f.values, g.values, weights))
+    rhs = dot([abs(a - b) ** k for a, b in zip(f.values, g.values)], weights)
     return profile_difference_moment(pf, pg, k), rhs
 
 

@@ -28,6 +28,9 @@ numerators keeps them in ints with `in_lowest_terms`, `shifted` and
 `over_one_unit`.  An exact object built from numerators scales its
 scalars back with `from_common_denominator` on first read, so a kernel
 that reads only numerators makes no `Fraction` per value.
+
+`dot` is the one way the package adds up scalars, so every float sum is
+the same left fold on every Python version.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 import mpmath
@@ -262,6 +266,21 @@ def unit_product(*units):
     terms), and the int 1 if all are binary."""
     dens = [u.denominator for u in units if type(u) is not int]
     return Fraction(1, math.prod(dens)) if dens else 1
+
+
+def dot(terms, *columns):
+    """Sum over i of terms[i] * columns[0][i] * ...: each term multiplied
+    from the left, the terms added from the left starting from the int 0
+    (the result for no terms), in the scalars' own arithmetic.  The
+    built-in `sum` compensates float sums from Python 3.12 on (Neumaier,
+    ZAMM 54, 1974; CPython gh-100425): this fold gives the same bits on
+    every Python version."""
+    for column in columns:
+        terms = map(mul, terms, column)
+    total = 0
+    for term in terms:
+        total += term
+    return total
 
 
 def binary_context(precision: int):

@@ -209,6 +209,7 @@ def search(problem: SearchProblem, iters: int, restarts: int,
     if any(check_int(value, name) < 1 for value, name in (
             (iters, "iters"), (restarts, "restarts"), (threads, "threads"))):
         raise InputError("iters, restarts and threads must be >= 1")
+    check_int(seed, "seed")
     space = problem.space()
 
     def one(restart: int):

@@ -27,8 +27,8 @@ from itertools import repeat
 from typing import Iterable
 
 from .errors import InputError
-from .scalars import (approximate_scalar, check_one_family, format_scalar,
-                      from_common_denominator, in_family,
+from .scalars import (approximate_scalar, check_one_family, dot,
+                      format_scalar, from_common_denominator, in_family,
                       over_common_denominator, parse_scalar, shifted,
                       to_binary)
 
@@ -61,7 +61,7 @@ class DiscreteSpace:
         object.__setattr__(self, "unit", unit)
         if any(w <= 0 for w in numerators):
             raise InputError("atom weights must be positive")
-        total = sum(numerators) * unit
+        total = dot(numerators) * unit
         if total != 1 and \
                 abs(total - 1) > in_family(WEIGHT_SUM_TOLERANCE, total):
             raise InputError(
@@ -72,8 +72,8 @@ class DiscreteSpace:
         return len(self.weights)
 
     def measure(self, atoms: Iterable[int]):
-        """mu(A) for a set of atom indices."""
-        return sum((self.weights[i] for i in atoms), start=Fraction(0) * self.weights[0])
+        """mu(A) for a set of atom indices (the int 0 for none)."""
+        return dot(map(self.weights.__getitem__, atoms))
 
     @functools.cached_property
     def all_atoms(self) -> AtomSet:
@@ -82,9 +82,11 @@ class DiscreteSpace:
 
     def check_atoms(self, atoms: Iterable[int]) -> AtomSet:
         s = frozenset(atoms)
-        if not (all(map(isinstance, s, repeat(int))) and s <= self.all_atoms):
-            raise InputError(
-                f"atom indices out of range for n={self.n}: {sorted(s)}")
+        ints = all(map(isinstance, s, repeat(int)))
+        if not (ints and s <= self.all_atoms):
+            raise InputError(  # other items may not order, as 0 and "a"
+                f"atom indices out of range for n={self.n}: "
+                f"{sorted(s) if ints else sorted(s, key=repr)}")
         return s
 
     def complement(self, atoms: AtomSet) -> AtomSet:
@@ -132,12 +134,6 @@ class SimpleFunction:
         object.__setattr__(f, "unit", unit)
         return f
 
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
 
 def _check_values(values: tuple, space: DiscreteSpace, unit=1) -> None:
     """One value per atom, of the arithmetic family of the weights; for
@@ -168,8 +164,7 @@ def integrate(f: SimpleFunction):
     """The expected value of f: sum of value * weight over atoms, in int
     numerators for exact scalars."""
     space = f.space
-    return sum(v * w for v, w in zip(f.numerators, space.numerators)) \
-        * (f.unit * space.unit)
+    return dot(f.numerators, space.numerators) * (f.unit * space.unit)
 
 
 def center(f: SimpleFunction) -> SimpleFunction:

@@ -37,7 +37,7 @@ from .rearrange import (decreasing_rearrangement, equimeasurable,
                         profile_integrate_product, profile_leq,
                         truncation_ladder)
 from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
-                      format_exponent, format_scalar, in_lowest_terms)
+                      dot, format_exponent, format_scalar, in_lowest_terms)
 from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
                      instance_to_json, multiply, to_binary_function,
                      to_binary_space)
@@ -142,6 +142,7 @@ class TrialConfig:
             raise InputError("need at least one atom")
         if check_int(self.trials, "trials") < 1:
             raise InputError("need at least one trial")
+        check_int(self.seed, "seed")
         if self.weight_scheme not in ("equal", "random-rational"):
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}")
         check_precision(self.precision, "precision")
@@ -202,7 +203,7 @@ def _draw_space(cfg: TrialConfig, rng: random.Random) -> DiscreteSpace:
     if cfg.weight_scheme == "equal":
         return equal_space(cfg.atoms)
     numerators = [rng.randint(1, 64) for _ in range(cfg.atoms)]
-    total = sum(numerators)
+    total = dot(numerators)
     return DiscreteSpace(tuple(Fraction(k, total) for k in numerators))
 
 
@@ -529,7 +530,7 @@ def _run_rearrange_trial(cfg, inst):
 
     hl_lhs, hl_rhs = hardy_littlewood_check(f, g)
     sup_g = decreasing_rearrangement(g).sup
-    l1_f = sum(abs(v) * w for v, w in zip(f.values, f.space.weights))
+    l1_f = dot(map(abs, f.values), f.space.weights)
     chain_ok = hl_lhs <= hl_rhs <= sup_g * l1_f
     _record(passed, failed, "hardy_littlewood", chain_ok)
 

@@ -1,7 +1,10 @@
 """Shared hypothesis strategies: small spaces and lattice-valued functions,
-and off-lattice exact inputs for differential tests; and a guard that no
-test leaves mpmath's working precision changed."""
+and off-lattice exact inputs for differential tests; a guard that no test
+leaves mpmath's working precision changed; and a built-in `sum` that adds
+floats as Python 3.12 and later do."""
 
+import builtins
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,6 +22,23 @@ def mpmath_precision_is_restored():
     yield
     after, mpmath.mp.prec = mpmath.mp.prec, before
     assert after == before, f"mpmath.mp.prec changed from {before} to {after}"
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Replace the built-in `sum` by a compensated one, as Python 3.12 and
+    later add floats (here correctly rounded, by math.fsum) when every
+    item is a float, and the original `sum` otherwise.  A result that
+    changes under it depends on the Python version."""
+    original = builtins.sum
+
+    def fsum(iterable, /, start=0):
+        items = list(iterable)
+        if items and all(isinstance(x, float) for x in items):
+            return math.fsum([start, *items])
+        return original(items, start)
+
+    monkeypatch.setattr(builtins, "sum", fsum)
 
 
 @st.composite

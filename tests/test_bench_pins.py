@@ -2,9 +2,10 @@
 seed 0, reproduces the first report hash pinned in bench/pins.json, the
 bit-sensitive float Lorentz workload reproduces its hash at every pinned
 CLI seed, and so do the exact thm32 workload and the search workload.  Also checks
-that the norm workload runs without scipy, and that the traced replay of
+that the norm workload runs without scipy, that the traced replay of
 the verify workloads (what ``bench/run.py --trace 1`` runs) reproduces
-their reports.  bench/ is only read."""
+their reports, and that the search's pins hold under a compensated
+built-in `sum`.  bench/ is only read."""
 
 import json
 import os
@@ -59,6 +60,15 @@ def test_search_workload_matches_every_pin(cli_seed, capsys):
     report = json.loads(capsys.readouterr().out)
     assert canonical_hash(report) == \
         PINS["search-thm43-1t"]["hashes"][cli_seed]
+
+
+@pytest.mark.parametrize("cli_seed", range(4))
+def test_search_pins_do_not_depend_on_the_builtin_sum(cli_seed, capsys,
+                                                      compensated_sum):
+    """The search's float norms and centerings add through `dot`, so a
+    compensated built-in `sum` (Python 3.12 and later) leaves its reports
+    as pinned."""
+    test_search_workload_matches_every_pin(cli_seed, capsys)
 
 
 @pytest.mark.parametrize("name", ["thm43-lorentz-float", "thm32-exact-64"])

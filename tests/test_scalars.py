@@ -9,7 +9,8 @@ from mpmath.libmp import from_rational, round_nearest
 
 from conftest import same_bits
 from oracles import exact_scalar, former_to_binary
-from rearrange_lab.scalars import (approximate_scalar, check_one_family,
+from rearrange_lab.scalars import (QUAD_PRECISION, approximate_scalar,
+                                   binary_context, check_one_family, dot,
                                    format_exponent, format_scalar,
                                    from_common_denominator, in_family,
                                    in_lowest_terms,
@@ -207,3 +208,56 @@ def test_unit_product_is_the_product_of_the_units(units):
     expected = math.prod(units)
     got = unit_product(*units)
     assert got == expected and type(got) is type(expected)
+
+
+def test_dot_is_the_left_fold_not_a_compensated_sum():
+    """1e16 + 1.0 rounds back to 1e16, so the left fold gives 0.0 where a
+    compensated sum (math.fsum, or the built-in sum from Python 3.12 on)
+    gives 1.0."""
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    got = dot([1e16, 1.0, -1e16])
+    assert got == 0.0 and type(got) is float
+
+
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                max_size=12))
+def test_dot_of_floats_is_the_fold_from_the_int_zero(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    total = 0
+    for x, y in pairs:
+        total = total + x * y
+    assert same_bits(dot(xs, ys), total)
+
+
+def test_dot_is_exact_on_ints_and_fractions():
+    got = dot([3, -4, 5], [7, 11, -13])
+    assert got == 21 - 44 - 65 and type(got) is int
+    got = dot([Fraction(1, 3), Fraction(-2, 7), 5],
+              [Fraction(1, 2), 3, Fraction(1, 11)])
+    assert got == Fraction(1, 6) - Fraction(6, 7) + Fraction(5, 11)
+    assert type(got) is Fraction
+
+
+def test_dot_of_mpf_columns_runs_at_113_bits():
+    """3 + 2^-100 needs 102 bits: a 53-bit sum would lose the small
+    term."""
+    with binary_context(QUAD_PRECISION):
+        tiny = mpmath.mpf(2) ** -100
+        got = dot([mpmath.mpf(1), tiny], [mpmath.mpf(3), mpmath.mpf(1)])
+        assert isinstance(got, mpmath.mpf) and got - 3 == tiny
+
+
+def test_dot_takes_one_column_or_several():
+    assert dot([1, 2, 3]) == 6
+    assert dot(x for x in (Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 6)
+    assert dot([1, 2], [3, 4], [5, 6]) == 1 * 3 * 5 + 2 * 4 * 6
+    assert dot([1, 2], [3, 4], [5, 6], [7, 8]) == 105 + 384
+    # each term is multiplied from the left: (0.1 * 0.2) * 0.3
+    assert 0.1 * (0.2 * 0.3) != (0.1 * 0.2) * 0.3
+    assert dot([0.1], [0.2], [0.3]) == (0.1 * 0.2) * 0.3
+
+
+def test_dot_of_no_terms_is_the_int_zero():
+    for columns in ([[]], [(), ()], [[], [0.5]], [iter(())]):
+        got = dot(*columns)
+        assert got == 0 and type(got) is int

@@ -53,6 +53,17 @@ def test_check_atoms_refuses_bad_indices(atoms):
         equal_space(3).check_atoms(atoms)
 
 
+@pytest.mark.parametrize("atoms,shown", [
+    ([0, "a"], "['a', 0]"), ([0, None], "[0, None]"), ([5, 0, 3], "[0, 3, 5]"),
+], ids=["string", "none", "ints"])
+def test_check_atoms_names_items_that_do_not_order(atoms, shown):
+    """Items that `sorted` cannot order are listed by repr in the input
+    error, where they raised TypeError; sets of ints are listed sorted."""
+    with pytest.raises(InputError) as error:
+        equal_space(3).check_atoms(atoms)
+    assert str(error.value) == f"atom indices out of range for n=3: {shown}"
+
+
 @pytest.mark.parametrize("space", [
     equal_space(1), DiscreteSpace((F(1, 5), F(3, 10), F(1, 2))),
     DiscreteSpace((0.25, 0.75)),
