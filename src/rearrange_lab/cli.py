@@ -18,7 +18,8 @@ arithmetic, so it takes no ``--mode``.
 
 The environment variable REARRANGE_LAB_PRECISION sets the float-mode
 significand width in bits, at least 53 (default 53; rechecks always run
-at 113).
+at 113).  mpmath evaluates every width other than 53 and is imported on
+its first use, so a run at 53 bits that needs no recheck never loads it.
 """
 
 from __future__ import annotations

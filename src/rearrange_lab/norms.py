@@ -27,17 +27,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 from typing import NamedTuple
-
-import mpmath
 
 from .errors import ExactUnavailable, InputError
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, dot, \
-    format_exponent, format_scalar, in_family, parse_exponent, parse_scalar, \
-    to_binary
+    format_exponent, format_scalar, in_family, is_mpf, mpmath_module, \
+    parse_exponent, parse_scalar, to_binary
 from .spaces import SimpleFunction, common_space
 
 
@@ -125,8 +124,8 @@ class ConcaveWeight:
     def _table_for(self, x) -> _WeightTable:
         """The table of the arithmetic family of the scalar x (threads that
         race to build one build equal tables)."""
-        key = (mpmath.mp.prec if isinstance(x, mpmath.mpf)
-               else "float" if isinstance(x, float) else "exact")
+        key = ("float" if isinstance(x, float)
+               else mpmath_module().mp.prec if is_mpf(x) else "exact")
         tables = self.__dict__.setdefault("_tables", {})
         table = tables.get(key)
         if table is None:
@@ -161,6 +160,12 @@ class Lp:
         object.__setattr__(self, "p", p)
         if p != INF and p < 1:
             raise InputError("Lp needs p >= 1")
+
+    @cached_property
+    def _double_root(self):
+        """The exponent 1.0 / float(p) that `_root` takes a double's p-th
+        root with, None for p = 1, computed once per descriptor."""
+        return None if self.p == 1 else 1.0 / float(self.p)
 
 
 @dataclass(frozen=True)
@@ -232,9 +237,7 @@ def exactly_evaluable(X) -> bool:
 # evaluation helpers
 
 def _as_binary(x, precision):
-    if isinstance(x, mpmath.mpf):
-        return x
-    return to_binary(x, precision)
+    return x if is_mpf(x) else to_binary(x, precision)
 
 
 def _powers(xs, p, precision):
@@ -249,9 +252,13 @@ def _powers(xs, p, precision):
             return [x ** num for x in xs]
         if precision is None and any(isinstance(x, (int, Fraction)) for x in xs):
             raise ExactUnavailable(f"fractional power {p} has no exact value")
-        exponent, mpf_exponent = num / den, mpmath.mpf(num) / den
-        return [xb ** (mpf_exponent if isinstance(xb, mpmath.mpf) else exponent)
-                for xb in (_as_binary(x, prec) for x in xs)]
+        xbs = [_as_binary(x, prec) for x in xs]
+        exponent = num / den
+        if not any(map(is_mpf, xbs)):
+            return [xb ** exponent for xb in xbs]
+        mpf_exponent = mpmath_module().mpf(num) / den
+        return [xb ** (mpf_exponent if is_mpf(xb) else exponent)
+                for xb in xbs]
     except OverflowError:
         raise InputError(
             f"the power x^p with p = {format_exponent(p)} overflows "
@@ -265,9 +272,9 @@ def _root(x, p, precision):
         raise ExactUnavailable(f"{p}-th root has no exact value")
     prec = precision or DOUBLE_PRECISION
     xb = _as_binary(x, prec)
-    if isinstance(xb, mpmath.mpf):
+    if is_mpf(xb):
         pf = Fraction(p)
-        return xb ** (mpmath.mpf(pf.denominator) / pf.numerator)
+        return xb ** (mpmath_module().mpf(pf.denominator) / pf.numerator)
     return xb ** (1.0 / float(p))
 
 
@@ -294,7 +301,7 @@ def norm(X, f, *, precision=None):
 
 def _norm(X, f, precision):
     if isinstance(X, Lp):
-        return _lp_norm(X.p, f, precision)
+        return _lp_norm(X, f, precision)
     if isinstance(X, LorentzLambda):
         return _lorentz_norm(X.phi, _profile_of(f))
     if isinstance(X, Generated):
@@ -313,15 +320,20 @@ def _norm(X, f, precision):
     raise InputError(f"unknown norm descriptor {X!r}")
 
 
-def _lp_norm(p, f, precision):
-    """p is a Fraction or the float INF (see Lp)."""
+def _lp_norm(X: Lp, f, precision):
+    """The Lp norm; a double moment takes its root as `_root` would, with
+    the exponent X keeps, so a small float norm makes no Fraction detour."""
     if isinstance(f, SimpleFunction):
         values, weights = [abs(v) for v in f.values], f.space.weights
     else:
         values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
-    if isinstance(p, float):
+    if isinstance(X.p, float):
         return max(values, default=Fraction(0))
-    return _root(dot(_powers(values, p, precision), weights), p, precision)
+    total = dot(_powers(values, X.p, precision), weights)
+    if type(total) is float and precision in (None, DOUBLE_PRECISION):
+        root = X._double_root
+        return total if root is None else total ** root
+    return _root(total, X.p, precision)
 
 
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):

@@ -5,8 +5,14 @@ Two arithmetic modes exist.  Exact mode keeps every quantity a
 class guarantees both) and is the authority for every inequality that does
 not involve a fractional root.  Float mode is binary floating point with a
 configurable significand width: 53 bits means the native machine double,
-anything else is evaluated through mpmath.  Mixed-mode arithmetic is
-rejected at construction time by the container types in `spaces`.
+anything else is evaluated through mpmath.  mpmath is imported on first
+use (`mpmath_module`): by `binary_context` at any other width, by
+`to_binary` and `in_family` above 53 bits, and by `approximate_scalar`,
+whose exact renderings only error messages ask for.  A run in exact or
+double arithmetic never loads it.  Until it is loaded no mpf exists, so
+the type tests read it from `sys.modules` (`is_mpf`).  Mixed-mode
+arithmetic is rejected at construction time by the container types in
+`spaces`.
 
 All JSON interfaces carry numbers as strings: "p/q" rational literals or
 plain decimal literals, both of which parse to exact rationals without
@@ -37,12 +43,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Union
-
-import mpmath
-from mpmath.libmp import from_rational, round_nearest
 
 #: significand width of the native double, the default float-mode precision
 DOUBLE_PRECISION = 53
@@ -111,8 +115,8 @@ def format_scalar(x) -> str:
         return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
     if isinstance(x, float):
         return repr(x)
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, 40)
+    if is_mpf(x):
+        return mpmath_module().nstr(x, 40)
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 
@@ -120,9 +124,10 @@ def approximate_scalar(x) -> str:
     """A short decimal rendering of any scalar for messages: 12
     significant digits, never the digits of a huge exact value."""
     if isinstance(x, (int, Fraction)):
+        mpmath = mpmath_module()
         with mpmath.workprec(DOUBLE_PRECISION):
             return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 12)
-    return mpmath.nstr(x, 12) if isinstance(x, mpmath.mpf) else repr(x)
+    return mpmath_module().nstr(x, 12) if is_mpf(x) else repr(x)
 
 
 def parse_exponent(text: str) -> Exponent:
@@ -161,20 +166,35 @@ def in_family(q, x):
     mpf x (which does neither with a Fraction) q rounded to mpf at the
     working precision.  A Lorentz weight's tables round its breakpoints
     with it once per family and precision (see norms.ConcaveWeight)."""
-    if isinstance(x, mpmath.mpf):
-        return _rounded_mpf(q.numerator, q.denominator, mpmath.mp.prec)
+    if is_mpf(x):
+        return _rounded_mpf(q.numerator, q.denominator,
+                            mpmath_module().mp.prec)
     return q
 
 
 def _rounded_mpf(numerator, denominator, precision):
     """numerator / denominator rounded once to the nearest mpf of
     `precision` bits, however wide the two ints are."""
-    return mpmath.mp.make_mpf(
-        from_rational(numerator, denominator, precision, round_nearest))
+    mpmath = mpmath_module()
+    return mpmath.mp.make_mpf(mpmath.libmp.from_rational(
+        numerator, denominator, precision, mpmath.libmp.round_nearest))
 
 
-#: the types of binary scalars; a sequence holding one is binary
-_BINARY_TYPES = frozenset((float, mpmath.mpf))
+def mpmath_module():
+    """mpmath, imported on its first use: only precisions other than 53
+    bits, `approximate_scalar` and the printing of an mpf need it."""
+    import mpmath
+    return mpmath
+
+
+def is_mpf(x) -> bool:
+    """Whether x is an mpmath float; none exists before mpmath is loaded."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, mpmath.mpf)
+
+
+#: the types of exact scalars; a sequence holding any other type is binary
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def over_common_denominator(values):
@@ -190,7 +210,7 @@ def over_common_denominator(values):
     precision the values were rounded to, so the kernel's order of
     operations, and its result bit for bit, is that of the values.
     """
-    if not _BINARY_TYPES.isdisjoint(map(type, values)):
+    if not _EXACT_TYPES.issuperset(map(type, values)):
         return values, 1
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
@@ -291,7 +311,7 @@ def binary_context(precision: int):
     """
     if precision == DOUBLE_PRECISION:
         return contextlib.nullcontext()
-    return mpmath.workprec(precision)
+    return mpmath_module().workprec(precision)
 
 
 def _type_family(t) -> str:
@@ -307,7 +327,8 @@ def _type_family(t) -> str:
         return "exact"
     if issubclass(t, float):
         return "float"
-    if issubclass(t, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and issubclass(t, mpmath.mpf):
         return "mpf"
     raise TypeError(f"unsupported scalar type {t.__name__}")
 

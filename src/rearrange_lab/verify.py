@@ -20,11 +20,20 @@ rearrange (the rearrangement machinery bundle).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+# SHA-256 from CPython's built-in module, as `random` takes its SHA-512:
+# hashlib would load OpenSSL for this one hash, and the digest is the same.
+try:
+    from _sha256 import sha256  # CPython 3.11 and earlier
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import norms as norms_mod
 from .errors import InputError
@@ -193,7 +202,7 @@ class Instance:
 
 def _keyed_rng(key: str) -> random.Random:
     """A reproducible generator seeded by the SHA-256 of key."""
-    digest = hashlib.sha256(key.encode()).digest()
+    digest = sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -624,7 +633,7 @@ def canonical_hash(doc: dict) -> str:
     """SHA-256 of the canonical serialization, timestamp excluded."""
     trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def run_suite(cfg: TrialConfig) -> VerificationReport:

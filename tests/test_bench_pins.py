@@ -2,7 +2,8 @@
 seed 0, reproduces the first report hash pinned in bench/pins.json, the
 bit-sensitive float Lorentz workload reproduces its hash at every pinned
 CLI seed, and so do the exact thm32 workload and the search workload.  Also checks
-that the norm workload runs without scipy, that the traced replay of
+that the norm workload runs without scipy, that no workload loads mpmath
+or hashlib, that the traced replay of
 the verify workloads (what ``bench/run.py --trace 1`` runs) reproduces
 their reports, and that the search's pins hold under a compensated
 built-in `sum`.  bench/ is only read."""
@@ -69,6 +70,50 @@ def test_search_pins_do_not_depend_on_the_builtin_sum(cli_seed, capsys,
     compensated built-in `sum` (Python 3.12 and later) leaves its reports
     as pinned."""
     test_search_workload_matches_every_pin(cli_seed, capsys)
+
+
+#: modules a run in exact or double arithmetic does not load: mpmath
+#: serves other precisions, and the built-in SHA-256 spares OpenSSL
+_LAZY_MODULES = ("mpmath", "hashlib", "_hashlib")
+
+
+def _loaded_after_run(argv, **env):
+    """Run the CLI on argv in a fresh interpreter: (exit code, the modules
+    of _LAZY_MODULES loaded after the run)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from rearrange_lab.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run({list(argv)!r})\n"
+        f"print(json.dumps([code, [m for m in {_LAZY_MODULES!r} "
+        "if m in sys.modules]]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    *(WORKLOADS[name].cli_argv(0) for name in sorted(WORKLOADS)),
+    ["verify", "--suite", "all", "--trials", "40"],
+    ["verify", "--suite", "thm41", "--mode", "float", "--trials", "40",
+     "--exponents", "1,3/2,3,3/2,3"],
+], ids=[*sorted(WORKLOADS), "verify-all", "thm41-float-3/2"])
+def test_runs_at_53_bits_load_neither_mpmath_nor_hashlib(argv):
+    """Exact and double runs, fractional powers included, never import
+    mpmath, and the seeded generators hash without hashlib."""
+    assert _loaded_after_run(argv) == (0, [])
+
+
+def test_a_wider_precision_loads_mpmath():
+    """REARRANGE_LAB_PRECISION above 53 imports mpmath on its first use,
+    and the run exits as before."""
+    argv = WORKLOADS["thm43-lorentz-float"].cli_argv(0)
+    assert _loaded_after_run(argv, REARRANGE_LAB_PRECISION="113") == \
+        (0, ["mpmath"])
 
 
 @pytest.mark.parametrize("name", ["thm43-lorentz-float", "thm32-exact-64"])

@@ -382,10 +382,12 @@ def test_verify_has_no_threads_flag(capsys):
 
 
 def test_cli_import_loads_no_executor():
-    """Importing the CLI does not load concurrent.futures; only a search
-    with threads > 1 imports it."""
+    """Importing the CLI does not load concurrent.futures, mpmath or
+    hashlib; only a search with threads > 1 imports the first, and only a
+    precision other than 53 bits mpmath."""
     script = ("import sys, rearrange_lab.cli\n"
-              "print('concurrent.futures' in sys.modules)\n")
+              "print(any(m in sys.modules for m in ('concurrent.futures', "
+              "'mpmath', 'hashlib', '_hashlib')))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -170,6 +173,41 @@ def test_over_common_denominator_finds_a_binary_value_anywhere():
         assert numerators is values and unit == 1 and type(unit) is int
     assert over_common_denominator([]) == ((), Fraction(1))
     assert over_common_denominator((0, 2)) == ((0, 2), Fraction(1))
+
+
+def test_mpfs_made_after_a_lazy_import_classify_as_binary():
+    """The package loads mpmath only on first use, so a caller may import
+    it after the package and build mpfs directly: they classify as the
+    "mpf" family, pass through `over_common_denominator` with unit 1,
+    print with 40 digits and keep their family in a 113-bit function."""
+    script = (
+        "import sys\n"
+        "from rearrange_lab.scalars import (check_one_family, format_scalar,\n"
+        "                                   over_common_denominator)\n"
+        "from rearrange_lab.spaces import DiscreteSpace, SimpleFunction\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "import mpmath\n"
+        "with mpmath.workprec(113):\n"
+        "    third = mpmath.mpf(1) / 3\n"
+        "    values = [third, mpmath.mpf(2), -third]\n"
+        "    assert check_one_family(values, 'values') == {'mpf'}\n"
+        "    numerators, unit = over_common_denominator(values)\n"
+        "    assert numerators is values and type(unit) is int and unit == 1\n"
+        "    text = format_scalar(third)\n"
+        "    assert text == '0.3333333333333333333333333333333333172839'\n"
+        "    space = DiscreteSpace((third, third, third))\n"
+        "    f = SimpleFunction(values, space)\n"
+        "    assert space.families == {'mpf'} and f.unit == 1\n"
+        "    assert f.numerators == tuple(values)\n"
+        "print('ok')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=8),

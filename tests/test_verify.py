@@ -230,6 +230,25 @@ def test_report_reproducible_and_canonical():
     assert json.loads(canonical_json(doc1)) == doc1
 
 
+@pytest.mark.parametrize("key", ["", "0:6", "search:0:3", "thm43:7:150",
+                                 "\u00e9 non-ascii"])
+def test_built_in_sha256_is_hashlibs(key):
+    """The built-in SHA-256 behind `_keyed_rng` and `canonical_hash` gives
+    hashlib's digest, so a Python that renames the built-in module fails
+    here and not only in the golden hashes."""
+    import hashlib
+    import random
+
+    reference = hashlib.sha256(key.encode()).digest()
+    assert verify_mod.sha256(key.encode()).digest() == reference
+    seed = int.from_bytes(reference[:8], "big")
+    assert _keyed_rng(key).getstate() == random.Random(seed).getstate()
+    doc = {"key": key, "timestamp": "ignored"}
+    assert canonical_hash(doc) == hashlib.sha256(
+        json.dumps({"key": key}, sort_keys=True,
+                   separators=(",", ":")).encode()).hexdigest()
+
+
 def test_histogram_counts_sum_to_trials():
     cfg = TrialConfig(suite="thm32", atoms=4, trials=300, seed=1)
     rep = run_suite(cfg)
