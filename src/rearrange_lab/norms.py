@@ -27,7 +27,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
@@ -35,8 +34,8 @@ from .errors import ExactUnavailable, InputError
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, dot, \
-    format_exponent, format_scalar, in_family, is_mpf, mpmath_module, \
-    parse_exponent, parse_scalar, to_binary
+    format_exponent, format_scalar, in_family, is_mpf, parse_exponent, \
+    parse_scalar, to_binary
 from .spaces import SimpleFunction, common_space
 
 
@@ -124,8 +123,13 @@ class ConcaveWeight:
     def _table_for(self, x) -> _WeightTable:
         """The table of the arithmetic family of the scalar x (threads that
         race to build one build equal tables)."""
-        key = ("float" if isinstance(x, float)
-               else mpmath_module().mp.prec if is_mpf(x) else "exact")
+        if isinstance(x, float):
+            key = "float"
+        elif is_mpf(x):
+            import mpmath
+            key = mpmath.mp.prec
+        else:
+            key = "exact"
         tables = self.__dict__.setdefault("_tables", {})
         table = tables.get(key)
         if table is None:
@@ -160,12 +164,6 @@ class Lp:
         object.__setattr__(self, "p", p)
         if p != INF and p < 1:
             raise InputError("Lp needs p >= 1")
-
-    @cached_property
-    def _double_root(self):
-        """The exponent 1.0 / float(p) that `_root` takes a double's p-th
-        root with, None for p = 1, computed once per descriptor."""
-        return None if self.p == 1 else 1.0 / float(self.p)
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,8 @@ def _powers(xs, p, precision):
         exponent = num / den
         if not any(map(is_mpf, xbs)):
             return [xb ** exponent for xb in xbs]
-        mpf_exponent = mpmath_module().mpf(num) / den
+        import mpmath
+        mpf_exponent = mpmath.mpf(num) / den
         return [xb ** (mpf_exponent if is_mpf(xb) else exponent)
                 for xb in xbs]
     except OverflowError:
@@ -273,8 +272,9 @@ def _root(x, p, precision):
     prec = precision or DOUBLE_PRECISION
     xb = _as_binary(x, prec)
     if is_mpf(xb):
+        import mpmath
         pf = Fraction(p)
-        return xb ** (mpmath_module().mpf(pf.denominator) / pf.numerator)
+        return xb ** (mpmath.mpf(pf.denominator) / pf.numerator)
     return xb ** (1.0 / float(p))
 
 
@@ -301,7 +301,7 @@ def norm(X, f, *, precision=None):
 
 def _norm(X, f, precision):
     if isinstance(X, Lp):
-        return _lp_norm(X, f, precision)
+        return _lp_norm(X.p, f, precision)
     if isinstance(X, LorentzLambda):
         return _lorentz_norm(X.phi, _profile_of(f))
     if isinstance(X, Generated):
@@ -320,20 +320,15 @@ def _norm(X, f, precision):
     raise InputError(f"unknown norm descriptor {X!r}")
 
 
-def _lp_norm(X: Lp, f, precision):
-    """The Lp norm; a double moment takes its root as `_root` would, with
-    the exponent X keeps, so a small float norm makes no Fraction detour."""
+def _lp_norm(p, f, precision):
+    """p is a Fraction or the float INF (see Lp)."""
     if isinstance(f, SimpleFunction):
         values, weights = [abs(v) for v in f.values], f.space.weights
     else:
         values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
-    if isinstance(X.p, float):
+    if isinstance(p, float):
         return max(values, default=Fraction(0))
-    total = dot(_powers(values, X.p, precision), weights)
-    if type(total) is float and precision in (None, DOUBLE_PRECISION):
-        root = X._double_root
-        return total if root is None else total ** root
-    return _root(total, X.p, precision)
+    return _root(dot(_powers(values, p, precision), weights), p, precision)
 
 
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):

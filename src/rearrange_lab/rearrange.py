@@ -35,9 +35,9 @@ from .scalars import (INF, check_one_family, dot, format_scalar,
 from .spaces import DiscreteSpace, SimpleFunction, common_space
 
 
-def _check_family(lengths) -> None:
+def _check_family(scalars, what="segment lengths") -> None:
     try:
-        check_one_family(lengths, "segment lengths")
+        check_one_family(scalars, what)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -58,12 +58,12 @@ class StepProfile:
     """A nonincreasing, right-continuous step function on [0, infinity).
 
     ``segments`` is an ordered tuple of (value, length) pairs with strictly
-    decreasing positive values and positive lengths of one arithmetic
-    family; the function is 0 from the total length onward.  The zero
-    function is the empty profile.  The segment values are also kept as
-    ``value_numerators`` over ``value_unit`` and the lengths as
-    ``length_numerators`` over ``length_unit`` (`over_common_denominator`),
-    which is what the kernels read.
+    decreasing positive values of one arithmetic family and positive
+    lengths of one family; the function is 0 from the total length
+    onward.  The zero function is the empty profile.  The segment values
+    are also kept as ``value_numerators`` over ``value_unit`` and the
+    lengths as ``length_numerators`` over ``length_unit``
+    (`over_common_denominator`), which is what the kernels read.
     """
 
     segments: tuple
@@ -75,9 +75,11 @@ class StepProfile:
     def __post_init__(self):
         segments = tuple(self.segments)
         object.__setattr__(self, "segments", segments)
+        values = tuple(v for v, _ in segments)
         lengths = tuple(l for _, l in segments)
+        _check_family(values, "segment values")
         _check_family(lengths)
-        self._keep(*over_common_denominator(tuple(v for v, _ in segments)),
+        self._keep(*over_common_denominator(values),
                    *over_common_denominator(lengths))
 
     @classmethod

@@ -6,8 +6,8 @@ class guarantees both) and is the authority for every inequality that does
 not involve a fractional root.  Float mode is binary floating point with a
 configurable significand width: 53 bits means the native machine double,
 anything else is evaluated through mpmath.  mpmath is imported on first
-use (`mpmath_module`): by `binary_context` at any other width, by
-`to_binary` and `in_family` above 53 bits, and by `approximate_scalar`,
+use, inside the functions that need it: `binary_context` at any other
+width, `to_binary` and `in_family` above 53 bits, and `approximate_scalar`,
 whose exact renderings only error messages ask for.  A run in exact or
 double arithmetic never loads it.  Until it is loaded no mpf exists, so
 the type tests read it from `sys.modules` (`is_mpf`).  Mixed-mode
@@ -116,7 +116,8 @@ def format_scalar(x) -> str:
     if isinstance(x, float):
         return repr(x)
     if is_mpf(x):
-        return mpmath_module().nstr(x, 40)
+        import mpmath
+        return mpmath.nstr(x, 40)
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 
@@ -124,10 +125,13 @@ def approximate_scalar(x) -> str:
     """A short decimal rendering of any scalar for messages: 12
     significant digits, never the digits of a huge exact value."""
     if isinstance(x, (int, Fraction)):
-        mpmath = mpmath_module()
+        import mpmath
         with mpmath.workprec(DOUBLE_PRECISION):
             return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 12)
-    return mpmath_module().nstr(x, 12) if is_mpf(x) else repr(x)
+    if is_mpf(x):
+        import mpmath
+        return mpmath.nstr(x, 12)
+    return repr(x)
 
 
 def parse_exponent(text: str) -> Exponent:
@@ -167,33 +171,34 @@ def in_family(q, x):
     working precision.  A Lorentz weight's tables round its breakpoints
     with it once per family and precision (see norms.ConcaveWeight)."""
     if is_mpf(x):
-        return _rounded_mpf(q.numerator, q.denominator,
-                            mpmath_module().mp.prec)
+        import mpmath
+        return _rounded_mpf(q.numerator, q.denominator, mpmath.mp.prec)
     return q
 
 
 def _rounded_mpf(numerator, denominator, precision):
     """numerator / denominator rounded once to the nearest mpf of
     `precision` bits, however wide the two ints are."""
-    mpmath = mpmath_module()
+    import mpmath
     return mpmath.mp.make_mpf(mpmath.libmp.from_rational(
         numerator, denominator, precision, mpmath.libmp.round_nearest))
 
 
-def mpmath_module():
-    """mpmath, imported on its first use: only precisions other than 53
-    bits, `approximate_scalar` and the printing of an mpf need it."""
-    import mpmath
-    return mpmath
+def _loaded_mpf():
+    """mpmath's float type, or () while mpmath is not loaded: no mpf
+    exists before, and isinstance and issubclass against () are false."""
+    mpmath = sys.modules.get("mpmath")
+    return () if mpmath is None else mpmath.mpf
 
 
 def is_mpf(x) -> bool:
-    """Whether x is an mpmath float; none exists before mpmath is loaded."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and isinstance(x, mpmath.mpf)
+    """Whether x is an mpmath float."""
+    return isinstance(x, _loaded_mpf())
 
 
-#: the types of exact scalars; a sequence holding any other type is binary
+#: the types of exact scalars; a sequence holding any other type is
+#: binary (the constructors that call `over_common_denominator` check the
+#: family of what they pass, so that type is a float or an mpf)
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
@@ -311,7 +316,8 @@ def binary_context(precision: int):
     """
     if precision == DOUBLE_PRECISION:
         return contextlib.nullcontext()
-    return mpmath_module().workprec(precision)
+    import mpmath
+    return mpmath.workprec(precision)
 
 
 def _type_family(t) -> str:
@@ -327,8 +333,7 @@ def _type_family(t) -> str:
         return "exact"
     if issubclass(t, float):
         return "float"
-    mpmath = sys.modules.get("mpmath")
-    if mpmath is not None and issubclass(t, mpmath.mpf):
+    if issubclass(t, _loaded_mpf()):
         return "mpf"
     raise TypeError(f"unsupported scalar type {t.__name__}")
 

@@ -1,9 +1,11 @@
 """Shared hypothesis strategies: small spaces and lattice-valued functions,
 and off-lattice exact inputs for differential tests; a guard that no test
-leaves mpmath's working precision changed; and a built-in `sum` that adds
-floats as Python 3.12 and later do."""
+leaves mpmath's working precision changed; a built-in `sum` that adds
+floats as Python 3.12 and later do; and the modules a run at 53 bits
+leaves unloaded."""
 
 import builtins
+import importlib.util
 import math
 from fractions import Fraction
 
@@ -12,6 +14,13 @@ import mpmath
 import pytest
 
 from rearrange_lab.spaces import DiscreteSpace, SimpleFunction, equal_space
+
+
+#: modules a run in exact or double arithmetic does not load: mpmath
+#: serves other precisions, and on a CPython built with its own SHA-256
+#: (`_sha256` or `_sha2`) verify hashes without hashlib and OpenSSL
+LAZY_MODULES = ("mpmath", "hashlib", "_hashlib") if any(
+    importlib.util.find_spec(m) for m in ("_sha256", "_sha2")) else ("mpmath",)
 
 
 @pytest.fixture(autouse=True)

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import LAZY_MODULES
 
 from rearrange_lab.cli import run
 from rearrange_lab.verify import canonical_hash
@@ -72,20 +73,15 @@ def test_search_pins_do_not_depend_on_the_builtin_sum(cli_seed, capsys,
     test_search_workload_matches_every_pin(cli_seed, capsys)
 
 
-#: modules a run in exact or double arithmetic does not load: mpmath
-#: serves other precisions, and the built-in SHA-256 spares OpenSSL
-_LAZY_MODULES = ("mpmath", "hashlib", "_hashlib")
-
-
 def _loaded_after_run(argv, **env):
     """Run the CLI on argv in a fresh interpreter: (exit code, the modules
-    of _LAZY_MODULES loaded after the run)."""
+    of LAZY_MODULES loaded after the run)."""
     script = (
         "import contextlib, io, json, sys\n"
         "from rearrange_lab.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = run({list(argv)!r})\n"
-        f"print(json.dumps([code, [m for m in {_LAZY_MODULES!r} "
+        f"print(json.dumps([code, [m for m in {LAZY_MODULES!r} "
         "if m in sys.modules]]))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -104,7 +100,8 @@ def _loaded_after_run(argv, **env):
 ], ids=[*sorted(WORKLOADS), "verify-all", "thm41-float-3/2"])
 def test_runs_at_53_bits_load_neither_mpmath_nor_hashlib(argv):
     """Exact and double runs, fractional powers included, never import
-    mpmath, and the seeded generators hash without hashlib."""
+    mpmath, and the seeded generators hash without hashlib where CPython
+    has a built-in SHA-256."""
     assert _loaded_after_run(argv) == (0, [])
 
 

@@ -16,6 +16,7 @@ from rearrange_lab import cli, errors
 from rearrange_lab.cli import FlagError, run
 from rearrange_lab.spaces import space_from_json
 
+from conftest import LAZY_MODULES
 from oracles import decomposition_from_json, profile_from_json
 
 INSTANCE = {
@@ -382,12 +383,12 @@ def test_verify_has_no_threads_flag(capsys):
 
 
 def test_cli_import_loads_no_executor():
-    """Importing the CLI does not load concurrent.futures, mpmath or
-    hashlib; only a search with threads > 1 imports the first, and only a
-    precision other than 53 bits mpmath."""
+    """Importing the CLI does not load concurrent.futures or the modules
+    of LAZY_MODULES; only a search with threads > 1 imports the first, and
+    only a precision other than 53 bits mpmath."""
     script = ("import sys, rearrange_lab.cli\n"
-              "print(any(m in sys.modules for m in ('concurrent.futures', "
-              "'mpmath', 'hashlib', '_hashlib')))\n")
+              "print(any(m in sys.modules for m in "
+              f"{('concurrent.futures', *LAZY_MODULES)!r}))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -61,6 +62,17 @@ def test_profile_lengths_share_one_family():
     assert StepProfile(((3.0, F(1, 3)), (1.0, F(1, 4)))).total_length \
         == F(7, 12)
     assert StepProfile(((F(3), 1), (F(1), F(1, 4)))).total_length == F(5, 4)
+
+
+def test_profile_values_share_one_supported_family():
+    """Segment values are family-checked as lengths are, so a value of an
+    unsupported type (a Decimal has no denominator) or exact values mixed
+    with binary ones are refused, not kept as binary with the unit 1."""
+    with pytest.raises(TypeError, match="unsupported scalar type Decimal"):
+        StepProfile(((Decimal(3), F(1, 2)), (Decimal(1), F(1, 4))))
+    with pytest.raises(InputError, match="segment values mixes"):
+        StepProfile(((F(3), F(1, 2)), (1.0, F(1, 4))))
+    assert StepProfile(((3, F(1, 2)), (1.0, F(1, 4)))).sup == 3
 
 
 def test_profile_eval_right_continuous():

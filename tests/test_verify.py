@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 from conftest import same_bits
@@ -247,6 +250,25 @@ def test_built_in_sha256_is_hashlibs(key):
     assert canonical_hash(doc) == hashlib.sha256(
         json.dumps({"key": key}, sort_keys=True,
                    separators=(",", ":")).encode()).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib_without_a_built_in_module():
+    """On a CPython built without `_sha256` and `_sha2`, verify takes
+    hashlib's sha256, and the golden key streams stay as they are."""
+    script = (
+        "import hashlib, sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from rearrange_lab import verify\n"
+        "assert verify.sha256 is hashlib.sha256\n"
+        "print(verify._keyed_rng('thm43:7:150').getrandbits(64))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{_keyed_rng('thm43:7:150').getrandbits(64)}\n"
 
 
 def test_histogram_counts_sum_to_trials():
