@@ -13,9 +13,10 @@ re-evaluated in that arithmetic and certified by the one rule
 checks properties rather than an inequality, exactly, in its own trial.
 
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
-lemma31 (its off-support cross-term bound), thm41 (the Lp product rule),
-thm43 (the rearrangement-invariant-norm product rule, both forms), and
-rearrange (the rearrangement machinery bundle).
+lemma31 (its off-support cross-term bound), thm41 and thm43 (the product
+rule ||fg - E fg||_Y0 <= ||f||_Y1 ||g - E g||_Y2 + ||g||_Y3 ||f - E f||_Y4
+in Lp norms and, in two forms, in an r.i. norm X: one kernel evaluates
+every form), and rearrange (the rearrangement machinery bundle).
 """
 
 from __future__ import annotations
@@ -163,15 +164,11 @@ class TrialConfig:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.mode == "float" and forms is None:
             raise InputError(f"the {self.suite} suite runs in exact mode only")
-        exact = self.mode == "exact"
-        if exact and exponents is not None and not all(
-                exactly_evaluable(Lp(p)) for p in exponents):
-            raise InputError(
-                "exact mode for thm41 needs all exponents in {1, inf}")
-        if exact and X is not None and not (
-                exactly_evaluable(X) and exactly_evaluable(Associate(X))):
-            raise InputError(
-                "exact mode for thm43 needs an exactly evaluable norm pair")
+        if self.mode == "exact" and not all(
+                exactly_evaluable(Y) for norms in _norm_table(
+                    self.suite, exponents, X).values() for Y in norms):
+            raise InputError(f"exact mode for {self.suite} needs every norm "
+                             "of its forms exactly evaluable")
 
     def canonical_dict(self) -> dict:
         return {
@@ -329,44 +326,51 @@ def thm32_sides(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
     return lhs, rhs
 
 
+def _product_rule(f: SimpleFunction, g: SimpleFunction, forms: dict,
+                  precision=None) -> dict:
+    """{label: (lhs, rhs)} for each form {label: (Y0, ..., Y4)}, the norms of
+    fgc = fg - E fg, f, gc = g - E g, g and fc = f - E f (each made once)."""
+    fgc, fc, gc = center(multiply(f, g)), center(f), center(g)
+    sides = {}
+    for label, (Y0, Y1, Y2, Y3, Y4) in forms.items():
+        sides[label] = norm(Y0, fgc, precision=precision), (
+            norm(Y1, f, precision=precision)
+            * norm(Y2, gc, precision=precision)
+            + norm(Y3, g, precision=precision)
+            * norm(Y4, fc, precision=precision))
+    return sides
+
+
+def _norm_table(suite, exponents=None, X=None, labels=None) -> dict:
+    """{label: (Y0, ..., Y4)} of the forms of suite named in labels, in that
+    order (None: all; no other form is built): thm41's Lp form, thm43's
+    X-norm and associate forms of X, and none for any other suite."""
+    if suite == "thm41":
+        return {None: tuple(map(Lp, exponents))}
+    forms = {}
+    if suite == "thm43":
+        for label in ("norm_form", "associate_form") if labels is None \
+                else labels:
+            if label == "norm_form":
+                forms[label] = (X, LINF, X, LINF, X)
+            elif label == "associate_form":
+                forms[label] = (L1, X, Associate(X), Associate(X), X)
+            else:
+                raise KeyError(label)
+    return forms
+
+
 def thm41_sides(f: SimpleFunction, g: SimpleFunction, exponents,
                 precision=None):
-    r, p1, q1, p2, q2 = exponents
-    lhs = norm(Lp(r), center(multiply(f, g)), precision=precision)
-    rhs = (
-        norm(Lp(p1), f, precision=precision)
-        * norm(Lp(q1), center(g), precision=precision)
-        + norm(Lp(p2), g, precision=precision)
-        * norm(Lp(q2), center(f), precision=precision)
-    )
-    return lhs, rhs
+    return _product_rule(f, g, _norm_table("thm41", exponents),
+                         precision)[None]
 
 
 def thm43_sides(f: SimpleFunction, g: SimpleFunction, X, precision=None,
                 labels=None):
-    """The conclusions named in labels, in that order (None: both): the
-    X-norm form (5 norms) and the associate form (5 norms, two of them
-    in X').  The centerings they share are computed once, and a form not
-    asked for is not evaluated."""
-    fg_centered = center(multiply(f, g))
-    f_centered, g_centered = center(f), center(g)
-
-    def nrm(Y, u):
-        return norm(Y, u, precision=precision)
-
-    forms = {
-        "norm_form": lambda: (
-            nrm(X, fg_centered),
-            nrm(LINF, f) * nrm(X, g_centered) + nrm(LINF, g) * nrm(X, f_centered),
-        ),
-        "associate_form": lambda: (
-            nrm(L1, fg_centered),
-            nrm(X, f) * nrm(Associate(X), g_centered)
-            + nrm(Associate(X), g) * nrm(X, f_centered),
-        ),
-    }
-    return {label: forms[label]()
-            for label in (forms if labels is None else labels)}
+    """The forms named in labels, in that order (None: both)."""
+    return _product_rule(f, g, _norm_table("thm43", X=X, labels=labels),
+                         precision)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +408,9 @@ def _lemma31_forms(cfg, fns, precision, labels):
     return {None: lemma31_bound(fns["f"], fns["g"], fns["h"])}
 
 
-def _thm41_forms(cfg, fns, precision, labels):
-    return {None: thm41_sides(fns["f"], fns["g"], cfg.exponents,
-                              precision=precision)}
-
-
-def _thm43_forms(cfg, fns, precision, labels):
-    return thm43_sides(fns["f"], fns["g"], cfg.norm, precision=precision,
-                       labels=labels)
+def _product_forms(cfg, fns, precision, labels):
+    return _product_rule(fns["f"], fns["g"], _norm_table(
+        cfg.suite, cfg.exponents, cfg.norm, labels), precision)
 
 
 #: suite -> (forms, certifying precision; None is exact), which is also
@@ -423,8 +422,8 @@ def _thm43_forms(cfg, fns, precision, labels):
 _TRIALS = {
     "thm32": (_thm32_forms, None),
     "lemma31": (_lemma31_forms, None),
-    "thm41": (_thm41_forms, QUAD_PRECISION),
-    "thm43": (_thm43_forms, QUAD_PRECISION),
+    "thm41": (_product_forms, QUAD_PRECISION),
+    "thm43": (_product_forms, QUAD_PRECISION),
     "rearrange": (None, None),
 }
 

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import rearrange_lab.verify as verify_mod
 from rearrange_lab import cli, errors
 from rearrange_lab.cli import FlagError, run
 from rearrange_lab.spaces import space_from_json
@@ -179,8 +180,57 @@ def test_verify_lorentz_kinds_on_weighted_spaces(mode, descriptor, capsys):
 
 
 def test_verify_exact_mode_rejects_rooty_exponents(capsys):
-    assert run(["verify", "--suite", "thm41", "--mode", "exact",
-                "--trials", "5", "--exponents", "1,2,2,2,2"]) == 2
+    """One check and one message for both product rules: thm41 with L2
+    exponents and thm43 with its default norm L2."""
+    for suite, argv in (("thm41", ["--exponents", "1,2,2,2,2"]),
+                        ("thm43", [])):
+        assert run(["verify", "--suite", suite, "--mode", "exact",
+                    "--trials", "5", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: InputError: exact mode for {suite} needs every norm "
+            "of its forms exactly evaluable\n")
+
+
+@pytest.fixture
+def three_quarter_product_rule(monkeypatch):
+    """A planted bug: the product rule's RHS at 3/4 of its value, in the
+    trials and in the 113-bit rechecks alike."""
+    real = verify_mod._product_rule
+
+    def product_rule(f, g, forms, precision=None):
+        return {label: (lhs, rhs * 3 / 4) for label, (lhs, rhs)
+                in real(f, g, forms, precision).items()}
+
+    monkeypatch.setattr(verify_mod, "_product_rule", product_rule)
+
+
+def test_certified_violation_exits_1_and_still_reports(
+        three_quarter_product_rule, capsys):
+    assert run(["verify", "--suite", "thm43", "--atoms", "4", "--seed", "0",
+                "--trials", "200"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    violations = doc["violations"]
+    assert violations
+    assert doc["histogram"]["violation"] == len(violations)
+    indices = [v["trial_index"] for v in violations]
+    assert indices == sorted(set(indices))
+    first = violations[0]
+    assert first["instance"]["trial_index"] == first["trial_index"]
+    assert first["form"] in ("thm43-norm_form", "thm43-associate_form")
+    recheck = first["recheck"]
+    assert recheck["mode"] == "float113"
+    assert F(recheck["rhs"]) < F(recheck["lhs"])
+
+
+def test_certified_search_excess_exits_1(three_quarter_product_rule, capsys):
+    assert run(["search", "--target", "thm43-ratio", "--atoms", "3",
+                "--iters", "30", "--restarts", "2", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert float(doc["best_ratio"]) > 1 + 1e-9
+    violation = doc["violation"]
+    assert violation["ratio"] == doc["best_ratio"]
+    assert violation["recheck_mode"] == "float113"
+    assert violation["instance"] == doc["best_instance"]
 
 
 def test_search_command(capsys):

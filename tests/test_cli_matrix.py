@@ -15,6 +15,13 @@ NORMS = {
     "lorentz": json.dumps(_LORENTZ),
     "associate": json.dumps({"kind": "associate", "base": _LORENTZ}),
     "lp3": json.dumps({"kind": "lp", "p": "3"}),
+    "generated-p-half": json.dumps(
+        {"kind": "generated", "base": {"kind": "lp", "p": "2"}, "p": "1/2"}),
+    "decreasing-phi": json.dumps(
+        {"kind": "lorentz",
+         "phi": [["0", "0"], ["1/4", "3/4"], ["1/2", "1/2"], ["1", "1"]]}),
+    "generated-lorentz": json.dumps(
+        {"kind": "generated", "base": _LORENTZ, "p": "1"}),
 }
 INPUTS = {
     "instance": {"space": {"weights": ["0.2", "0.3", "0.5"]},
@@ -103,6 +110,16 @@ MATRIX = {
     "error-exact-rooty-exponents": (
         _VERIFY + ["--suite", "thm41", "--mode", "exact", "--exponents",
                    "2,4,4,4,4"], None),
+    "error-exponent-literal": (_VERIFY + ["--suite", "thm41", "--exponents",
+                                          "2,x,4,4,4"], None),
+    "error-generated-p-below-one": (
+        _VERIFY + ["--suite", "thm43", "--norm", "<generated-p-half>"], None),
+    "error-decreasing-phi": (
+        _VERIFY + ["--suite", "thm43", "--norm", "<decreasing-phi>"], None),
+    # the norm is exactly evaluable, its associate is not
+    "error-exact-generated-lorentz": (
+        _VERIFY + ["--suite", "thm43", "--mode", "exact",
+                   "--norm", "<generated-lorentz>"], None),
     "error-search-one-atom": (["search", "--target", "thm32-ratio",
                                "--atoms", "1"], None),
     "error-precision-bogus": (_VERIFY + ["--suite", "thm32", "--trials",
@@ -133,7 +150,19 @@ EXPECTED = {
     "error-exact-rooty-exponents": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         2, "error: InputError"),
+    "error-decreasing-phi": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
+    "error-exact-generated-lorentz": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
+    "error-exponent-literal": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
     "error-exponents": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
+    "error-generated-p-below-one": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         2, "error: InputError"),
     "error-precision-24": (

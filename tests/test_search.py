@@ -8,7 +8,8 @@ from conftest import same_bits
 from rearrange_lab.norms import (L1, Associate, ConcaveWeight, LorentzLambda,
                                  Lp)
 from rearrange_lab.scalars import INF
-from rearrange_lab.search import (SearchProblem, _excess_certificate, _sides,
+from rearrange_lab.search import (TARGETS, SearchProblem, _excess_certificate,
+                                  _initial_state, _ratio, _sides,
                                   _state_functions, search)
 from rearrange_lab.spaces import instance_from_json, integrate
 from rearrange_lab.verify import thm43_sides
@@ -132,3 +133,22 @@ def test_objective_is_the_norm_form_bit_for_bit(norm):
         expected = thm43_sides(funcs["f"], funcs["g"], norm,
                                precision=53)["norm_form"]
         assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+class _ZeroUniform:
+    """An rng whose every uniform draw is 0.0: each random start has
+    RHS = 0 and lies outside the search domain."""
+
+    def uniform(self, low, high):
+        return 0.0
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_initial_state_falls_back_to_alternating_signs(target):
+    problem = SearchProblem(target, atoms=4)
+    space = problem.space()
+    state = _initial_state(problem, _ZeroUniform(), space)
+    alternating = [1.0, -1.0, 1.0, -1.0]
+    assert state == {name: [1.0] * 4 if name == "f" else alternating
+                     for name in problem.free_functions}
+    assert _ratio(problem, state, space) is not None

@@ -627,7 +627,7 @@ def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels):
 
 def test_thm43_sides_evaluates_only_the_requested_forms():
     """A norm without an associate evaluation has a norm form, and only
-    asking for its associate form fails."""
+    asking for its associate form fails; an unknown form is refused."""
     cfg = TrialConfig(suite="thm43", mode="float", atoms=4, trials=1,
                       norm=Generated(L1, 2))
     fns = _binary_instance(generate_instance(cfg, 3), 53).functions
@@ -637,3 +637,6 @@ def test_thm43_sides_evaluates_only_the_requested_forms():
     assert _evaluate(cfg, fns, 53, ("norm_form",)) == only
     with pytest.raises(InputError):
         thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53)
+    with pytest.raises(KeyError):
+        thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53,
+                    labels=("norm",))
