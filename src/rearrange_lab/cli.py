@@ -34,7 +34,7 @@ from .norms import norm_from_json
 from .oscillation import decomposition_to_json, zero_mean_decompose
 from .rearrange import decreasing_rearrangement, profile_to_json
 from .scalars import DOUBLE_PRECISION, parse_exponent
-from .search import SearchProblem, search
+from .search import TARGETS, SearchProblem, search
 from .verify import (SUITE_IDS, TrialConfig, canonical_json, check_precision,
                      run_suite)
 
@@ -77,8 +77,7 @@ def _build_parser() -> _Parser:
     p_ve.add_argument("--out", default=None, help="also write the report here")
 
     p_se = sub.add_parser("search", help="extremal ratio search")
-    p_se.add_argument("--target", required=True,
-                      choices=("thm32-ratio", "thm41-ratio", "thm43-ratio"))
+    p_se.add_argument("--target", required=True, choices=tuple(TARGETS))
     p_se.add_argument("--iters", type=int, default=1000)
     p_se.add_argument("--restarts", type=int, default=8)
     p_se.add_argument("--seed", type=int, default=0)
@@ -174,11 +173,13 @@ def _verify_command(args) -> int:
     norm = _parse_norm_flag(args.norm)
     exponents = _parse_exponents_flag(args.exponents)
     suites = SUITE_IDS if args.suite == "all" else (args.suite,)
-    reports = [run_suite(TrialConfig(
+    # every config is built, and so checked, before any suite runs
+    configs = [TrialConfig(
         suite=suite, atoms=args.atoms, weight_scheme=args.weights,
         trials=args.trials, seed=args.seed, mode=args.mode,
-        precision=precision, exponents=exponents, norm=norm))
+        precision=precision, exponents=exponents, norm=norm)
         for suite in suites]
+    reports = [run_suite(cfg) for cfg in configs]
     if args.suite == "all":
         doc = {"suites": [r.to_json_dict() for r in reports]}
     else:

@@ -217,20 +217,6 @@ def _simplify(X):
     return X
 
 
-def exactly_evaluable(X) -> bool:
-    """Whether the norm can be computed without an inexact root."""
-    X = _simplify(X)
-    if isinstance(X, Lp):
-        return X.p == INF or X.p == 1
-    if isinstance(X, LorentzLambda):
-        return True
-    if isinstance(X, Generated):
-        return X.p == 1 and exactly_evaluable(X.base)
-    if isinstance(X, Associate):
-        return isinstance(X.base, LorentzLambda)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # evaluation helpers
 

@@ -9,8 +9,11 @@ search reads too, defines each inequality by its forms and by the
 arithmetic that certifies it: exact for the root-free thm32 and lemma31,
 113 bits for the product rules thm41 and thm43.  A negative float gap is
 re-evaluated in that arithmetic and certified by the one rule
-`_certified`; otherwise it is logged as a graze.  The rearrange suite
-checks properties rather than an inequality, exactly, in its own trial.
+`_certified`; otherwise it is logged as a graze.  A `TrialConfig`
+evaluates its forms once, on trial 0's instance, and so refuses a norm
+that its run cannot evaluate.  The rearrange suite checks properties
+rather than an inequality, exactly, in its own trial, which returns
+{property: passed}.
 
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
 lemma31 (its off-support cross-term bound), thm41 and thm43 (the product
@@ -37,9 +40,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import norms as norms_mod
-from .errors import InputError
-from .norms import (L1, LINF, Associate, Lp, exactly_evaluable,
-                    hardy_littlewood_check, norm)
+from .errors import ExactUnavailable, InputError
+from .norms import L1, LINF, Associate, Lp, hardy_littlewood_check, norm
 from .oscillation import bilinear_form, lemma31_bound
 from .rearrange import (decreasing_rearrangement, equimeasurable,
                         indicator_difference_rearrangement, layer_decompose,
@@ -51,8 +53,6 @@ from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
 from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
                      instance_to_json, multiply, to_binary_function,
                      to_binary_space)
-
-SUITE_IDS = ("thm32", "lemma31", "thm41", "thm43", "rearrange")
 
 #: certification threshold for the 113-bit recheck, relative to scale
 QUAD_CERTIFY_RTOL = Fraction(1, 2**80)
@@ -130,7 +130,11 @@ def check_precision(precision: int, name: str) -> int:
 class TrialConfig:
     """Configuration of one verification run.  Mode None is the suite's
     default arithmetic, its certifying one in `_TRIALS`: exact for
-    thm32, lemma31 and rearrange, float for thm41 and thm43."""
+    thm32, lemma31 and rearrange, float for thm41 and thm43.  A suite
+    with norms evaluates every form once, on trial 0's instance in the
+    run's arithmetic, so a norm the run cannot evaluate (an inexact root
+    in exact mode, an associate without an evaluation in any mode) is an
+    InputError before any trial."""
 
     suite: str
     atoms: int = 4
@@ -164,11 +168,15 @@ class TrialConfig:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.mode == "float" and forms is None:
             raise InputError(f"the {self.suite} suite runs in exact mode only")
-        if self.mode == "exact" and not all(
-                exactly_evaluable(Y) for norms in _norm_table(
-                    self.suite, exponents, X).values() for Y in norms):
-            raise InputError(f"exact mode for {self.suite} needs every norm "
-                             "of its forms exactly evaluable")
+        if _norm_table(self.suite, exponents, X):
+            precision = None if self.mode == "exact" else self.precision
+            work = _binary_instance(generate_instance(self, 0), precision)
+            try:
+                _evaluate(self, work.functions, precision)
+            except ExactUnavailable:
+                raise InputError(f"exact mode for {self.suite} needs every "
+                                 "norm of its forms exactly evaluable") \
+                    from None
 
     def canonical_dict(self) -> dict:
         return {
@@ -381,8 +389,8 @@ class TrialOutcome:
     gap: object = None
     graze: bool = False
     violation: dict = None
-    form_gaps: dict = None
-    passed_properties: tuple = ()
+    form_gaps: dict = None          # {label: gap}, in form order
+    passed_properties: dict = None  # {property: passed}, rearrange only
 
 
 def _recheck_mode(precision) -> str:
@@ -426,6 +434,8 @@ _TRIALS = {
     "thm43": (_product_forms, QUAD_PRECISION),
     "rearrange": (None, None),
 }
+
+SUITE_IDS = tuple(_TRIALS)
 
 
 def _evaluate(cfg, functions, precision, labels=None) -> dict:
@@ -487,77 +497,56 @@ def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
     return out
 
 
-_REARRANGE_PROPERTIES = (
-    "equimeasurability",
-    "lp_preservation",
-    "layer_roundtrip",
-    "indicator_identity",
-    "nonexpansiveness",
-    "monotone_ladder",
-    "hardy_littlewood",
-)
-
-
 def _run_rearrange_trial(cfg, inst):
     """All rearrangement-machinery properties on one instance; the gap
     reported is the worst inequality margin (Hardy-Littlewood and
     non-expansiveness)."""
     f, g = inst.functions["f"], inst.functions["g"]
-    passed, failed = [], []
+    passed = {}
 
     prof = decreasing_rearrangement(f)
-    _record(passed, failed, "equimeasurability", equimeasurable(f, prof))
+    passed["equimeasurability"] = equimeasurable(f, prof)
 
-    ok = all(m_f == m_p
-             for m_f, m_p in (lp_moments(f, p) for p in (1, 2, 3, INF)))
-    _record(passed, failed, "lp_preservation", ok)
+    passed["lp_preservation"] = all(
+        m_f == m_p for m_f, m_p in (lp_moments(f, p) for p in (1, 2, 3, INF)))
 
-    cake_ok = layer_reconstruct(layer_decompose(f)).values == f.values
-    _record(passed, failed, "layer_roundtrip", cake_ok)
+    passed["layer_roundtrip"] = \
+        layer_reconstruct(layer_decompose(f)).values == f.values
 
     levels = sorted({abs(v) for v in f.values}) + [Fraction(0)]
     thresholds = set(levels)
     thresholds.update((a + b) / 2 for a, b in zip(levels, levels[1:]))
-    ind_ok = all(
+    passed["indicator_identity"] = all(
         left == right
         for left, right in (
             indicator_difference_rearrangement(f, t) for t in sorted(thresholds)
         )
     )
-    _record(passed, failed, "indicator_identity", ind_ok)
 
-    nonexp_ok = all(lhs <= rhs for lhs, rhs in
-                    (nonexpansive_moments(f, g, p) for p in (1, 2, INF)))
-    _record(passed, failed, "nonexpansiveness", nonexp_ok)
+    passed["nonexpansiveness"] = all(
+        lhs <= rhs for lhs, rhs in
+        (nonexpansive_moments(f, g, p) for p in (1, 2, INF)))
 
     ladder = truncation_ladder(f, 16)
-    ladder_ok = all(
+    passed["monotone_ladder"] = all(
         profile_leq(a, b) for a, b in zip(ladder, ladder[1:])
     ) and ladder[-1] == prof
-    _record(passed, failed, "monotone_ladder", ladder_ok)
 
     hl_lhs, hl_rhs = hardy_littlewood_check(f, g)
     sup_g = decreasing_rearrangement(g).sup
     l1_f = dot(map(abs, f.values), f.space.weights)
-    chain_ok = hl_lhs <= hl_rhs <= sup_g * l1_f
-    _record(passed, failed, "hardy_littlewood", chain_ok)
+    passed["hardy_littlewood"] = hl_lhs <= hl_rhs <= sup_g * l1_f
 
-    out = TrialOutcome(
-        gap=hl_rhs - hl_lhs,
-        passed_properties=tuple(passed),
-    )
+    out = TrialOutcome(gap=hl_rhs - hl_lhs, passed_properties=passed)
+    failed = [name for name, ok in passed.items() if not ok]
     if failed:
         out.violation = {
             "form": "rearrange",
             "instance": inst.to_json(),
-            "failed_properties": list(failed),
+            "failed_properties": failed,
             "recheck": {"mode": "exact", "failed_properties": list(failed)},
         }
     return out
-
-
-def _record(passed, failed, name, ok):
-    (passed if ok else failed).append(name)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +626,13 @@ def canonical_hash(doc: dict) -> str:
 
 def run_suite(cfg: TrialConfig) -> VerificationReport:
     """Run the trials of the configured suite in order and reduce the
-    outcomes."""
+    outcomes: the passes of each property an outcome carries, and the
+    minimum gap of each labelled form (a single-form suite's one gap,
+    labelled None, is min_gap itself)."""
     histogram = {label: 0 for label, _ in _HISTOGRAM_BINS}
     min_gap, argmin_index = None, None
     violations, grazes = [], 0
-    prop_passes = {name: 0 for name in _REARRANGE_PROPERTIES} \
-        if cfg.suite == "rearrange" else None
-    form_min = {} if cfg.suite == "thm43" else None
+    prop_passes, form_min = {}, {}
 
     for i in range(cfg.trials):
         out = _run_trial(cfg, i)
@@ -654,12 +643,13 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
             violations.append(dict(out.violation, trial_index=i))
         if out.graze:
             grazes += 1
-        if prop_passes is not None:
-            for name in out.passed_properties:
-                prop_passes[name] += 1
-        if form_min is not None:
+        if out.passed_properties:
+            for name, ok in out.passed_properties.items():
+                prop_passes[name] = prop_passes.get(name, 0) + ok
+        if out.form_gaps:
             for label, gap in out.form_gaps.items():
-                if label not in form_min or gap < form_min[label]:
+                if label is not None and (
+                        label not in form_min or gap < form_min[label]):
                     form_min[label] = gap
 
     return VerificationReport(
@@ -672,6 +662,6 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
         grazes=grazes,
         histogram=histogram,
         config=cfg.canonical_dict(),
-        properties=prop_passes,
-        form_min_gaps=form_min,
+        properties=prop_passes or None,
+        form_min_gaps=form_min or None,
     )

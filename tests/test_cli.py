@@ -343,6 +343,24 @@ def test_each_error_exits_with_its_code(cls, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
 
 
+def test_verify_all_checks_every_config_before_any_suite_runs(
+        monkeypatch, capsys):
+    """A --norm that thm43 cannot evaluate ends the run with exit 2
+    before thm32, lemma31 or thm41 runs, and nothing reaches stdout."""
+    def spy(cfg):
+        raise AssertionError(f"the {cfg.suite} suite ran")
+
+    monkeypatch.setattr(verify_mod, "run_suite", spy)
+    monkeypatch.setattr(cli, "run_suite", spy)
+    norm = '{"kind":"generated","base":{"kind":"lp","p":"1"},"p":"2"}'
+    assert run(["verify", "--suite", "all", "--trials", "5",
+                "--norm", norm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: InputError: no associate evaluation "
+                            "for base kind Generated\n")
+
+
 def test_verify_all_aggregates(capsys):
     assert run(["verify", "--suite", "all", "--trials", "20", "--atoms", "2",
                 "--seed", "1"]) == 0

@@ -17,7 +17,6 @@ from oracles import (associate_norm_oracle, exact_scalar,
 from rearrange_lab.errors import ExactUnavailable, InputError
 from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1, L2,
                                  LINF, LorentzLambda, Lp, dual_exponent,
-                                 exactly_evaluable,
                                  hardy_littlewood_check, norm, norm_from_json,
                                  norm_to_json)
 from rearrange_lab.rearrange import (StepProfile, decreasing_rearrangement,
@@ -210,8 +209,6 @@ def test_second_associate_fixtures():
         norm(Generated(LAMBDA, 2), f, precision=53)
     zero = SimpleFunction((0, 0, 0), equal_space(3))
     assert norm(_second_associate(L2), zero, precision=53) == 0
-    assert exactly_evaluable(_second_associate(LAMBDA))
-    assert not exactly_evaluable(_second_associate(L2))
 
 
 @given(functions(min_atoms=2))

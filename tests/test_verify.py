@@ -13,9 +13,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
+from rearrange_lab.cli import run
 from rearrange_lab.errors import InputError
-from rearrange_lab.norms import (ConcaveWeight, Generated, L1, LorentzLambda,
-                                 Lp, norm_from_json)
+from rearrange_lab.norms import (Associate, ConcaveWeight, Generated, L1,
+                                 LorentzLambda, Lp, norm_from_json)
 from rearrange_lab import verify as verify_mod
 from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
@@ -627,16 +628,79 @@ def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels):
 
 def test_thm43_sides_evaluates_only_the_requested_forms():
     """A norm without an associate evaluation has a norm form, and only
-    asking for its associate form fails; an unknown form is refused."""
-    cfg = TrialConfig(suite="thm43", mode="float", atoms=4, trials=1,
-                      norm=Generated(L1, 2))
+    asking for its associate form fails; an unknown form is refused.  A
+    search problem carries such a norm, which no TrialConfig accepts."""
+    cfg = TrialConfig(suite="thm43", mode="float", atoms=4, trials=1)
+    problem = SearchProblem("thm43-ratio", norm=Generated(L1, 2))
     fns = _binary_instance(generate_instance(cfg, 3), 53).functions
-    only = thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53,
+    only = thm43_sides(fns["f"], fns["g"], problem.norm, precision=53,
                        labels=("norm_form",))
     assert tuple(only) == ("norm_form",)
-    assert _evaluate(cfg, fns, 53, ("norm_form",)) == only
+    assert _evaluate(problem, fns, 53, ("norm_form",)) == only
     with pytest.raises(InputError):
-        thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53)
+        thm43_sides(fns["f"], fns["g"], problem.norm, precision=53)
     with pytest.raises(KeyError):
-        thm43_sides(fns["f"], fns["g"], cfg.norm, precision=53,
+        thm43_sides(fns["f"], fns["g"], problem.norm, precision=53,
                     labels=("norm",))
+
+
+_UNEVALUABLE_EXACTLY = "^exact mode for {} needs every norm of its forms " \
+    "exactly evaluable$"
+_NO_GENERATED_ASSOCIATE = \
+    "^no associate evaluation for base kind Generated$"
+
+
+@pytest.mark.parametrize("config,refusal", [
+    (dict(suite="thm41", mode="exact",
+          exponents=(F(2), F(4), F(4), F(4), F(4))),
+     _UNEVALUABLE_EXACTLY.format("thm41")),
+    (dict(suite="thm43", mode="exact", norm=Lp(2)),
+     _UNEVALUABLE_EXACTLY.format("thm43")),
+    (dict(suite="thm43", mode="float", norm=Generated(L1, 2)),
+     _NO_GENERATED_ASSOCIATE),
+    (dict(suite="thm43", mode="float", norm=Generated(LORENTZ, 2)),
+     _NO_GENERATED_ASSOCIATE),
+    (dict(suite="thm43", mode="exact", norm=LORENTZ), None),
+    (dict(suite="thm43", mode="exact",
+          norm=Associate(Associate(LORENTZ))), None),
+], ids=["exact-thm41-L4", "exact-thm43-L2", "float-thm43-generated-L1",
+        "float-thm43-generated-lorentz", "exact-thm43-lorentz",
+        "exact-thm43-second-associate"])
+def test_config_refuses_an_unevaluable_norm_before_any_trial(
+        config, refusal, monkeypatch):
+    """The config evaluates every form of its suite once, in its own
+    arithmetic, and refuses a norm that cannot be evaluated there before
+    any trial runs, in exact and float mode alike."""
+    def no_trial(cfg, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verify_mod, "_run_trial", no_trial)
+    if refusal is None:
+        TrialConfig(atoms=5, trials=3, **config)
+    else:
+        with pytest.raises(InputError, match=refusal):
+            TrialConfig(atoms=5, trials=3, **config)
+
+
+def test_rearrange_violation_names_its_failed_properties(monkeypatch, capsys):
+    """A property that fails on every instance is a violation of each
+    trial, named in the report, counted nowhere among the passes, and
+    makes the CLI exit 1 with the report still written."""
+    monkeypatch.setattr(verify_mod, "equimeasurable", lambda f, p: False)
+    trials = 4
+    report = run_suite(TrialConfig(suite="rearrange", atoms=3,
+                                   trials=trials, seed=2))
+    first = report.violations[0]
+    assert first["form"] == "rearrange"
+    assert first["failed_properties"] == ["equimeasurability"]
+    assert first["recheck"]["mode"] == "exact"
+    assert report.properties["equimeasurability"] == 0
+    assert len(report.properties) == 7
+    assert all(passes == trials for name, passes in report.properties.items()
+               if name != "equimeasurability")
+    assert report.histogram["violation"] == trials
+
+    assert run(["verify", "--suite", "rearrange", "--atoms", "3",
+                "--trials", str(trials), "--seed", "2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == json.loads(canonical_json(report.to_json_dict()))
