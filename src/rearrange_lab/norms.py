@@ -3,8 +3,10 @@
 Four descriptor kinds are provided: ``Lp`` (including the sup norm at
 p = inf), ``LorentzLambda`` with a concave piecewise-linear weight,
 ``Generated`` (the norm f -> ||f|^p|_X^(1/p)), and ``Associate``.  Every
-kind evaluates both on simple functions and on step profiles; the value
-depends only on the decreasing rearrangement.
+kind evaluates both on columns (simple functions, and the `spaces.Column`
+of the product-rule kernel) and on step profiles; the value depends only
+on the decreasing rearrangement.  A descriptor keeps what `norm` derives
+of it once: its simplified form and the double 1/p of a root.
 
 Every kind runs on every finite probability space: a Lorentz norm is a
 Choquet integral, whose dual is the max over sets A of the integral of
@@ -34,8 +36,8 @@ from .errors import ExactUnavailable, InputError
 from .rearrange import StepProfile, decreasing_rearrangement, make_profile, \
     profile_integrate_product
 from .scalars import DOUBLE_PRECISION, INF, binary_context, dot, \
-    format_exponent, format_scalar, in_family, is_mpf, parse_exponent, \
-    parse_scalar, to_binary
+    format_exponent, format_scalar, in_family, is_mpf, kept, \
+    parse_exponent, parse_scalar, to_binary
 from .spaces import SimpleFunction, common_space
 
 
@@ -91,7 +93,7 @@ class ConcaveWeight:
     with a float: t is compared with the breakpoints exactly (through the
     nearest doubles below and above them), each constant of the linear
     formula is the exact difference or breakpoint rounded once, and
-    phi(t) is the Fraction 0 or 1 for t <= 0 or t >= 1; a breakpoint and
+    phi(t) is the double 0.0 or 1.0 for t <= 0 or t >= 1; a breakpoint and
     its value are kept as the doubles a Fraction rounds to in a float
     operation.  An mpf t gets the breakpoints rounded to the working
     precision, one table per precision.
@@ -130,7 +132,7 @@ class ConcaveWeight:
             key = mpmath.mp.prec
         else:
             key = "exact"
-        tables = self.__dict__.setdefault("_tables", {})
+        tables = kept(self, "_tables", dict)
         table = tables.get(key)
         if table is None:
             table = tables[key] = self._build_table(x)
@@ -142,7 +144,7 @@ class ConcaveWeight:
                   for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
         if isinstance(x, float):  # Fraction op float is float(a) op float(b)
             return _WeightTable(
-                pts[0][1], pts[-1][1],
+                0.0, 1.0,
                 [_double_at_most(t) for t, _ in pts[1:]],
                 [tuple(map(float, piece)) for piece in pieces],
                 [(_double_at_least(t), float(t) == t, float(t), float(v))
@@ -190,6 +192,7 @@ class Associate:
 L1 = Lp(1)
 L2 = Lp(2)
 LINF = Lp(INF)
+_ZERO = Fraction(0)  # the sup of no value
 
 def dual_exponent(p):
     if p == INF:
@@ -250,18 +253,18 @@ def _powers(xs, p, precision):
             f"{prec}-bit floats") from None
 
 
-def _root(x, p, precision):
+def _root(x, X, precision):
+    p = X.p
     if p == 1:
         return x
     if precision is None and isinstance(x, (int, Fraction)):
         raise ExactUnavailable(f"{p}-th root has no exact value")
-    prec = precision or DOUBLE_PRECISION
-    xb = _as_binary(x, prec)
-    if is_mpf(xb):
-        import mpmath
-        pf = Fraction(p)
-        return xb ** (mpmath.mpf(pf.denominator) / pf.numerator)
-    return xb ** (1.0 / float(p))
+    if type(x) is not float or precision not in (None, DOUBLE_PRECISION):
+        x = _as_binary(x, precision or DOUBLE_PRECISION)
+        if is_mpf(x):
+            import mpmath
+            return x ** (mpmath.mpf(p.denominator) / p.numerator)
+    return x ** kept(X, "_root", lambda: 1.0 / float(p))
 
 
 def _profile_of(f) -> StepProfile:
@@ -274,20 +277,19 @@ def _profile_of(f) -> StepProfile:
 # the norm
 
 def norm(X, f, *, precision=None):
-    """Evaluate the norm described by X on a SimpleFunction or StepProfile.
+    """Evaluate the norm described by X on a column or a StepProfile.
 
     ``precision=None`` demands exact arithmetic and raises
     ExactUnavailable when a fractional root is involved; an integer
     selects the binary significand width for those steps.
     """
-    X = _simplify(X)
     with binary_context(precision or DOUBLE_PRECISION):
-        return _norm(X, f, precision)
+        return _norm(kept(X, "_simple", _simplify, X), f, precision)
 
 
 def _norm(X, f, precision):
     if isinstance(X, Lp):
-        return _lp_norm(X.p, f, precision)
+        return _lp_norm(X, f, precision)
     if isinstance(X, LorentzLambda):
         return _lorentz_norm(X.phi, _profile_of(f))
     if isinstance(X, Generated):
@@ -295,7 +297,7 @@ def _norm(X, f, precision):
         powered = make_profile(zip(
             _powers([v for v, _ in segments], X.p, precision),
             (l for _, l in segments)))
-        return _root(_norm(X.base, powered, precision), X.p, precision)
+        return _root(_norm(X.base, powered, precision), X, precision)
     if isinstance(X, Associate):
         base = X.base  # already simplified: not an Lp, not Associate(Lorentz)
         if isinstance(base, LorentzLambda):
@@ -306,15 +308,15 @@ def _norm(X, f, precision):
     raise InputError(f"unknown norm descriptor {X!r}")
 
 
-def _lp_norm(p, f, precision):
-    """p is a Fraction or the float INF (see Lp)."""
-    if isinstance(f, SimpleFunction):
-        values, weights = [abs(v) for v in f.values], f.space.weights
-    else:
+def _lp_norm(X, f, precision):
+    """X.p is a Fraction or the float INF (see Lp)."""
+    if isinstance(f, StepProfile):
         values, weights = [v for v, _ in f.segments], [l for _, l in f.segments]
-    if isinstance(p, float):
-        return max(values, default=Fraction(0))
-    return _root(dot(_powers(values, p, precision), weights), p, precision)
+    else:
+        values, weights = list(map(abs, f.values)), f.space.weights
+    if isinstance(X.p, float):
+        return max(values, default=_ZERO)
+    return _root(dot(_powers(values, X.p, precision), weights), X, precision)
 
 
 def _lorentz_norm(phi: ConcaveWeight, prof: StepProfile):

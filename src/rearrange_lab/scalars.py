@@ -56,6 +56,8 @@ QUAD_PRECISION = 113
 
 INF = float("inf")
 
+_NO_CONTEXT = contextlib.nullcontext()  # stateless, so shared by all
+
 Exponent = Union[Fraction, float]  # a rational >= 1, or INF
 
 #: largest decimal exponent magnitude a literal may carry; far beyond the
@@ -257,7 +259,7 @@ def shifted(numerators, unit, m):
     denominator of the two and is put in lowest terms; binary numerators
     come back as numerators[i] - m with the unit int 1."""
     if type(unit) is int:
-        return tuple(x - m for x in numerators), unit
+        return tuple([x - m for x in numerators]), unit
     den = math.lcm(unit.denominator, m.denominator)
     scale, offset = den // unit.denominator, m.numerator * (den // m.denominator)
     return in_lowest_terms([x * scale - offset for x in numerators],
@@ -293,6 +295,15 @@ def unit_product(*units):
     return Fraction(1, math.prod(dens)) if dens else 1
 
 
+def kept(obj, name: str, make, *args):
+    """obj.__dict__[name], made as make(*args) on first use: how a frozen
+    dataclass keeps what it derives, out of its fields' eq, hash and repr."""
+    memo = obj.__dict__
+    if name not in memo:
+        memo[name] = make(*args)
+    return memo[name]
+
+
 def dot(terms, *columns):
     """Sum over i of terms[i] * columns[0][i] * ...: each term multiplied
     from the left, the terms added from the left starting from the int 0
@@ -315,7 +326,7 @@ def binary_context(precision: int):
     precision for the duration of the block.
     """
     if precision == DOUBLE_PRECISION:
-        return contextlib.nullcontext()
+        return _NO_CONTEXT
     import mpmath
     return mpmath.workprec(precision)
 
@@ -329,10 +340,10 @@ def _type_family(t) -> str:
         raise TypeError("booleans are not scalars")
     if issubclass(t, int):
         return "any"
+    if issubclass(t, float):  # first: Fraction's ABC check is slower
+        return "float"
     if issubclass(t, Fraction):
         return "exact"
-    if issubclass(t, float):
-        return "float"
     if issubclass(t, _loaded_mpf()):
         return "mpf"
     raise TypeError(f"unsupported scalar type {t.__name__}")

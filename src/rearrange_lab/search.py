@@ -3,6 +3,8 @@
 The search maximizes LHS/RHS over function values with additive,
 multiplicative, and sign-flip coordinate moves, re-centering the
 zero-mean variable after every move where the hypothesis requires it.
+A move rebuilds only the function it changes, and the product-rule
+kernel reads back what the others keep: their centring and norms.
 The objective is scale-invariant in each function separately, so the
 climb works inside a fixed box.  Each target is a form of a suite in
 verify's table `_TRIALS`, reads the parameters `suite_parameters` keeps
@@ -102,9 +104,10 @@ class SearchResult:
         }
 
 
-def _state_functions(problem: SearchProblem, state: dict, space: DiscreteSpace):
+def _state_functions(problem: SearchProblem, state: dict, space: DiscreteSpace,
+                     names=None):
     funcs = {}
-    for name in problem.free_functions:
+    for name in names or problem.free_functions:
         f = SimpleFunction(tuple(state[name]), space)
         if name == "g" and problem.target == "thm32-ratio":
             f = center(f)
@@ -118,11 +121,11 @@ def _sides(problem: SearchProblem, funcs):
     return _evaluate(problem, funcs, DOUBLE_PRECISION, (form,))[form]
 
 
-def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace):
-    """LHS/RHS, or None when RHS is (numerically) zero and the instance
-    falls outside the search domain."""
-    funcs = _state_functions(problem, state, space)
-    lhs, rhs = _sides(problem, funcs)
+def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace,
+           funcs=None):
+    """LHS/RHS of state, whose functions funcs are if given, or None when
+    RHS is (numerically) zero and the state falls outside the domain."""
+    lhs, rhs = _sides(problem, funcs or _state_functions(problem, state, space))
     if rhs <= RHS_FLOOR:
         return None
     return float(lhs) / float(rhs)
@@ -149,7 +152,8 @@ def _initial_state(problem, rng, space):
 
 def _climb(problem, rng, space, iters):
     state = _initial_state(problem, rng, space)
-    best = _ratio(problem, state, space)
+    funcs = _state_functions(problem, state, space)
+    best = _ratio(problem, state, space, funcs)
     trace = [(0, best)]
     coords = [
         (name, i) for name in problem.free_functions for i in range(problem.atoms)
@@ -168,14 +172,18 @@ def _climb(problem, rng, space, iters):
         for cand in candidates:
             cand = max(-VALUE_BOX, min(VALUE_BOX, cand))
             state[name][idx] = cand
-            r = _ratio(problem, state, space)
+            moved = {**funcs, **_state_functions(problem, state, space,
+                                                 (name,))}
+            r = _ratio(problem, state, space, moved)
             if r is not None and r > best:
                 best = r
                 v = cand
                 improved = True
                 trace.append((iteration, best))
+                best_funcs = moved
             state[name][idx] = v
         if improved:
+            funcs = best_funcs
             stalled = 0
         else:
             stalled += 1
@@ -223,11 +231,7 @@ def search(problem: SearchProblem, iters: int, restarts: int,
             outcomes = list(pool.map(one, range(restarts)))
     else:
         outcomes = [one(restart) for restart in range(restarts)]
-    best_idx = 0
-    for i, (ratio, _, _) in enumerate(outcomes):
-        if ratio > outcomes[best_idx][0]:
-            best_idx = i
-    best, state, trace = outcomes[best_idx]
+    best, state, trace = max(outcomes, key=lambda outcome: outcome[0])
     funcs = _state_functions(problem, state, space)
     violation = None
     if best > 1.0 + RATIO_CAP_SLACK:

@@ -10,7 +10,8 @@ built: ``numerators`` and ``unit`` are `over_common_denominator` of the
 weights or values, so every exact kernel (`integrate` here,
 `bilinear_form`, `decreasing_rearrangement`) reads int numerators without
 deriving them again.  Binary scalars are their own numerators, with the
-unit int 1.  A function built from an exact pair
+unit int 1, and so are the values of a function on a binary space, ints
+included.  A function built from an exact pair
 (`SimpleFunction.from_numerators`, as `center` and the instance generator
 build them) scales its values back on first read and keeps them; until a
 caller reads them no `Fraction` is made.  `equal_space` builds and
@@ -24,13 +25,14 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
+from operator import mul
+from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .scalars import (approximate_scalar, check_one_family, dot,
                       format_scalar, from_common_denominator, in_family,
-                      over_common_denominator, parse_scalar, shifted,
-                      to_binary)
+                      in_lowest_terms, over_common_denominator, parse_scalar,
+                      shifted, to_binary, unit_product)
 
 #: relative slack allowed on the weight sum for binary-float inputs
 WEIGHT_SUM_TOLERANCE = Fraction(1, 2**40)
@@ -114,7 +116,8 @@ class SimpleFunction:
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         _check_values(values, self.space)
-        numerators, unit = over_common_denominator(values)
+        numerators, unit = (values, 1) if type(self.space.unit) is int \
+            else over_common_denominator(values)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "unit", unit)
 
@@ -170,8 +173,28 @@ def integrate(f: SimpleFunction):
 def center(f: SimpleFunction) -> SimpleFunction:
     """Subtract the mean, so the result integrates to zero (exactly, in
     exact mode); exact values are shifted as int numerators."""
-    return SimpleFunction.from_numerators(
-        *shifted(f.numerators, f.unit, integrate(f)), f.space)
+    return SimpleFunction.from_numerators(*centred(f)[:2], f.space)
+
+
+class Column(NamedTuple):
+    """A function's pair and space, all that `integrate`, the rearrangement
+    and the norms read, unchecked; a SimpleFunction is a column too."""
+    numerators: tuple
+    unit: object
+    space: DiscreteSpace
+    values = property(lambda c: from_common_denominator(c.numerators, c.unit))
+
+
+def centred(f) -> Column:
+    """The column of center(f)."""
+    return Column(*shifted(f.numerators, f.unit, integrate(f)), f.space)
+
+
+def product(f, g) -> Column:
+    """The column of multiply(f, g), made of the numerators."""
+    space = common_space(f, g)
+    return Column(*in_lowest_terms(tuple(map(mul, f.numerators, g.numerators)),
+                                   unit_product(f.unit, g.unit)), space)
 
 
 def support(f: SimpleFunction) -> AtomSet:

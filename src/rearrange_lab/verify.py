@@ -49,10 +49,11 @@ from .rearrange import (decreasing_rearrangement, equimeasurable,
                         profile_integrate_product, profile_leq,
                         truncation_ladder)
 from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
-                      dot, format_exponent, format_scalar, in_lowest_terms)
-from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
-                     instance_to_json, multiply, to_binary_function,
-                     to_binary_space)
+                      dot, format_exponent, format_scalar, in_lowest_terms,
+                      kept)
+from .spaces import (DiscreteSpace, SimpleFunction, center, centred,
+                     equal_space, instance_to_json, product,
+                     to_binary_function, to_binary_space)
 
 #: certification threshold for the 113-bit recheck, relative to scale
 QUAD_CERTIFY_RTOL = Fraction(1, 2**80)
@@ -336,36 +337,53 @@ def thm32_sides(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
 
 def _product_rule(f: SimpleFunction, g: SimpleFunction, forms: dict,
                   precision=None) -> dict:
-    """{label: (lhs, rhs)} for each form {label: (Y0, ..., Y4)}, the norms of
-    fgc = fg - E fg, f, gc = g - E g, g and fc = f - E f (each made once)."""
-    fgc, fc, gc = center(multiply(f, g)), center(f), center(g)
+    """{label: (lhs, rhs)} for each form {label: (Y0, ..., Y4)}: the norms
+    `norm` takes of fgc = fg - E fg, f, gc = g - E g, g and fc = f - E f,
+    on columns made once each as `multiply` and `center` make them; f and
+    g keep theirs and the norms taken (`_kept`) for when they come back."""
+    kept_f, kept_g = _kept(f), _kept(g)
+    fgc, fc, gc = centred(product(f, g)), kept_f["centred"], kept_g["centred"]
     sides = {}
     for label, (Y0, Y1, Y2, Y3, Y4) in forms.items():
         sides[label] = norm(Y0, fgc, precision=precision), (
-            norm(Y1, f, precision=precision)
-            * norm(Y2, gc, precision=precision)
-            + norm(Y3, g, precision=precision)
-            * norm(Y4, fc, precision=precision))
+            _kept_norm(kept_f, Y1, f, precision)
+            * _kept_norm(kept_g, Y2, gc, precision)
+            + _kept_norm(kept_g, Y3, g, precision)
+            * _kept_norm(kept_f, Y4, fc, precision))
     return sides
+
+
+def _kept(f: SimpleFunction) -> dict:
+    """f's memo of its column "centred" and the norms of both, kept on f
+    (new per call for mpf values, whose mean rounds at the precision)."""
+    memo = {} if "mpf" in f.space.families else kept(f, "_kernel", dict)
+    if "centred" not in memo:
+        memo["centred"] = centred(f)
+    return memo
+
+
+def _kept_norm(memo, Y, column, precision):
+    """norm(Y, column) kept in memo by the ids of column (f or its centred
+    one) and of Y, which the entry holds so that no other takes its id."""
+    key = id(Y), id(column), precision
+    entry = memo.get(key)
+    if entry is None or entry[0] is not Y:
+        entry = memo[key] = Y, norm(Y, column, precision=precision)
+    return entry[1]
 
 
 def _norm_table(suite, exponents=None, X=None, labels=None) -> dict:
     """{label: (Y0, ..., Y4)} of the forms of suite named in labels, in that
-    order (None: all; no other form is built): thm41's Lp form, thm43's
-    X-norm and associate forms of X, and none for any other suite."""
+    order (None: all): thm41's Lp form, thm43's X-norm and associate
+    forms of X, and none for any other suite."""
     if suite == "thm41":
         return {None: tuple(map(Lp, exponents))}
-    forms = {}
-    if suite == "thm43":
-        for label in ("norm_form", "associate_form") if labels is None \
-                else labels:
-            if label == "norm_form":
-                forms[label] = (X, LINF, X, LINF, X)
-            elif label == "associate_form":
-                forms[label] = (L1, X, Associate(X), Associate(X), X)
-            else:
-                raise KeyError(label)
-    return forms
+    if suite != "thm43":
+        return {}
+    forms = {"norm_form": (X, LINF, X, LINF, X),
+             "associate_form": (L1, X, Associate(X), Associate(X), X)}
+    return forms if labels is None else {label: forms[label]
+                                         for label in labels}
 
 
 def thm41_sides(f: SimpleFunction, g: SimpleFunction, exponents,
@@ -417,8 +435,10 @@ def _lemma31_forms(cfg, fns, precision, labels):
 
 
 def _product_forms(cfg, fns, precision, labels):
-    return _product_rule(fns["f"], fns["g"], _norm_table(
-        cfg.suite, cfg.exponents, cfg.norm, labels), precision)
+    tables = kept(cfg, "_norm_tables", dict)  # one per labels, kept on cfg
+    forms = tables.get(labels) or tables.setdefault(labels, _norm_table(
+        cfg.suite, cfg.exponents, cfg.norm, labels))
+    return _product_rule(fns["f"], fns["g"], forms, precision)
 
 
 #: suite -> (forms, certifying precision; None is exact), which is also

@@ -76,12 +76,12 @@ def reference_total_length(prof: StepProfile):
 
 
 def reference_phi(phi: ConcaveWeight, t):
-    """phi(t), in the arithmetic family of t."""
+    """phi(t), in the arithmetic family of t; phi(0) and phi(1) of a
+    double t are the doubles 0.0 and 1.0."""
     pts = [(in_family(a, t), in_family(v, t)) for a, v in phi.breakpoints]
-    if t <= 0:
-        return pts[0][1]
-    if t >= 1:
-        return pts[-1][1]
+    if t <= 0 or t >= 1:
+        end = pts[0][1] if t <= 0 else pts[-1][1]
+        return float(end) if isinstance(t, float) else end
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
         if t <= t1:
             return v0 + (v1 - v0) * (t - t0) / (t1 - t0)

@@ -73,6 +73,13 @@ def test_search_pins_do_not_depend_on_the_builtin_sum(cli_seed, capsys,
     test_search_workload_matches_every_pin(cli_seed, capsys)
 
 
+def _pythonpath() -> str:
+    """The checkout's src before the inherited PYTHONPATH, whose entries
+    may be where this interpreter finds its packages."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
 def _loaded_after_run(argv, **env):
     """Run the CLI on argv in a fresh interpreter: (exit code, the modules
     of LAZY_MODULES loaded after the run)."""
@@ -84,10 +91,9 @@ def _loaded_after_run(argv, **env):
         f"print(json.dumps([code, [m for m in {LAZY_MODULES!r} "
         "if m in sys.modules]]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src, **env))
+                          env=dict(os.environ, PYTHONPATH=_pythonpath(), **env))
     assert done.returncode == 0, done.stderr
     return tuple(json.loads(done.stdout))
 
@@ -139,9 +145,8 @@ def test_norm_workload_runs_without_scipy():
         "    assert run(argv) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=_pythonpath()))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

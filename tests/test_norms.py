@@ -584,3 +584,46 @@ def test_phi_tables_do_not_change_equality():
         phi(mpmath.mpf(1) / 2)
     assert phi == PHI_ODD and hash(phi) == hash(PHI_ODD)
     assert LorentzLambda(phi) == LorentzLambda(PHI_ODD)
+
+
+def _with_fraction_ends(phi):
+    """A copy of phi whose double table reads phi(0) and phi(1) as the
+    Fractions 0 and 1, as it did before they were the doubles 0.0 and
+    1.0."""
+    former = ConcaveWeight(phi.breakpoints)
+    table = former._table_for(0.5)
+    assert (table.zero, table.one) == (0.0, 1.0)
+    former.__dict__["_tables"]["float"] = table._replace(zero=F(0), one=F(1))
+    return former
+
+
+@st.composite
+def _profiles_reaching_one(draw):
+    """A double profile whose boundaries run from 0 to 1 exactly, on
+    sixteenths, and at times one segment beyond."""
+    cuts = sorted(draw(st.sets(st.integers(1, 15), max_size=5)))
+    lengths = [(b - a) / 16 for a, b in zip([0, *cuts], [*cuts, 16])]
+    if draw(st.booleans()):
+        lengths.append(draw(st.sampled_from((0.25, 1.0, 3.0))))
+    values = sorted(draw(st.lists(st.floats(0.125, 8.0), min_size=len(lengths),
+                                  max_size=len(lengths), unique=True)),
+                    reverse=True)
+    return StepProfile(tuple(zip(values, lengths)))
+
+
+@given(phi=WEIGHTS, prof=_profiles_reaching_one())
+@settings(max_examples=200, deadline=None)
+def test_phi_ends_as_doubles_change_no_bit(phi, prof):
+    """phi(0) and phi(1) in doubles are 0.0 and 1.0; a Lorentz norm or
+    its associate of a profile that reads both ends gives the bits it
+    gave when they were the Fractions 0 and 1."""
+    former = _with_fraction_ends(phi)
+    weights = (0.25, 0.25, 0.5)  # a function whose profile ends at 1.0
+    f = SimpleFunction(tuple(v for v, _ in prof.segments[:3]) + (0.0,) * (
+        3 - min(3, len(prof.segments))), DiscreteSpace(weights))
+    for X in (LorentzLambda, lambda w: Associate(LorentzLambda(w))):
+        for h in (prof, f):
+            assert same_bits(norm(X(phi), h, precision=53),
+                             norm(X(former), h, precision=53)), (X, h)
+    assert same_bits(phi(0.0), 0.0) and same_bits(phi(1.0), 1.0)
+    assert same_bits(former(0.0), F(0)) and same_bits(former(1.0), F(1))

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from rearrange_lab.search import (TARGETS, SearchProblem, _excess_certificate,
                                   _state_functions, search)
 from rearrange_lab.spaces import instance_from_json, integrate
 from rearrange_lab.verify import thm43_sides
+
+# the module, which the package's `search` function shadows as an attribute
+search_mod = importlib.import_module("rearrange_lab.search")
 
 
 def test_problem_validation():
@@ -152,3 +156,51 @@ def test_initial_state_falls_back_to_alternating_signs(target):
     assert state == {name: [1.0] * 4 if name == "f" else alternating
                      for name in problem.free_functions}
     assert _ratio(problem, state, space) is not None
+
+
+def _climb_rebuilding_every_function(problem, rng, space, iters):
+    """The climb with every candidate state's functions built afresh, so
+    nothing a function keeps is ever read back."""
+    state = _initial_state(problem, rng, space)
+    best = _ratio(problem, state, space)
+    trace = [(0, best)]
+    coords = [(name, i) for name in problem.free_functions
+              for i in range(problem.atoms)]
+    step, iteration, stalled = 0.5, 0, 0
+    while iteration < iters and step > 1e-11:
+        name, idx = coords[iteration % len(coords)]
+        iteration += 1
+        v = state[name][idx]
+        improved = False
+        for cand in (v + step, v - step, v * (1.0 + step), v * (1.0 - step),
+                     -v):
+            state[name][idx] = max(-search_mod.VALUE_BOX,
+                                   min(search_mod.VALUE_BOX, cand))
+            r = _ratio(problem, state, space)
+            if r is not None and r > best:
+                best, v, improved = r, state[name][idx], True
+                trace.append((iteration, best))
+            state[name][idx] = v
+        stalled = 0 if improved else stalled + 1
+        if stalled >= len(coords):
+            step, stalled = step * 0.5, 0
+    return best, state, trace
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("problem", [
+    SearchProblem("thm32-ratio", atoms=4),
+    SearchProblem("thm41-ratio", atoms=4),
+    SearchProblem("thm41-ratio", atoms=3, exponents=(2, 4, 4, 4, 4)),
+    SearchProblem("thm43-ratio", atoms=5),
+    SearchProblem("thm43-ratio", atoms=4, norm=Associate(_LORENTZ)),
+], ids=["thm32", "thm41", "thm41-2-4", "thm43-L2", "thm43-lorentz-assoc"])
+def test_search_equals_a_climb_rebuilding_every_function(problem, threads,
+                                                         monkeypatch):
+    """A move rebuilds only the function it changes and reads the other's
+    centring and norms back; the report is the same as when every
+    candidate is built afresh."""
+    got = search(problem, 80, 3, seed=4, threads=threads).to_json_dict()
+    monkeypatch.setattr(search_mod, "_climb", _climb_rebuilding_every_function)
+    assert search(problem, 80, 3, seed=4, threads=threads).to_json_dict() \
+        == got
