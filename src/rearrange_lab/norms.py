@@ -284,7 +284,8 @@ def norm(X, f, *, precision=None):
     selects the binary significand width for those steps.
     """
     with binary_context(precision or DOUBLE_PRECISION):
-        return _norm(kept(X, "_simple", _simplify, X), f, precision)
+        return _norm(kept(X, "_simple", _simplify, X) if isinstance(
+            X, (Associate, Generated)) else X, f, precision)
 
 
 def _norm(X, f, precision):

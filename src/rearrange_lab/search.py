@@ -123,8 +123,8 @@ def _sides(problem: SearchProblem, funcs):
 
 def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace,
            funcs=None):
-    """LHS/RHS of state, whose functions funcs are if given, or None when
-    RHS is (numerically) zero and the state falls outside the domain."""
+    """LHS/RHS of state (its functions funcs, when given), or None when RHS
+    is (numerically) zero and the state falls outside the search domain."""
     lhs, rhs = _sides(problem, funcs or _state_functions(problem, state, space))
     if rhs <= RHS_FLOOR:
         return None
@@ -172,8 +172,7 @@ def _climb(problem, rng, space, iters):
         for cand in candidates:
             cand = max(-VALUE_BOX, min(VALUE_BOX, cand))
             state[name][idx] = cand
-            moved = {**funcs, **_state_functions(problem, state, space,
-                                                 (name,))}
+            moved = {**funcs, **_state_functions(problem, state, space, (name,))}
             r = _ratio(problem, state, space, moved)
             if r is not None and r > best:
                 best = r

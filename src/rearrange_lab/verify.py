@@ -354,8 +354,8 @@ def _product_rule(f: SimpleFunction, g: SimpleFunction, forms: dict,
 
 
 def _kept(f: SimpleFunction) -> dict:
-    """f's memo of its column "centred" and the norms of both, kept on f
-    (new per call for mpf values, whose mean rounds at the precision)."""
+    """f's memo, kept on f: its column "centred" and the norms of both; new
+    per call for mpf values, whose mean rounds at the working precision."""
     memo = {} if "mpf" in f.space.families else kept(f, "_kernel", dict)
     if "centred" not in memo:
         memo["centred"] = centred(f)

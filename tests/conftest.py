@@ -1,13 +1,15 @@
 """Shared hypothesis strategies: small spaces and lattice-valued functions,
 and off-lattice exact inputs for differential tests; a guard that no test
 leaves mpmath's working precision changed; a built-in `sum` that adds
-floats as Python 3.12 and later do; and the modules a run at 53 bits
-leaves unloaded."""
+floats as Python 3.12 and later do; the modules a run at 53 bits
+leaves unloaded; and the environment of a child interpreter."""
 
 import builtins
 import importlib.util
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import mpmath
@@ -21,6 +23,15 @@ from rearrange_lab.spaces import DiscreteSpace, SimpleFunction, equal_space
 #: (`_sha256` or `_sha2`) verify hashes without hashlib and OpenSSL
 LAZY_MODULES = ("mpmath", "hashlib", "_hashlib") if any(
     importlib.util.find_spec(m) for m in ("_sha256", "_sha2")) else ("mpmath",)
+
+
+def child_env(**env) -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    src first, then the inherited PYTHONPATH, whose entries may be where
+    that interpreter finds its packages."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 @pytest.fixture(autouse=True)

@@ -9,14 +9,13 @@ their reports, and that the search's pins hold under a compensated
 built-in `sum`.  bench/ is only read."""
 
 import json
-import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from conftest import LAZY_MODULES
+from conftest import LAZY_MODULES, child_env
 
 from rearrange_lab.cli import run
 from rearrange_lab.verify import canonical_hash
@@ -73,13 +72,6 @@ def test_search_pins_do_not_depend_on_the_builtin_sum(cli_seed, capsys,
     test_search_workload_matches_every_pin(cli_seed, capsys)
 
 
-def _pythonpath() -> str:
-    """The checkout's src before the inherited PYTHONPATH, whose entries
-    may be where this interpreter finds its packages."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-
-
 def _loaded_after_run(argv, **env):
     """Run the CLI on argv in a fresh interpreter: (exit code, the modules
     of LAZY_MODULES loaded after the run)."""
@@ -93,7 +85,7 @@ def _loaded_after_run(argv, **env):
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=_pythonpath(), **env))
+                          env=child_env(**env))
     assert done.returncode == 0, done.stderr
     return tuple(json.loads(done.stdout))
 
@@ -147,6 +139,6 @@ def test_norm_workload_runs_without_scipy():
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=_pythonpath()))
+                          env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

@@ -17,7 +17,7 @@ from rearrange_lab import cli, errors
 from rearrange_lab.cli import FlagError, run
 from rearrange_lab.spaces import space_from_json
 
-from conftest import LAZY_MODULES
+from conftest import LAZY_MODULES, child_env
 from oracles import decomposition_from_json, profile_from_json
 
 INSTANCE = {
@@ -457,11 +457,9 @@ def test_cli_import_loads_no_executor():
     script = ("import sys, rearrange_lab.cli\n"
               "print(any(m in sys.modules for m in "
               f"{('concurrent.futures', *LAZY_MODULES)!r}))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
 

@@ -103,6 +103,20 @@ def test_kernel_is_norm_of_center_and_multiply(precision, data):
                          expected), (f, g, forms, width)
 
 
+def test_mpf_functions_are_centred_at_the_precision_of_each_call():
+    """An mpf mean rounds at the working precision in effect, as `center`
+    rounds it, so nothing is kept across calls made at two of them."""
+    space = to_binary_space(DiscreteSpace((F(1, 3), F(1, 6), F(1, 2))), 113)
+    f, g = (to_binary_function(SimpleFunction(values, DiscreteSpace(
+        (F(1, 3), F(1, 6), F(1, 2)))), space, 113)
+        for values in ((F(1, 7), F(-2, 3), F(5, 11)), (F(3, 5), F(1, 9), -1)))
+    forms = _norm_table("thm41", (2, 4, 4, 4, 4))
+    for ambient in (53, 113, 53):
+        with binary_context(ambient):
+            assert _same(_product_rule(f, g, forms, 113),
+                         _reference(f, g, forms, 113)), ambient
+
+
 def test_int_valued_functions_take_their_binary_space_arithmetic():
     space = DiscreteSpace((0.25, 0.75))
     f = SimpleFunction((1, -1), space)

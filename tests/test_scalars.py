@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given
 from mpmath.libmp import from_rational, round_nearest
 
-from conftest import same_bits
+from conftest import child_env, same_bits
 from oracles import exact_scalar, former_to_binary
 from rearrange_lab.scalars import (QUAD_PRECISION, approximate_scalar,
                                    binary_context, check_one_family, dot,
@@ -201,11 +200,9 @@ def test_mpfs_made_after_a_lazy_import_classify_as_binary():
         "    assert f.numerators == tuple(values)\n"
         "print('ok')\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
 

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,22 @@ def test_search_equals_a_climb_rebuilding_every_function(problem, threads,
     monkeypatch.setattr(search_mod, "_climb", _climb_rebuilding_every_function)
     assert search(problem, 80, 3, seed=4, threads=threads).to_json_dict() \
         == got
+
+
+def test_threads_racing_to_fill_the_shared_memos_give_the_same_report():
+    """Restarts on four threads share the problem's form table and its
+    descriptors' kept values, which they fill in a race on first use; a
+    short switch interval makes the race likely, and every report equals
+    the one-thread report."""
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            reports = [search(SearchProblem(
+                "thm43-ratio", atoms=4, norm=Associate(LorentzLambda(
+                    ConcaveWeight(((0, 0), (Fraction(1, 3), Fraction(2, 3)),
+                                   (1, 1)))))), 40, 8, seed=2,
+                threads=threads).to_json_dict() for threads in (4, 1)]
+            assert reports[0] == reports[1]
+    finally:
+        sys.setswitchinterval(interval)

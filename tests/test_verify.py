@@ -1,10 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
-from conftest import same_bits
+from conftest import child_env, same_bits
 from oracles import (exact_scalar, former_random_instance,
                      reference_draw_values)
 
@@ -263,11 +262,9 @@ def test_sha256_falls_back_to_hashlib_without_a_built_in_module():
         "assert verify.sha256 is hashlib.sha256\n"
         "print(verify._keyed_rng('thm43:7:150').getrandbits(64))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{_keyed_rng('thm43:7:150').getrandbits(64)}\n"
 
