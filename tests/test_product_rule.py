@@ -22,7 +22,6 @@ from rearrange_lab.errors import RearrangeLabError
 from rearrange_lab.norms import (L1, L2, LINF, Associate, ConcaveWeight,
                                  Generated, LorentzLambda, Lp, norm)
 from rearrange_lab.scalars import INF, binary_context
-from rearrange_lab.search import SearchProblem, _ratio, _state_functions
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
                                   multiply, to_binary_function,
                                   to_binary_space)
@@ -187,17 +186,3 @@ def test_an_entry_left_at_a_descriptors_id_is_not_read():
     assert same_bits(_kept_norm(memo, Y, f, 53), norm(Y, f, precision=53))
     assert memo[id(Y), id(f), 53][0] is Y
 
-
-@pytest.mark.parametrize("target", ["thm41-ratio", "thm43-ratio"])
-def test_search_states_reuse_what_their_functions_keep(target):
-    """The objective on functions that come back equals the objective on
-    functions built afresh, bit for bit."""
-    problem = SearchProblem(target, atoms=4, norm=Associate(LORENTZ)
-                            if target == "thm43-ratio" else None)
-    space = problem.space()
-    state = {"f": [0.5, -1.0, 0.25, 2.0], "g": [1.0, 0.75, -1.5, 0.5]}
-    kept = _state_functions(problem, state, space)
-    first = _ratio(problem, state, space, kept)
-    for _ in range(3):
-        assert same_bits(_ratio(problem, state, space, kept), first)
-        assert same_bits(_ratio(problem, state, space), first)
