@@ -3,10 +3,10 @@
 Four descriptor kinds are provided: ``Lp`` (including the sup norm at
 p = inf), ``LorentzLambda`` with a concave piecewise-linear weight,
 ``Generated`` (the norm f -> ||f|^p|_X^(1/p)), and ``Associate``.  Every
-kind evaluates both on columns (simple functions, and the `spaces.Column`
-of the product-rule kernel) and on step profiles; the value depends only
-on the decreasing rearrangement.  A descriptor keeps what `norm` derives
-of it once: its simplified form and the double 1/p of a root.
+kind evaluates both on simple functions and on step profiles; the value
+depends only on the decreasing rearrangement.  A descriptor keeps what
+`norm` derives of it once: its simplified form and the double 1/p of a
+root.
 
 Every kind runs on every finite probability space: a Lorentz norm is a
 Choquet integral, whose dual is the max over sets A of the integral of
@@ -277,7 +277,8 @@ def _profile_of(f) -> StepProfile:
 # the norm
 
 def norm(X, f, *, precision=None):
-    """Evaluate the norm described by X on a column or a StepProfile.
+    """Evaluate the norm described by X on a SimpleFunction or a
+    StepProfile.
 
     ``precision=None`` demands exact arithmetic and raises
     ExactUnavailable when a fractional root is involved; an integer

@@ -12,11 +12,12 @@ weights or values, so every exact kernel (`integrate` here,
 deriving them again.  Binary scalars are their own numerators, with the
 unit int 1, and so are the values of a function on a binary space, ints
 included.  A function built from an exact pair
-(`SimpleFunction.from_numerators`, as `center` and the instance generator
-build them) scales its values back on first read and keeps them; until a
-caller reads them no `Fraction` is made.  `equal_space` builds and
-validates one space per atom count.  `common_space` is the one check
-that functions combined pointwise share their space.
+(`SimpleFunction.from_numerators`, as the instance generator builds them,
+and `center` and `multiply`, which shift and multiply numerators) scales
+its values back on first read and keeps them; until a caller reads them
+no `Fraction` is made.  `equal_space` builds and validates one space per
+atom count.  `common_space` is the one check that functions combined
+pointwise share their space.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InputError
 from .scalars import (approximate_scalar, check_one_family, dot,
@@ -44,7 +45,8 @@ AtomSet = frozenset  # subset of atom indices
 class DiscreteSpace:
     """A finite probability space: positive atom weights summing to 1,
     also kept as ``numerators`` over a positive ``unit``, with their
-    arithmetic ``families`` (`check_one_family`)."""
+    arithmetic ``families`` (`check_one_family`; the int weight 1 of a
+    one-atom space is exact, as its unit is)."""
 
     weights: tuple
     numerators: tuple = field(init=False, repr=False, compare=False)
@@ -57,7 +59,7 @@ class DiscreteSpace:
         if not weights:
             raise InputError("a space needs at least one atom")
         object.__setattr__(self, "families", frozenset(
-            check_one_family(weights, "space weights")))
+            check_one_family(weights, "space weights") or {"exact"}))
         numerators, unit = over_common_denominator(weights)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "unit", unit)
@@ -129,13 +131,18 @@ class SimpleFunction:
         Exact values are scaled back on first read; binary numerators
         are the values and are kept as such."""
         _check_values(numerators, space, unit)
-        f = object.__new__(cls)
-        if type(unit) is int:
-            object.__setattr__(f, "values", numerators)
-        object.__setattr__(f, "space", space)
-        object.__setattr__(f, "numerators", numerators)
-        object.__setattr__(f, "unit", unit)
-        return f
+        return _from_pair(numerators, unit, space)
+
+
+def _from_pair(numerators, unit, space) -> SimpleFunction:
+    """`SimpleFunction.from_numerators` unchecked, for a pair made from
+    checked functions on their common space."""
+    fields = {"space": space, "numerators": numerators, "unit": unit}
+    if type(unit) is int:  # binary numerators are the values
+        fields["values"] = numerators
+    f = object.__new__(SimpleFunction)
+    f.__dict__.update(fields)
+    return f
 
 
 def _check_values(values: tuple, space: DiscreteSpace, unit=1) -> None:
@@ -173,28 +180,7 @@ def integrate(f: SimpleFunction):
 def center(f: SimpleFunction) -> SimpleFunction:
     """Subtract the mean, so the result integrates to zero (exactly, in
     exact mode); exact values are shifted as int numerators."""
-    return SimpleFunction.from_numerators(*centred(f)[:2], f.space)
-
-
-class Column(NamedTuple):
-    """A function's pair and space, all that `integrate`, the rearrangement
-    and the norms read, unchecked; a SimpleFunction is a column too."""
-    numerators: tuple
-    unit: object
-    space: DiscreteSpace
-    values = property(lambda c: from_common_denominator(c.numerators, c.unit))
-
-
-def centred(f) -> Column:
-    """The column of center(f)."""
-    return Column(*shifted(f.numerators, f.unit, integrate(f)), f.space)
-
-
-def product(f, g) -> Column:
-    """The column of multiply(f, g), made of the numerators."""
-    space = common_space(f, g)
-    return Column(*in_lowest_terms(tuple(map(mul, f.numerators, g.numerators)),
-                                   unit_product(f.unit, g.unit)), space)
+    return _from_pair(*shifted(f.numerators, f.unit, integrate(f)), f.space)
 
 
 def support(f: SimpleFunction) -> AtomSet:
@@ -205,18 +191,22 @@ def support(f: SimpleFunction) -> AtomSet:
 
 def common_space(*functions: SimpleFunction) -> DiscreteSpace:
     """The space of the first function, which every other one must share
-    (same weights)."""
+    (same weights in the same arithmetic: Fraction(1, 2) == 0.5, but an
+    exact and a binary function do not combine)."""
     space = functions[0].space
     for f in functions[1:]:
-        if f.space.weights != space.weights:
+        if f.space is not space and (f.space.weights != space.weights
+                                     or f.space.families != space.families):
             raise InputError("functions live on different spaces")
     return space
 
 
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    """Pointwise product fg."""
+    """Pointwise product fg, made of the numerators."""
     space = common_space(f, g)
-    return SimpleFunction(tuple(a * b for a, b in zip(f.values, g.values)), space)
+    return _from_pair(*in_lowest_terms(tuple(map(mul, f.numerators,
+                                                 g.numerators)),
+                                       unit_product(f.unit, g.unit)), space)
 
 
 def to_binary_space(space: DiscreteSpace, precision: int) -> DiscreteSpace:

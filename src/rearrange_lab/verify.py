@@ -51,9 +51,9 @@ from .rearrange import (decreasing_rearrangement, equimeasurable,
 from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
                       dot, format_exponent, format_scalar, in_lowest_terms,
                       kept)
-from .spaces import (DiscreteSpace, SimpleFunction, center, centred,
-                     equal_space, instance_to_json, product,
-                     to_binary_function, to_binary_space)
+from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
+                     instance_to_json, multiply, to_binary_function,
+                     to_binary_space)
 
 #: certification threshold for the 113-bit recheck, relative to scale
 QUAD_CERTIFY_RTOL = Fraction(1, 2**80)
@@ -339,10 +339,11 @@ def _product_rule(f: SimpleFunction, g: SimpleFunction, forms: dict,
                   precision=None) -> dict:
     """{label: (lhs, rhs)} for each form {label: (Y0, ..., Y4)}: the norms
     `norm` takes of fgc = fg - E fg, f, gc = g - E g, g and fc = f - E f,
-    on columns made once each as `multiply` and `center` make them; f and
-    g keep theirs and the norms taken (`_kept`) for when they come back."""
+    each function made once by `multiply` and `center`; f and g keep
+    their centred functions and the norms taken (`_kept`) for when they
+    come back."""
     kept_f, kept_g = _kept(f), _kept(g)
-    fgc, fc, gc = centred(product(f, g)), kept_f["centred"], kept_g["centred"]
+    fgc, fc, gc = center(multiply(f, g)), kept_f["centred"], kept_g["centred"]
     sides = {}
     for label, (Y0, Y1, Y2, Y3, Y4) in forms.items():
         sides[label] = norm(Y0, fgc, precision=precision), (
@@ -354,21 +355,22 @@ def _product_rule(f: SimpleFunction, g: SimpleFunction, forms: dict,
 
 
 def _kept(f: SimpleFunction) -> dict:
-    """f's memo, kept on f: its column "centred" and the norms of both; new
-    per call for mpf values, whose mean rounds at the working precision."""
+    """f's memo, kept on f: center(f) under "centred" and the norms of both;
+    new per call for mpf values, whose mean rounds at the working
+    precision."""
     memo = {} if "mpf" in f.space.families else kept(f, "_kernel", dict)
     if "centred" not in memo:
-        memo["centred"] = centred(f)
+        memo["centred"] = center(f)
     return memo
 
 
-def _kept_norm(memo, Y, column, precision):
-    """norm(Y, column) kept in memo by the ids of column (f or its centred
+def _kept_norm(memo, Y, f, precision):
+    """norm(Y, f) kept in memo by the ids of f (the function or its centred
     one) and of Y, which the entry holds so that no other takes its id."""
-    key = id(Y), id(column), precision
+    key = id(Y), id(f), precision
     entry = memo.get(key)
     if entry is None or entry[0] is not Y:
-        entry = memo[key] = Y, norm(Y, column, precision=precision)
+        entry = memo[key] = Y, norm(Y, f, precision=precision)
     return entry[1]
 
 

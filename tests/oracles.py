@@ -14,10 +14,11 @@ package did before phi had per-arithmetic tables, for bit-for-bit
 differential tests; ``reference_draw_values`` draws instance values the
 way verify did with random.randint.  The ``former_*`` functions are the
 package's own code as it was before exact objects scaled their scalars
-back on first read, before instances were drawn as ints and before
-`bilinear_form` summed in `map`/`reduce`, kept verbatim as the reference
-of bit-for-bit differential tests; ``former_to_binary`` is the rounding
-as callers did it before `to_binary` converted floats itself.
+back on first read, before instances were drawn as ints, before
+`bilinear_form` summed in `map`/`reduce` and before `multiply` multiplied
+numerators, kept verbatim as the reference of bit-for-bit differential
+tests; ``former_to_binary`` is the rounding as callers did it before
+`to_binary` converted floats itself.
 
 ``product_identity_check`` and the first-order difference calculus on the
 product space (``ProductKernel``, ``derivation``, its left and right
@@ -431,7 +432,8 @@ def former_random_instance(cfg, index: int):
 
 
 # ---------------------------------------------------------------------------
-# the former eager constructors from numerators, and the former bilinear form
+# the former eager constructors from numerators, the former value product,
+# and the former bilinear form
 
 def former_function_from_numerators(numerators, unit, space):
     """SimpleFunction.from_numerators as it was: the values scaled back
@@ -444,6 +446,14 @@ def former_function_from_numerators(numerators, unit, space):
     object.__setattr__(f, "numerators", numerators)
     object.__setattr__(f, "unit", unit)
     return f
+
+
+def former_multiply(f, g):
+    """multiply as it was: the products of the values, checked and put
+    over their common denominator as a new function."""
+    space = common_space(f, g)
+    return SimpleFunction(tuple(a * b for a, b in zip(f.values, g.values)),
+                          space)
 
 
 def former_profile_from_numerators(value_numerators, value_unit,

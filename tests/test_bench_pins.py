@@ -125,6 +125,18 @@ def test_traced_replay_reproduces_the_report(name, capsys):
     assert replay["extra"]["verify.recheck.failed"] == 0
 
 
+def test_traced_search_replay_reproduces_the_report(capsys):
+    """The search replay's objective equals thm43_sides' norm form, and
+    the in-process search at 1 and 2 threads gives the pinned report."""
+    name = "search-thm43-1t"
+    workload = WORKLOADS[name]
+    assert run(workload.cli_argv(0)) == 0
+    report = json.loads(capsys.readouterr().out)
+    replay = REPLAY["replay_search"](workload, 0, report,
+                                     PINS[name]["hashes"][0], seconds=0)
+    assert replay["problems"] == []
+
+
 def test_norm_workload_runs_without_scipy():
     """scipy is a test dependency only: a fresh interpreter running the
     thm43-lorentz-float workload never imports it."""

@@ -1,11 +1,13 @@
 """The product-rule kernel against its definition, and what it keeps.
 
-`verify._product_rule` takes its five norms of columns (`spaces.product`
-and `spaces.centred`) and keeps on each function its centred column and
-the norms taken of both.  Its sides must be, in value and type, the ones
-`norm` gives of `center(multiply(f, g))`, `center(f)` and `center(g)`, in
-every arithmetic and on every norm kind; and what it keeps must change no
-equality, hash, repr or field of a function, a descriptor or a config.
+`verify._product_rule` takes its five norms of `center(multiply(f, g))`,
+f, `center(g)`, g and `center(f)`, and keeps on each function its centred
+function and the norms taken of both.  Its sides must be, in value and
+type, the ones `norm` gives of the same functions built afresh, the
+product as the former `multiply` built it from the values
+(`oracles.former_multiply`), in every arithmetic and on every norm kind;
+and what it keeps must change no equality, hash, repr or field of a
+function, a descriptor or a config.
 """
 
 import dataclasses
@@ -18,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import same_bits, spaces
+from oracles import former_multiply
 from rearrange_lab.errors import RearrangeLabError
 from rearrange_lab.norms import (L1, L2, LINF, Associate, ConcaveWeight,
                                  Generated, LorentzLambda, Lp, norm)
 from rearrange_lab.scalars import INF, binary_context
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
-                                  multiply, to_binary_function,
-                                  to_binary_space)
+                                  to_binary_function, to_binary_space)
 from rearrange_lab.verify import (TrialConfig, _kept, _kept_norm,
                                   _norm_table, _product_rule, generate_instance,
                                   run_suite, thm41_sides, thm43_sides)
@@ -39,8 +41,9 @@ DESCRIPTORS = (L1, L2, Lp(3), LINF, Lp(F(3, 2)), Lp(F(5, 2)), LORENTZ,
 
 
 def _reference(f, g, forms, precision):
-    """The kernel as written before columns: norm of center and multiply."""
-    fgc, fc, gc = center(multiply(f, g)), center(f), center(g)
+    """The kernel from its definition, on functions built afresh and the
+    product of the values."""
+    fgc, fc, gc = center(former_multiply(f, g)), center(f), center(g)
     return {label: (norm(Y0, fgc, precision=precision),
                     norm(Y1, f, precision=precision)
                     * norm(Y2, gc, precision=precision)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
-from oracles import former_function_from_numerators
+from oracles import former_function_from_numerators, former_multiply
 from rearrange_lab.errors import InputError
-from rearrange_lab.norms import hardy_littlewood_check
+from rearrange_lab.norms import L2, hardy_littlewood_check
 from rearrange_lab.oscillation import bilinear_form, lemma31_bound
 from rearrange_lab.rearrange import nonexpansive_moments
 from rearrange_lab.scalars import (_type_family, binary_context,
@@ -19,6 +19,7 @@ from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
                                   instance_from_json, instance_to_json,
                                   integrate, multiply, support,
                                   to_binary_function, to_binary_space)
+from rearrange_lab.verify import thm43_sides
 
 
 def test_integrate_fixtures():
@@ -133,9 +134,14 @@ def test_multiply_pointwise():
     assert product.values == (2, 0)
 
 
-#: two functions on different two-atom spaces
+#: pairs of functions on different two-atom spaces: other weights, and
+#: equal weights in exact and in double arithmetic (1/2 == 0.5)
 _ON_EQUAL = SimpleFunction((1, 0), equal_space(2))
-_ON_WEIGHTED = SimpleFunction((1, -1), DiscreteSpace((F(1, 3), F(2, 3))))
+_DIFFERENT = (
+    (_ON_EQUAL, SimpleFunction((1, -1), DiscreteSpace((F(1, 3), F(2, 3))))),
+    (SimpleFunction((F(1, 2), -1), DiscreteSpace((F(1, 2), F(1, 2)))),
+     SimpleFunction((0.5, 1.0), DiscreteSpace((0.5, 0.5)))),
+)
 _BOTH = frozenset({0, 1})
 
 
@@ -146,14 +152,18 @@ _BOTH = frozenset({0, 1})
     lambda f, g: lemma31_bound(f, f, g),
     lambda f, g: hardy_littlewood_check(f, g),
     lambda f, g: nonexpansive_moments(f, g, 1),
+    lambda f, g: thm43_sides(f, g, L2, 53),
 ], ids=["multiply", "common_space", "bilinear_form", "lemma31_bound",
-        "hardy_littlewood_check", "nonexpansive_moments"])
+        "hardy_littlewood_check", "nonexpansive_moments", "thm43_sides"])
 def test_functions_on_different_spaces_are_refused(call):
-    with pytest.raises(InputError,
-                       match="^functions live on different spaces$"):
-        call(_ON_EQUAL, _ON_WEIGHTED)
+    for f, g in _DIFFERENT:
+        with pytest.raises(InputError,
+                           match="^functions live on different spaces$"):
+            call(f, g)
     sp = _ON_EQUAL.space
     assert common_space(_ON_EQUAL, SimpleFunction((0, 1), sp)) is sp
+    twin = SimpleFunction((0, 1), DiscreteSpace(sp.weights))
+    assert common_space(_ON_EQUAL, twin) is sp
 
 
 @pytest.mark.parametrize("weights", [
@@ -244,6 +254,19 @@ def test_mixed_and_bool_scalars_are_rejected_as_before(case):
     assert str(raised.value) == str(former.value)
 
 
+def test_int_weights_are_exact():
+    """The one-atom space of the int weight 1 has an exact unit, so it
+    refuses binary values and shares the space of weight Fraction(1)."""
+    space = DiscreteSpace((1,))
+    assert space.families == {"exact"} and space.unit == F(1)
+    with pytest.raises(ValueError, match="mixes arithmetic modes"):
+        SimpleFunction((0.5,), space)
+    f = SimpleFunction((F(1, 3),), space)
+    assert multiply(f, SimpleFunction((3,), equal_space(1))).values == (1,)
+    with pytest.raises(InputError, match="different spaces"):
+        common_space(f, SimpleFunction((0.5,), DiscreteSpace((1.0,))))
+
+
 def _assert_kept_pair(numerators, unit, scalars):
     """A stored (numerators, unit) pair is over_common_denominator of the
     scalars: equal numerators, an equal unit of the same type."""
@@ -310,6 +333,30 @@ def test_values_are_scaled_back_on_first_read_as_former_eager_ones(f,
                 [type(v) for v in former.values]
             if precision is not None:
                 assert all(map(same_bits, g.values, former.values))
+
+
+@given(off_lattice_spaces().flatmap(lambda space: st.tuples(
+    off_lattice_functions(space), off_lattice_functions(space),
+    st.lists(st.integers(-8, 8), min_size=space.n, max_size=space.n))),
+    st.sampled_from([None, 53, 113]))
+@settings(max_examples=60)
+def test_multiply_is_the_former_value_product(functions, precision):
+    """multiply, which multiplies numerators, gives the pair and the values
+    of the former product of values (binary ones bit for bit), also with
+    int values, which take a binary space's arithmetic."""
+    f, g, ints = functions
+    with binary_context(precision or 53):
+        if precision is not None:
+            space = to_binary_space(f.space, precision)
+            f, g = (to_binary_function(h, space, precision) for h in (f, g))
+        h = SimpleFunction(tuple(ints), f.space)
+        for a, b in ((f, g), (f, h), (h, g), (h, h)):
+            product, former = multiply(a, b), former_multiply(a, b)
+            assert (product.numerators, product.unit) == \
+                (former.numerators, former.unit)
+            assert product.values == former.values and product == former
+            if precision is not None:
+                assert all(map(same_bits, product.values, former.values))
 
 
 @pytest.mark.parametrize("values,weights", [
