@@ -332,7 +332,6 @@ def equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:
     candidates = list(levels)
     for a, b in zip(levels, levels[1:]):
         candidates.append((a + b) / 2)
-    candidates.append(levels[-1] + 1)
     return all(
         distribution_measure(f, t) == profile_level_measure(profile, t)
         for t in candidates

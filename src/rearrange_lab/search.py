@@ -11,10 +11,11 @@ verify's table `_TRIALS`, reads the parameters `suite_parameters` keeps
 for that suite, and the objective evaluates that form alone
 (thm43-ratio: the norm form, five float norms; the associate form is
 never evaluated, so a norm without an associate evaluation can be
-searched).  Ratios certified above 1 would indicate an implementation
-bug; any excess beyond 1e-9 is re-checked, again in the target's form
-only, with verify's recheck and certification rule before being
-reported as a violation certificate.
+searched).  A climb keeps its best point as the functions it evaluated.
+Ratios certified above 1 would indicate an implementation bug; any
+excess beyond 1e-9 is re-checked, again in the target's form only, by
+the recheck helper that verify's `judge` uses, before being reported as
+a violation certificate.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from .errors import InfeasibleProblem, InputError
 from .scalars import DOUBLE_PRECISION
 from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
-from .verify import (_TRIALS, Instance, _certified, _evaluate, _keyed_rng,
-                     _recheck, _recheck_mode, check_int, parameters_json,
-                     suite_parameters)
+from .verify import (Instance, _certify, _evaluate, _keyed_rng, check_int,
+                     parameters_json, suite_parameters)
 
 #: target -> (verify suite, form label of that suite)
 TARGETS = {
@@ -121,11 +121,10 @@ def _sides(problem: SearchProblem, funcs):
     return _evaluate(problem, funcs, DOUBLE_PRECISION, (form,))[form]
 
 
-def _ratio(problem: SearchProblem, state: dict, space: DiscreteSpace,
-           funcs=None):
-    """LHS/RHS of state (its functions funcs, when given), or None when RHS
-    is (numerically) zero and the state falls outside the search domain."""
-    lhs, rhs = _sides(problem, funcs or _state_functions(problem, state, space))
+def _ratio(problem: SearchProblem, funcs):
+    """LHS/RHS of the functions funcs, or None when RHS is (numerically)
+    zero and they fall outside the search domain."""
+    lhs, rhs = _sides(problem, funcs)
     if rhs <= RHS_FLOOR:
         return None
     return float(lhs) / float(rhs)
@@ -137,7 +136,8 @@ def _initial_state(problem, rng, space):
             name: [rng.uniform(-1.0, 1.0) for _ in range(problem.atoms)]
             for name in problem.free_functions
         }
-        if _ratio(problem, state, space) is not None:
+        funcs = _state_functions(problem, state, space)
+        if _ratio(problem, funcs) is not None:
             return state
     # canonical feasible fallback: alternating signs keep RHS positive
     state = {
@@ -145,7 +145,7 @@ def _initial_state(problem, rng, space):
         for name in problem.free_functions
     }
     state["f"] = [1.0] * problem.atoms
-    if _ratio(problem, state, space) is None:
+    if _ratio(problem, _state_functions(problem, state, space)) is None:
         raise InfeasibleProblem("could not find an instance with RHS > 0")
     return state
 
@@ -153,7 +153,7 @@ def _initial_state(problem, rng, space):
 def _climb(problem, rng, space, iters):
     state = _initial_state(problem, rng, space)
     funcs = _state_functions(problem, state, space)
-    best = _ratio(problem, state, space, funcs)
+    best = _ratio(problem, funcs)
     trace = [(0, best)]
     coords = [
         (name, i) for name in problem.free_functions for i in range(problem.atoms)
@@ -173,7 +173,7 @@ def _climb(problem, rng, space, iters):
             cand = max(-VALUE_BOX, min(VALUE_BOX, cand))
             state[name][idx] = cand
             moved = {**funcs, **_state_functions(problem, state, space, (name,))}
-            r = _ratio(problem, state, space, moved)
+            r = _ratio(problem, moved)
             if r is not None and r > best:
                 best = r
                 v = cand
@@ -189,22 +189,22 @@ def _climb(problem, rng, space, iters):
             if stalled >= len(coords):
                 step *= 0.5
                 stalled = 0
-    return best, state, trace
+    return best, funcs, trace
 
 
-def _excess_certificate(problem, state, space, ratio):
-    """Re-check a ratio beyond 1 + 1e-9 under verify's certification
-    rule; a confirmed excess is a bug certificate, not a discovery."""
-    funcs = _state_functions(problem, state, space)
-    suite, form = TARGETS[problem.target]
-    precision = _TRIALS[suite][1]
-    lhs, rhs = _recheck(problem, Instance(space, funcs, None), form)
-    if not _certified(lhs, rhs, precision):
+def _excess_certificate(problem, funcs, ratio):
+    """Re-check a ratio beyond 1 + 1e-9 of a double-precision search with
+    verify's recheck helper; a confirmed excess is a bug certificate, not
+    a discovery."""
+    space = funcs["f"].space
+    certified, recheck = _certify(problem, Instance(space, funcs, None),
+                                  TARGETS[problem.target][1], DOUBLE_PRECISION)
+    if not certified:
         return None
     return {
         "ratio": repr(ratio),
         "instance": instance_to_json(space, funcs),
-        "recheck_mode": _recheck_mode(precision),
+        "recheck_mode": recheck["mode"],
     }
 
 
@@ -230,11 +230,10 @@ def search(problem: SearchProblem, iters: int, restarts: int,
             outcomes = list(pool.map(one, range(restarts)))
     else:
         outcomes = [one(restart) for restart in range(restarts)]
-    best, state, trace = max(outcomes, key=lambda outcome: outcome[0])
-    funcs = _state_functions(problem, state, space)
+    best, funcs, trace = max(outcomes, key=lambda outcome: outcome[0])
     violation = None
     if best > 1.0 + RATIO_CAP_SLACK:
-        violation = _excess_certificate(problem, state, space, best)
+        violation = _excess_certificate(problem, funcs, best)
     return SearchResult(
         target=problem.target,
         best_ratio=best,

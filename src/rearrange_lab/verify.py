@@ -7,12 +7,15 @@ evaluates both sides of its inequality, and reduces the per-trial gaps
 Certification is per suite.  The table `_TRIALS`, which the extremal
 search reads too, defines each inequality by its forms and by the
 arithmetic that certifies it: exact for the root-free thm32 and lemma31,
-113 bits for the product rules thm41 and thm43.  A negative float gap is
-re-evaluated in that arithmetic and certified by the one rule
-`_certified`; otherwise it is logged as a graze.  A `TrialConfig`
-evaluates its forms once, on trial 0's instance, and so refuses a norm
-that its run cannot evaluate.  The rearrange suite checks properties
-rather than an inequality, exactly, in its own trial, which returns
+113 bits for the product rules thm41 and thm43.  `judge` evaluates every
+form of one instance, drawn or not, in the run's arithmetic.  A negative
+gap goes to the one recheck helper `_certify`, which the search's
+certificate uses too: it re-evaluates that form alone in the certifying
+arithmetic (exact for an exact run) and certifies it by the one rule
+`_certified`; a form it does not certify is logged as a graze.  A
+`TrialConfig` judges trial 0's instance once, and so refuses a norm that
+its run cannot evaluate.  The rearrange suite checks properties rather
+than an inequality, exactly, in its own trial, which returns
 {property: passed}.
 
 Suite ids: thm32 (the rearrangement bound for the oscillation form),
@@ -131,11 +134,11 @@ def check_precision(precision: int, name: str) -> int:
 class TrialConfig:
     """Configuration of one verification run.  Mode None is the suite's
     default arithmetic, its certifying one in `_TRIALS`: exact for
-    thm32, lemma31 and rearrange, float for thm41 and thm43.  A suite
-    with norms evaluates every form once, on trial 0's instance in the
-    run's arithmetic, so a norm the run cannot evaluate (an inexact root
-    in exact mode, an associate without an evaluation in any mode) is an
-    InputError before any trial."""
+    thm32, lemma31 and rearrange, float for thm41 and thm43.  The config
+    judges trial 0's instance once with `judge`, in the run's arithmetic,
+    so a norm the run cannot evaluate (an inexact root in exact mode, an
+    associate without an evaluation in any mode) is an InputError before
+    any trial."""
 
     suite: str
     atoms: int = 4
@@ -169,15 +172,11 @@ class TrialConfig:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.mode == "float" and forms is None:
             raise InputError(f"the {self.suite} suite runs in exact mode only")
-        if _norm_table(self.suite, exponents, X):
-            precision = None if self.mode == "exact" else self.precision
-            work = _binary_instance(generate_instance(self, 0), precision)
-            try:
-                _evaluate(self, work.functions, precision)
-            except ExactUnavailable:
-                raise InputError(f"exact mode for {self.suite} needs every "
-                                 "norm of its forms exactly evaluable") \
-                    from None
+        try:
+            judge(self, generate_instance(self, 0))
+        except ExactUnavailable:
+            raise InputError(f"exact mode for {self.suite} needs every "
+                             "norm of its forms exactly evaluable") from None
 
     def canonical_dict(self) -> dict:
         return {
@@ -413,10 +412,6 @@ class TrialOutcome:
     passed_properties: dict = None  # {property: passed}, rearrange only
 
 
-def _recheck_mode(precision) -> str:
-    return "exact" if precision is None else f"float{precision}"
-
-
 def _certified(lhs, rhs, precision) -> bool:
     """The one certification rule: sides in the arithmetic `precision`
     names (None: exact) confirm LHS > RHS when exact ones differ at all,
@@ -468,42 +463,39 @@ def _evaluate(cfg, functions, precision, labels=None) -> dict:
         return forms(cfg, functions, precision, labels)
 
 
-def _recheck(cfg, inst: Instance, label):
-    """One form of inst, and only that one, re-evaluated in cfg.suite's
-    certifying arithmetic."""
-    precision = _TRIALS[cfg.suite][1]
-    work = _binary_instance(inst, precision)
-    return _evaluate(cfg, work.functions, precision, (label,))[label]
+def _certify(cfg, inst: Instance, label, precision) -> tuple:
+    """(`_certified`'s verdict, the recheck block {"mode", "lhs", "rhs"})
+    for one form of inst, and only that one, re-evaluated in the
+    certifying arithmetic of a run in `precision` (None: exact): exact
+    for an exact run, cfg.suite's in `_TRIALS` for a float one."""
+    certifying = None if precision is None else _TRIALS[cfg.suite][1]
+    work = _binary_instance(inst, certifying)
+    lhs, rhs = _evaluate(cfg, work.functions, certifying, (label,))[label]
+    return _certified(lhs, rhs, certifying), {
+        "mode": "exact" if certifying is None else f"float{certifying}",
+        "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}
 
 
-def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
-    """Every form of one instance, judged in form order: the trial's gap
-    is the first smallest form gap (RHS - LHS, taken in the arithmetic of
-    the sides).  A negative exact gap is a violation; a negative float
-    gap is one only if the form's sides in the suite's certifying
-    arithmetic pass `_certified`, and a graze otherwise.  The first
-    certified form is the trial's violation."""
-    inst = generate_instance(cfg, index)
+def judge(cfg: TrialConfig, inst: Instance) -> TrialOutcome:
+    """Every form of inst, judged in form order in the run's arithmetic:
+    the gap is the first smallest form gap (RHS - LHS, taken in the
+    arithmetic of the sides).  A negative gap is a violation if `_certify`
+    certifies its form, and a graze otherwise; the first certified form
+    is the violation.  The rearrange suite judges its properties."""
     if cfg.suite == "rearrange":
         return _run_rearrange_trial(cfg, inst)
-    exact = cfg.mode == "exact"
-    forms, certifying = _TRIALS[cfg.suite]
-    if exact:  # an exact gap certifies itself
-        precision = certifying = None
-    else:
-        precision = cfg.precision
-    work = inst if exact else _binary_instance(inst, precision)
+    precision = None if cfg.mode == "exact" else cfg.precision
+    work = inst if precision is None else _binary_instance(inst, precision)
     out = TrialOutcome(form_gaps={})
     with binary_context(precision or DOUBLE_PRECISION):
-        for label, (lhs, rhs) in forms(cfg, work.functions, precision,
-                                       None).items():
+        for label, (lhs, rhs) in _evaluate(cfg, work.functions,
+                                           precision).items():
             gap = out.form_gaps[label] = rhs - lhs
             if out.gap is None or gap < out.gap:
                 out.gap = gap
             if gap < 0:
-                re_lhs, re_rhs = (lhs, rhs) if exact \
-                    else _recheck(cfg, inst, label)
-                if not _certified(re_lhs, re_rhs, certifying):
+                certified, recheck = _certify(cfg, inst, label, precision)
+                if not certified:
                     out.graze = True
                 elif out.violation is None:
                     out.violation = {
@@ -512,9 +504,7 @@ def _run_trial(cfg: TrialConfig, index: int) -> TrialOutcome:
                         "instance": inst.to_json(),
                         "lhs": format_scalar(lhs),
                         "rhs": format_scalar(rhs),
-                        "recheck": {"mode": _recheck_mode(certifying),
-                                    "lhs": format_scalar(re_lhs),
-                                    "rhs": format_scalar(re_rhs)},
+                        "recheck": recheck,
                     }
     return out
 
@@ -657,7 +647,7 @@ def run_suite(cfg: TrialConfig) -> VerificationReport:
     prop_passes, form_min = {}, {}
 
     for i in range(cfg.trials):
-        out = _run_trial(cfg, i)
+        out = judge(cfg, generate_instance(cfg, i))
         histogram[_bin_gap(out)] += 1
         if min_gap is None or out.gap < min_gap:
             min_gap, argmin_index = out.gap, i

@@ -18,6 +18,7 @@ from rearrange_lab.cli import FlagError, run
 from rearrange_lab.spaces import space_from_json
 
 from conftest import LAZY_MODULES, child_env
+from test_power import BUGS
 from oracles import decomposition_from_json, profile_from_json
 
 INSTANCE = {
@@ -230,6 +231,22 @@ def test_certified_search_excess_exits_1(three_quarter_product_rule, capsys):
     violation = doc["violation"]
     assert violation["ratio"] == doc["best_ratio"]
     assert violation["recheck_mode"] == "float113"
+    assert violation["instance"] == doc["best_instance"]
+
+
+def test_certified_thm32_search_excess_is_rechecked_exactly(monkeypatch,
+                                                           capsys):
+    """thm32's certifying arithmetic is exact, so a search excess under a
+    doubled LHS (test_power's bug) is rechecked and certified exactly."""
+    bug, plant = BUGS["thm32-lhs-x2"][:2]
+    monkeypatch.setattr(verify_mod, bug, plant(getattr(verify_mod, bug)))
+    assert run(["search", "--target", "thm32-ratio", "--atoms", "3",
+                "--iters", "30", "--restarts", "2", "--seed", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert float(doc["best_ratio"]) > 1 + 1e-9
+    violation = doc["violation"]
+    assert violation["ratio"] == doc["best_ratio"]
+    assert violation["recheck_mode"] == "exact"
     assert violation["instance"] == doc["best_instance"]
 
 

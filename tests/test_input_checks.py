@@ -11,7 +11,7 @@ from rearrange_lab.oscillation import ZeroMeanBlock
 from rearrange_lab.rearrange import (LayerCake,
                                      indicator_difference_rearrangement,
                                      make_profile, profile_integrate_product)
-from rearrange_lab.spaces import SimpleFunction, equal_space
+from rearrange_lab.spaces import DiscreteSpace, SimpleFunction, equal_space
 from rearrange_lab.verify import TrialConfig
 
 SPACE = equal_space(2)
@@ -36,10 +36,11 @@ SPACE = equal_space(2)
      "thresholds and bands are inconsistent"),
     (lambda: ZeroMeanBlock(F(0), {0}, F(1), {1}, SPACE),
      "block heights must be positive"),
+    (lambda: DiscreteSpace((F(0), F(1))), "atom weights must be positive"),
 ], ids=["lp-below-1", "config-no-atoms", "config-weight-scheme",
         "config-mode", "profile-negative-t", "profile-negative-value",
         "integrate-no-profiles", "indicator-negative-t", "layer-cake-bands",
-        "block-height"])
+        "block-height", "space-zero-weight"])
 def test_malformed_input_is_refused_by_name(call, message):
     with pytest.raises(InputError) as info:
         call()

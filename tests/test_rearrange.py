@@ -186,6 +186,16 @@ def test_equimeasurability(f):
         assert distribution_measure(f, v) == profile_level_measure(prof, v)
 
 
+def test_equimeasurable_refuses_a_profile_of_the_wrong_length():
+    """f = (1, 1) on two equal atoms has |f| > t on measure 1 for t < 1.
+    A profile with the right value but length 1/2 differs from it only
+    below 1, so only the candidate level 0 (and the midpoint it makes)
+    can refuse it."""
+    f = SimpleFunction((F(1), F(1)), equal_space(2))
+    assert equimeasurable(f, make_profile([(F(1), F(1))]))
+    assert not equimeasurable(f, make_profile([(F(1), F(1, 2))]))
+
+
 @given(functions())
 def test_profile_is_canonical(f):
     prof = decreasing_rearrangement(f)

@@ -115,7 +115,8 @@ def test_excess_recheck_runs_at_113_bits_on_five_atoms(target):
     problem = SearchProblem(target, atoms=5)
     state = {name: [0.5, -1.0, 0.25, 1.0, -0.75]
              for name in problem.free_functions}
-    assert _excess_certificate(problem, state, problem.space(), 2.0) is None
+    funcs = _state_functions(problem, state, problem.space())
+    assert _excess_certificate(problem, funcs, 2.0) is None
 
 
 _LORENTZ = LorentzLambda(ConcaveWeight(((0, 0), (Fraction(1, 2), Fraction(3, 4)),
@@ -156,14 +157,14 @@ def test_initial_state_falls_back_to_alternating_signs(target):
     alternating = [1.0, -1.0, 1.0, -1.0]
     assert state == {name: [1.0] * 4 if name == "f" else alternating
                      for name in problem.free_functions}
-    assert _ratio(problem, state, space) is not None
+    assert _ratio(problem, _state_functions(problem, state, space)) is not None
 
 
 def _climb_rebuilding_every_function(problem, rng, space, iters):
     """The climb with every candidate state's functions built afresh, so
     nothing a function keeps is ever read back."""
     state = _initial_state(problem, rng, space)
-    best = _ratio(problem, state, space)
+    best = _ratio(problem, _state_functions(problem, state, space))
     trace = [(0, best)]
     coords = [(name, i) for name in problem.free_functions
               for i in range(problem.atoms)]
@@ -177,7 +178,7 @@ def _climb_rebuilding_every_function(problem, rng, space, iters):
                      -v):
             state[name][idx] = max(-search_mod.VALUE_BOX,
                                    min(search_mod.VALUE_BOX, cand))
-            r = _ratio(problem, state, space)
+            r = _ratio(problem, _state_functions(problem, state, space))
             if r is not None and r > best:
                 best, v, improved = r, state[name][idx], True
                 trace.append((iteration, best))
@@ -185,7 +186,7 @@ def _climb_rebuilding_every_function(problem, rng, space, iters):
         stalled = 0 if improved else stalled + 1
         if stalled >= len(coords):
             step, stalled = step * 0.5, 0
-    return best, state, trace
+    return best, _state_functions(problem, state, space), trace
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction as F
 
 from conftest import child_env, same_bits
+from test_power import BUGS
 from oracles import (exact_scalar, former_random_instance,
                      reference_draw_values)
 
@@ -21,13 +22,14 @@ from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.scalars import (INF, QUAD_PRECISION, binary_context,
                                    format_scalar)
 from rearrange_lab.search import SearchProblem, search
-from rearrange_lab.spaces import SimpleFunction, equal_space, integrate
-from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, SUITE_IDS, TrialConfig,
-                                  _binary_instance, _evaluate, _keyed_rng,
-                                  _lattice_function, _recheck, _run_trial,
+from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
+                                  integrate)
+from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, SUITE_IDS, Instance,
+                                  TrialConfig, _binary_instance, _certify,
+                                  _evaluate, _keyed_rng, _lattice_function,
                                   canonical_hash, canonical_json,
-                                  generate_instance, run_suite, thm32_sides,
-                                  thm41_sides, thm43_sides,
+                                  generate_instance, judge, run_suite,
+                                  thm32_sides, thm41_sides, thm43_sides,
                                   validate_exponents)
 
 PHI = ConcaveWeight(((0, 0), (F(1, 4), F(1, 2)), (1, 1)))
@@ -321,22 +323,22 @@ def test_judges_certify_real_violations(monkeypatch):
     certificate machinery emits (and that grazes stay uncertified)."""
     cfg = TrialConfig(suite="thm32", atoms=2, trials=1, seed=0)
     _force_sides(monkeypatch, "thm32", {None: (F(3), F(1))})
-    out = _run_trial(cfg, 0)
+    out = judge(cfg, generate_instance(cfg, 0))
     assert out.violation is not None
     assert out.violation["form"] == "thm32"
     assert out.violation["recheck"]["mode"] == "exact"
     _force_sides(monkeypatch, "thm32", {None: (F(1), F(3))})
-    out = _run_trial(cfg, 0)
+    out = judge(cfg, generate_instance(cfg, 0))
     assert out.violation is None and not out.graze
 
     fcfg = TrialConfig(suite="thm41", atoms=2, trials=1, seed=0, mode="float")
     _force_sides(monkeypatch, "thm41", {None: (1.0 + 1e-13, 1.0)},
                  {None: (F(1), F(1))})
-    graze = _run_trial(fcfg, 0)
+    graze = judge(fcfg, generate_instance(fcfg, 0))
     assert graze.graze and graze.violation is None
     _force_sides(monkeypatch, "thm41", {None: (2.0, 1.0)},
                  {None: (F(2), F(1))})
-    real = _run_trial(fcfg, 0)
+    real = judge(fcfg, generate_instance(fcfg, 0))
     assert real.violation is not None
     assert "float113" in real.violation["recheck"]["mode"]
 
@@ -349,7 +351,7 @@ def test_trial_takes_first_minimum_any_graze_and_first_violation(monkeypatch):
         monkeypatch, "thm43",
         {"norm_form": (2.0, 1.0), "associate_form": (3.0, 1.0)},
         {"norm_form": (F(1), F(1)), "associate_form": (F(3), F(1))})
-    out = _run_trial(cfg, 0)
+    out = judge(cfg, generate_instance(cfg, 0))
     assert out.gap == -2.0
     assert out.form_gaps == {"norm_form": -1.0, "associate_form": -2.0}
     assert out.graze
@@ -359,9 +361,42 @@ def test_trial_takes_first_minimum_any_graze_and_first_violation(monkeypatch):
         monkeypatch, "thm43",
         {"norm_form": (2.0, 1.0), "associate_form": (1.0, 0.0)},
         {"norm_form": (F(2), F(1)), "associate_form": (F(3), F(1))})
-    out = _run_trial(cfg, 0)
+    out = judge(cfg, generate_instance(cfg, 0))
     assert out.gap == -1.0 and not out.graze
     assert out.violation["form"] == "thm43-norm_form"
+
+
+#: thm32 equality witnesses: (space, f, g, h, LHS = RHS)
+_THM32_WITNESSES = {
+    "equal-atoms": (equal_space(2), (1, 1), (1, -1), (-1, 1), F(2)),
+    "weights-1/3-2/3": (DiscreteSpace((F(1, 3), F(2, 3))), (1, 1),
+                        (F(2, 3), F(-1, 3)), (-1, 1), F(8, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THM32_WITNESSES))
+def test_judge_takes_an_instance_it_did_not_draw(name, monkeypatch):
+    """thm32's equality witnesses, judged as given: gap 0 and no
+    violation.  With the RHS planted at 3/4 (test_power's bug), each is
+    a violation that the exact recheck certifies."""
+    space, *values, sides = _THM32_WITNESSES[name]
+    inst = Instance(space, {n: SimpleFunction(tuple(map(F, v)), space)
+                            for n, v in zip("fgh", values)}, None)
+    assert thm32_sides(*inst.functions.values()) == (sides, sides)
+    cfg = TrialConfig(suite="thm32", atoms=space.n, trials=1)
+    out = judge(cfg, inst)
+    assert out.gap == 0 and out.form_gaps == {None: 0}
+    assert out.violation is None and not out.graze
+
+    bug, plant = BUGS["thm32-rhs-3/4"][:2]
+    monkeypatch.setattr(verify_mod, bug, plant(getattr(verify_mod, bug)))
+    out = judge(cfg, inst)
+    assert out.gap == -sides / 4
+    assert out.violation == {
+        "form": "thm32", "instance": inst.to_json(),
+        "lhs": format_scalar(sides), "rhs": format_scalar(sides * 3 / 4),
+        "recheck": {"mode": "exact", "lhs": format_scalar(sides),
+                    "rhs": format_scalar(sides * 3 / 4)}}
 
 
 def test_float_gaps_are_taken_at_the_working_precision():
@@ -496,8 +531,8 @@ def test_thm32_trial_builds_no_scalars_it_does_not_read(monkeypatch):
         profiles.append(decreasing_rearrangement(f))
         return profiles[-1]
 
-    monkeypatch.setattr(verify_mod, "decreasing_rearrangement", recorded)
     cfg = TrialConfig(suite="thm32", atoms=64, seed=5, trials=200)
+    monkeypatch.setattr(verify_mod, "decreasing_rearrangement", recorded)
     for index in (128, 199):
         inst = generate_instance(cfg, index)
         assert inst.space.n == 64
@@ -553,7 +588,7 @@ def test_forced_float_graze_is_rechecked_at_113_bits(atoms, monkeypatch):
     _, rhs = thm43_sides(work.functions["f"], work.functions["g"], cfg.norm,
                          precision=53)["norm_form"]
     _force_sides(monkeypatch, "thm43", {"norm_form": (rhs + 1.0, rhs)})
-    out = _run_trial(cfg, 0)
+    out = judge(cfg, generate_instance(cfg, 0))
     assert out.gap < 0
     assert out.graze and out.violation is None
 
@@ -608,19 +643,33 @@ def test_exact_double_and_quad_gaps_agree(suite, kwargs, atoms):
     ("thm43", {"norm": Lp(3)}, ("norm_form", "associate_form")),
     ("thm41", {}, (None,)),
 ], ids=["thm43-lorentz-associate", "thm43-L3", "thm41"])
-def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels):
-    """_recheck evaluates only the label it certifies, with the bits of
-    that label in the evaluation of every form."""
+def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels,
+                                                 monkeypatch):
+    """_certify evaluates only the label it certifies, with the bits of
+    that label in the evaluation of every form: the sides it hands to
+    `_certified` and the ones its recheck block reports."""
     cfg = TrialConfig(suite=suite, mode="float", atoms=5, trials=1, seed=4,
                       **kwargs)
+    certified = []
+    real = verify_mod._certified
+
+    def spy(lhs, rhs, precision):
+        certified.append((lhs, rhs))
+        return real(lhs, rhs, precision)
+
+    monkeypatch.setattr(verify_mod, "_certified", spy)
     for index in range(12):
         inst = generate_instance(cfg, index)
         every = _evaluate(cfg, _binary_instance(inst, QUAD_PRECISION).functions,
                           QUAD_PRECISION)
         assert tuple(every) == labels
         for label in labels:
-            got = _recheck(cfg, inst, label)
+            _, recheck = _certify(cfg, inst, label, cfg.precision)
+            got = certified.pop()
             assert all(same_bits(a, b) for a, b in zip(got, every[label]))
+            assert recheck == {"mode": f"float{QUAD_PRECISION}",
+                               "lhs": format_scalar(every[label][0]),
+                               "rhs": format_scalar(every[label][1])}
 
 
 def test_thm43_sides_evaluates_only_the_requested_forms():
@@ -665,18 +714,23 @@ _NO_GENERATED_ASSOCIATE = \
         "exact-thm43-second-associate"])
 def test_config_refuses_an_unevaluable_norm_before_any_trial(
         config, refusal, monkeypatch):
-    """The config evaluates every form of its suite once, in its own
-    arithmetic, and refuses a norm that cannot be evaluated there before
-    any trial runs, in exact and float mode alike."""
-    def no_trial(cfg, index):
-        raise AssertionError("a trial ran")
+    """The config judges one instance, trial 0's, in its own arithmetic,
+    and refuses a norm that cannot be evaluated there before any other
+    trial runs, in exact and float mode alike."""
+    judged = []
+    real = verify_mod.judge
 
-    monkeypatch.setattr(verify_mod, "_run_trial", no_trial)
+    def judge_spy(cfg, inst):
+        judged.append(inst.trial_index)
+        return real(cfg, inst)
+
+    monkeypatch.setattr(verify_mod, "judge", judge_spy)
     if refusal is None:
         TrialConfig(atoms=5, trials=3, **config)
     else:
         with pytest.raises(InputError, match=refusal):
             TrialConfig(atoms=5, trials=3, **config)
+    assert judged == [0]
 
 
 def test_rearrange_violation_names_its_failed_properties(monkeypatch, capsys):
