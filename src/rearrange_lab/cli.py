@@ -35,6 +35,7 @@ from .oscillation import decomposition_to_json, zero_mean_decompose
 from .rearrange import decreasing_rearrangement, profile_to_json
 from .scalars import DOUBLE_PRECISION, parse_exponent
 from .search import TARGETS, SearchProblem, search
+from .spaces import Instance
 from .verify import (SUITE_IDS, TrialConfig, canonical_json, check_precision,
                      run_suite)
 
@@ -126,7 +127,7 @@ def _parse_exponents_flag(text):
 
 
 def _load_function(args):
-    space, functions = _load_instance(args.input)
+    functions = _load_instance(args.input).functions
     if args.function not in functions:
         raise InputError(
             f"no function named {args.function!r} in {args.input}"
@@ -134,10 +135,8 @@ def _load_function(args):
     return functions[args.function]
 
 
-def _load_instance(path):
-    from .spaces import instance_from_json
-
-    return instance_from_json(_load_json_file(path))
+def _load_instance(path) -> Instance:
+    return Instance.from_json(_load_json_file(path))
 
 
 def _emit(text: str, out_path=None) -> None:

@@ -237,8 +237,6 @@ def _powers(xs, p, precision):
     try:
         if den == 1:
             return [x ** num for x in xs]
-        if precision is None and any(isinstance(x, (int, Fraction)) for x in xs):
-            raise ExactUnavailable(f"fractional power {p} has no exact value")
         xbs = [_as_binary(x, prec) for x in xs]
         exponent = num / den
         if not any(map(is_mpf, xbs)):
@@ -258,6 +256,7 @@ def _root(x, X, precision):
     if p == 1:
         return x
     if precision is None and isinstance(x, (int, Fraction)):
+        # reached by the int 0 that sums no segment, an empty binary profile
         raise ExactUnavailable(f"{p}-th root has no exact value")
     if type(x) is not float or precision not in (None, DOUBLE_PRECISION):
         x = _as_binary(x, precision or DOUBLE_PRECISION)
@@ -265,6 +264,13 @@ def _root(x, X, precision):
             import mpmath
             return x ** (mpmath.mpf(p.denominator) / p.numerator)
     return x ** kept(X, "_root", lambda: 1.0 / float(p))
+
+
+def _is_exact(f) -> bool:
+    """f, a function or a profile, has exact units (binary ones are 1)."""
+    units = (f.value_unit, f.length_unit) if isinstance(f, StepProfile) \
+        else (f.unit,)
+    return int not in map(type, units)
 
 
 def _profile_of(f) -> StepProfile:
@@ -290,6 +296,10 @@ def norm(X, f, *, precision=None):
 
 
 def _norm(X, f, precision):
+    if precision is None and getattr(X, "p", 1) not in (1, INF) \
+            and _is_exact(f):
+        raise ExactUnavailable(
+            f"{format_exponent(X.p)}-th root has no exact value")
     if isinstance(X, Lp):
         return _lp_norm(X, f, precision)
     if isinstance(X, LorentzLambda):

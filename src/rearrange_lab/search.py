@@ -11,7 +11,9 @@ verify's table `_TRIALS`, reads the parameters `suite_parameters` keeps
 for that suite, and the objective evaluates that form alone
 (thm43-ratio: the norm form, five float norms; the associate form is
 never evaluated, so a norm without an associate evaluation can be
-searched).  A climb keeps its best point as the functions it evaluated.
+searched).  A climb keeps its best point as the functions it evaluated,
+and the search keeps the best of its climbs as one `Instance`, which it
+writes as ``best_instance``.
 Ratios certified above 1 would indicate an implementation bug; any
 excess beyond 1e-9 is re-checked, again in the target's form only, by
 the recheck helper that verify's `judge` uses, before being reported as
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleProblem, InputError
 from .scalars import DOUBLE_PRECISION
-from .spaces import DiscreteSpace, SimpleFunction, center, instance_to_json
-from .verify import (Instance, _certify, _evaluate, _keyed_rng, check_int,
+from .spaces import DiscreteSpace, Instance, SimpleFunction, center
+from .verify import (_certify, _evaluate, _keyed_rng, check_int,
                      parameters_json, suite_parameters)
 
 #: target -> (verify suite, form label of that suite)
@@ -192,20 +194,14 @@ def _climb(problem, rng, space, iters):
     return best, funcs, trace
 
 
-def _excess_certificate(problem, funcs, ratio):
+def _excess_certificate(problem, inst: Instance, ratio):
     """Re-check a ratio beyond 1 + 1e-9 of a double-precision search with
     verify's recheck helper; a confirmed excess is a bug certificate, not
     a discovery."""
-    space = funcs["f"].space
-    certified, recheck = _certify(problem, Instance(space, funcs, None),
-                                  TARGETS[problem.target][1], DOUBLE_PRECISION)
-    if not certified:
-        return None
-    return {
-        "ratio": repr(ratio),
-        "instance": instance_to_json(space, funcs),
-        "recheck_mode": recheck["mode"],
-    }
+    certified, recheck = _certify(problem, inst, TARGETS[problem.target][1],
+                                  DOUBLE_PRECISION)
+    return {"ratio": repr(ratio), "instance": inst.to_json(),
+            "recheck_mode": recheck["mode"]} if certified else None
 
 
 def search(problem: SearchProblem, iters: int, restarts: int,
@@ -231,13 +227,14 @@ def search(problem: SearchProblem, iters: int, restarts: int,
     else:
         outcomes = [one(restart) for restart in range(restarts)]
     best, funcs, trace = max(outcomes, key=lambda outcome: outcome[0])
+    point = Instance(space, funcs)
     violation = None
     if best > 1.0 + RATIO_CAP_SLACK:
-        violation = _excess_certificate(problem, funcs, best)
+        violation = _excess_certificate(problem, point, best)
     return SearchResult(
         target=problem.target,
         best_ratio=best,
-        best_instance=instance_to_json(space, funcs),
+        best_instance=point.to_json(),
         trace=[(i, r) for i, r in trace],
         restarts=restarts,
         violation=violation,

@@ -17,7 +17,9 @@ and `center` and `multiply`, which shift and multiply numerators) scales
 its values back on first read and keeps them; until a caller reads them
 no `Fraction` is made.  `equal_space` builds and validates one space per
 atom count.  `common_space` is the one check that functions combined
-pointwise share their space.
+pointwise share their space.  An `Instance`, named functions on a space,
+is what each inequality is about: it writes and reads the instance JSON
+and has the one conversion to a run's arithmetic, `to_binary`.
 """
 
 from __future__ import annotations
@@ -219,49 +221,62 @@ def to_binary_function(f: SimpleFunction, space: DiscreteSpace, precision: int) 
 
 
 # ---------------------------------------------------------------------------
-# instance JSON format shared with the CLI:
+# the instance and its JSON format, shared with the CLI:
 # {"space": {"weights": ["1/4", ...]}, "functions": {"f": ["1", ...], ...}}
 
-def space_to_json(space: DiscreteSpace) -> dict:
-    return {"weights": [format_scalar(w) for w in space.weights]}
+def _parse_literals(literals, what: str) -> tuple:
+    """The scalars of a list of string literals; `what` names it in errors."""
+    if not isinstance(literals, list):
+        raise InputError(f"{what} must be a list of literals")
+    try:
+        return tuple(map(parse_scalar, literals))
+    except ValueError as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
 def space_from_json(obj: dict) -> DiscreteSpace:
-    literals = obj.get("weights") if isinstance(obj, dict) else None
-    if not isinstance(literals, list):
-        raise InputError("a space object needs a 'weights' list of literals")
-    try:
-        weights = tuple(parse_scalar(w) for w in literals)
-    except ValueError as exc:
-        raise InputError(f"bad space object: {exc}") from exc
-    return DiscreteSpace(weights)
+    weights = obj.get("weights") if isinstance(obj, dict) else None
+    return DiscreteSpace(_parse_literals(weights, "space weights"))
 
 
-def instance_to_json(space: DiscreteSpace, functions: dict) -> dict:
-    return {
-        "space": space_to_json(space),
-        "functions": {
-            name: [format_scalar(v) for v in f.values]
-            for name, f in functions.items()
-        },
-    }
+@dataclass(frozen=True)
+class Instance:
+    """A space and named functions on it, what each inequality is about;
+    ``trial_index`` is the verify trial that drew it, if one did."""
 
+    space: DiscreteSpace
+    functions: dict
+    trial_index: int = None
 
-def instance_from_json(obj: dict):
-    """Parse an instance document into (space, {name: SimpleFunction})."""
-    if not isinstance(obj, dict) or "space" not in obj:
-        raise InputError("instance JSON must contain a 'space' object")
-    space = space_from_json(obj["space"])
-    documents = obj.get("functions", {})
-    if not isinstance(documents, dict):
-        raise InputError("instance 'functions' must be an object")
-    functions = {}
-    for name, values in documents.items():
-        if not isinstance(values, list):
-            raise InputError(f"function {name!r} must be a list of literals")
-        try:
-            values = tuple(parse_scalar(v) for v in values)
-        except ValueError as exc:
-            raise InputError(f"bad function {name!r}: {exc}") from exc
-        functions[name] = SimpleFunction(values, space)
-    return space, functions
+    def to_json(self) -> dict:
+        """The instance document, with "trial_index" only when it is set."""
+        doc = {"space": {"weights": list(map(format_scalar,
+                                             self.space.weights))},
+               "functions": {name: list(map(format_scalar, f.values))
+                             for name, f in self.functions.items()}}
+        if self.trial_index is not None:
+            doc["trial_index"] = self.trial_index
+        return doc
+
+    @classmethod
+    def from_json(cls, obj) -> Instance:
+        """The instance of a document as `to_json` writes it; its
+        "trial_index" is not read."""
+        if not isinstance(obj, dict) or "space" not in obj:
+            raise InputError("instance JSON must contain a 'space' object")
+        space, docs = space_from_json(obj["space"]), obj.get("functions", {})
+        if not isinstance(docs, dict):
+            raise InputError("instance 'functions' must be an object")
+        return cls(space, {name: SimpleFunction(_parse_literals(
+            values, f"function {name!r}"), space)
+            for name, values in docs.items()})
+
+    def to_binary(self, precision) -> Instance:
+        """The instance in binary floats of `precision` bits, or in exact
+        rationals for None, which returns an exact instance itself."""
+        if precision is None and self.space.families == {"exact"}:
+            return self
+        space = to_binary_space(self.space, precision)
+        return Instance(space, {name: to_binary_function(f, space, precision)
+                                for name, f in self.functions.items()},
+                        self.trial_index)

@@ -7,12 +7,13 @@ evaluates both sides of its inequality, and reduces the per-trial gaps
 Certification is per suite.  The table `_TRIALS`, which the extremal
 search reads too, defines each inequality by its forms and by the
 arithmetic that certifies it: exact for the root-free thm32 and lemma31,
-113 bits for the product rules thm41 and thm43.  `judge` evaluates every
-form of one instance, drawn or not, in the run's arithmetic.  A negative
-gap goes to the one recheck helper `_certify`, which the search's
-certificate uses too: it re-evaluates that form alone in the certifying
-arithmetic (exact for an exact run) and certifies it by the one rule
-`_certified`; a form it does not certify is logged as a graze.  A
+113 bits for the product rules thm41 and thm43.  `judge` converts one
+instance, drawn or not, to the run's arithmetic with `Instance.to_binary`
+and evaluates every form of it there.  A negative gap goes to the one
+recheck helper `_certify`, which the search's certificate uses too: it
+converts the instance the same way to the certifying arithmetic (exact
+for an exact run), re-evaluates that form alone and certifies it by the
+one rule `_certified`; a form it does not certify is logged as a graze.  A
 `TrialConfig` judges trial 0's instance once, and so refuses a norm that
 its run cannot evaluate.  The rearrange suite checks properties rather
 than an inequality, exactly, in its own trial, which returns
@@ -54,9 +55,8 @@ from .rearrange import (decreasing_rearrangement, equimeasurable,
 from .scalars import (DOUBLE_PRECISION, INF, QUAD_PRECISION, binary_context,
                       dot, format_exponent, format_scalar, in_lowest_terms,
                       kept)
-from .spaces import (DiscreteSpace, SimpleFunction, center, equal_space,
-                     instance_to_json, multiply, to_binary_function,
-                     to_binary_space)
+from .spaces import (DiscreteSpace, Instance, SimpleFunction, center,
+                     equal_space, multiply)
 
 #: certification threshold for the 113-bit recheck, relative to scale
 QUAD_CERTIFY_RTOL = Fraction(1, 2**80)
@@ -193,18 +193,6 @@ class TrialConfig:
         }
 
 
-@dataclass(frozen=True)
-class Instance:
-    space: DiscreteSpace
-    functions: dict
-    trial_index: int
-
-    def to_json(self) -> dict:
-        doc = instance_to_json(self.space, self.functions)
-        doc["trial_index"] = self.trial_index
-        return doc
-
-
 def _keyed_rng(key: str) -> random.Random:
     """A reproducible generator seeded by the SHA-256 of key."""
     digest = sha256(key.encode()).digest()
@@ -305,17 +293,6 @@ def generate_instance(cfg: TrialConfig, index: int) -> Instance:
         g = _lattice_function(rng, space)
         functions = {"f": f, "g": g}
     return Instance(space, functions, index)
-
-
-def _binary_instance(inst: Instance, precision) -> Instance:
-    """inst rounded to binary floats of `precision` bits, or for None
-    converted to exact rationals (binary floats convert exactly)."""
-    space = to_binary_space(inst.space, precision)
-    funcs = {
-        name: to_binary_function(f, space, precision)
-        for name, f in inst.functions.items()
-    }
-    return Instance(space, funcs, inst.trial_index)
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +446,24 @@ def _certify(cfg, inst: Instance, label, precision) -> tuple:
     certifying arithmetic of a run in `precision` (None: exact): exact
     for an exact run, cfg.suite's in `_TRIALS` for a float one."""
     certifying = None if precision is None else _TRIALS[cfg.suite][1]
-    work = _binary_instance(inst, certifying)
-    lhs, rhs = _evaluate(cfg, work.functions, certifying, (label,))[label]
+    lhs, rhs = _evaluate(cfg, inst.to_binary(certifying).functions,
+                         certifying, (label,))[label]
     return _certified(lhs, rhs, certifying), {
         "mode": "exact" if certifying is None else f"float{certifying}",
         "lhs": format_scalar(lhs), "rhs": format_scalar(rhs)}
 
 
 def judge(cfg: TrialConfig, inst: Instance) -> TrialOutcome:
-    """Every form of inst, judged in form order in the run's arithmetic:
-    the gap is the first smallest form gap (RHS - LHS, taken in the
-    arithmetic of the sides).  A negative gap is a violation if `_certify`
-    certifies its form, and a graze otherwise; the first certified form
-    is the violation.  The rearrange suite judges its properties."""
-    if cfg.suite == "rearrange":
-        return _run_rearrange_trial(cfg, inst)
+    """Every form of inst, judged in form order in the run's arithmetic,
+    to which `Instance.to_binary` converts it first: the gap is the first
+    smallest form gap (RHS - LHS, taken in the arithmetic of the sides).
+    A negative gap is a violation if `_certify` certifies its form, and a
+    graze otherwise; the first certified form is the violation.  The
+    rearrange suite, exact only, judges its properties."""
     precision = None if cfg.mode == "exact" else cfg.precision
-    work = inst if precision is None else _binary_instance(inst, precision)
+    work = inst.to_binary(precision)
+    if cfg.suite == "rearrange":
+        return _run_rearrange_trial(cfg, work)
     out = TrialOutcome(form_gaps={})
     with binary_context(precision or DOUBLE_PRECISION):
         for label, (lhs, rhs) in _evaluate(cfg, work.functions,

@@ -519,6 +519,26 @@ def test_float_power_overflow_is_an_input_error(norm, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--suite", "thm43", "--norm", '{"kind": "lp", "p": "1e5"}'],
+    ["--suite", "thm41", "--exponents", "1e5,1e5,inf,1e5,inf"],
+    ["--suite", "thm43", "--norm", json.dumps(
+        {"kind": "generated", "base": {"kind": "lp", "p": "1"}, "p": "1e5"})],
+], ids=["lp", "thm41", "generated"])
+def test_exact_root_is_refused_before_the_power(flags, capsys):
+    """An exact run refuses a root it cannot take before it raises the
+    values to the p-th power, which at p = 1e5 took seconds."""
+    started = time.perf_counter()
+    code = run(["verify", "--mode", "exact", "--atoms", "8", "--trials", "1",
+                *flags])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InputError: exact mode for ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc,norm", [
     ({"space": {"weights": ["1"]}, "functions": []}, None),
     ({"space": {"weights": "1"}, "functions": {"f": ["2"]}}, None),

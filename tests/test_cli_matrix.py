@@ -22,6 +22,7 @@ NORMS = {
          "phi": [["0", "0"], ["1/4", "3/4"], ["1/2", "1/2"], ["1", "1"]]}),
     "generated-lorentz": json.dumps(
         {"kind": "generated", "base": _LORENTZ, "p": "1"}),
+    "lp-1e6": json.dumps({"kind": "lp", "p": "1e6"}),
 }
 INPUTS = {
     "instance": {"space": {"weights": ["0.2", "0.3", "0.5"]},
@@ -120,6 +121,9 @@ MATRIX = {
     "error-exact-generated-lorentz": (
         _VERIFY + ["--suite", "thm43", "--mode", "exact",
                    "--norm", "<generated-lorentz>"], None),
+    "error-exact-lp-1e6": (
+        ["verify", "--suite", "thm43", "--mode", "exact", "--atoms", "8",
+         "--trials", "1", "--norm", "<lp-1e6>"], None),
     "error-search-one-atom": (["search", "--target", "thm32-ratio",
                                "--atoms", "1"], None),
     "error-precision-bogus": (_VERIFY + ["--suite", "thm32", "--trials",
@@ -148,6 +152,11 @@ EXPECTED = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         3, "error: NotZeroMean"),
     "error-exact-rooty-exponents": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        2, "error: InputError"),
+    # ran for minutes, raising the values to the 1e6-th power, before the
+    # exact root was refused ahead of the power
+    "error-exact-lp-1e6": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         2, "error: InputError"),
     "error-decreasing-phi": (

@@ -1,12 +1,14 @@
 """Suite power: can a verify suite see a wrong kernel?
 
 Each bug below is planted in one of verify's names with monkeypatch and
-run through `run_suite` at seed 0, 384 thm32 trials or 200 thm41/thm43
-trials, at 4, 8 and 64 atoms.  A cell passes when the suite certifies
-at least one violation.  The cells that the random lattice instances
-miss today are strict expected failures: ROADMAP item 11 (suite power)
-asks for near-extremal instances that catch them, and a cell that starts
-to catch its bug fails here until its mark is removed."""
+run through `run_suite` at seed 0, 384 thm32 trials, 200 thm41/thm43
+trials or 25 rearrange trials, at 4, 8 and 64 atoms.  A cell passes when
+the suite certifies at least one violation; each rearrange bug is caught
+by its own property, which every violation names.  The cells that the
+random lattice instances miss today are strict expected failures:
+ROADMAP item 11 (suite power) asks for near-extremal instances that
+catch them, and a cell that starts to catch its bug fails here until its
+mark is removed."""
 
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 
 import rearrange_lab.verify as verify_mod
 from rearrange_lab.norms import Associate, ConcaveWeight, LorentzLambda, Lp
+from rearrange_lab.rearrange import decreasing_rearrangement
 from rearrange_lab.spaces import SimpleFunction, equal_space
 
 LORENTZ_ASSOCIATE = Associate(LorentzLambda(ConcaveWeight(
@@ -45,6 +48,30 @@ def _no_centering(real):
     return lambda f: f
 
 
+def _ladder_rungs_3_and_10_swapped(real):
+    def ladder(f, levels=16):
+        rungs = list(real(f, levels))
+        rungs[3], rungs[10] = rungs[10], rungs[3]
+        return rungs
+    return ladder
+
+
+def _indicator_at_or_above(real):
+    def pair(f, t):
+        indicator = tuple(1 if v >= t else (-1 if -v >= t else 0)
+                          for v in f.values)
+        return (decreasing_rearrangement(SimpleFunction(indicator, f.space)),
+                real(f, t)[1])
+    return pair
+
+
+def _hardy_littlewood_rhs_doubled(real):
+    def check(f, g):
+        lhs, rhs = real(f, g)
+        return lhs, 2 * rhs
+    return check
+
+
 def _product_rhs_three_quarters(real):
     def product_rule(f, g, forms, precision=None):
         return {label: (lhs, rhs * 3 / 4) for label, (lhs, rhs)
@@ -73,6 +100,29 @@ BUGS = {
     "thm43-lorentz-associate-rhs-3/4": (
         "_product_rule", _product_rhs_three_quarters,
         dict(suite="thm43", trials=200, norm=LORENTZ_ASSOCIATE), (4,)),
+    "rearrange-unweighted-rearrangement": (
+        "decreasing_rearrangement", _rearrangement_ignores_weights,
+        dict(suite="rearrange", trials=25, weight_scheme="random-rational"),
+        ATOMS),
+    "rearrange-ladder-rungs-swapped": (
+        "truncation_ladder", _ladder_rungs_3_and_10_swapped,
+        dict(suite="rearrange", trials=25), ATOMS),
+    "rearrange-indicator-at-or-above": (
+        "indicator_difference_rearrangement", _indicator_at_or_above,
+        dict(suite="rearrange", trials=25), ATOMS),
+    "rearrange-hardy-littlewood-rhs-x2": (
+        "hardy_littlewood_check", _hardy_littlewood_rhs_doubled,
+        dict(suite="rearrange", trials=25), ATOMS),
+}
+
+#: rearrange bug -> the properties that each of its violations fails (the
+#: ladder's last rung is compared with verify's rearrangement of f too)
+FAILED_PROPERTIES = {
+    "rearrange-unweighted-rearrangement": ["equimeasurability",
+                                           "monotone_ladder"],
+    "rearrange-ladder-rungs-swapped": ["monotone_ladder"],
+    "rearrange-indicator-at-or-above": ["indicator_identity"],
+    "rearrange-hardy-littlewood-rhs-x2": ["hardy_littlewood"],
 }
 
 
@@ -92,3 +142,5 @@ def test_planted_bug_is_certified(bug, atoms, monkeypatch):
     report = verify_mod.run_suite(
         verify_mod.TrialConfig(atoms=atoms, seed=0, **fields))
     assert report.violations
+    for violation in report.violations:
+        assert violation.get("failed_properties") == FAILED_PROPERTIES.get(bug)

@@ -13,7 +13,7 @@ from rearrange_lab.scalars import INF
 from rearrange_lab.search import (TARGETS, SearchProblem, _excess_certificate,
                                   _initial_state, _ratio, _sides,
                                   _state_functions, search)
-from rearrange_lab.spaces import instance_from_json, integrate
+from rearrange_lab.spaces import Instance, integrate
 from rearrange_lab.verify import thm43_sides
 
 # the module, which the package's `search` function shadows as an attribute
@@ -78,8 +78,7 @@ def test_trace_is_monotone_and_capped():
 def test_visited_instances_keep_zero_mean_constraint():
     res = search(SearchProblem(target="thm32-ratio", atoms=3),
                  iters=300, restarts=3, seed=4)
-    space, funcs = instance_from_json(res.best_instance)
-    mean = integrate(funcs["g"])
+    mean = integrate(Instance.from_json(res.best_instance).functions["g"])
     assert abs(float(mean)) < 1e-12
 
 
@@ -115,8 +114,9 @@ def test_excess_recheck_runs_at_113_bits_on_five_atoms(target):
     problem = SearchProblem(target, atoms=5)
     state = {name: [0.5, -1.0, 0.25, 1.0, -0.75]
              for name in problem.free_functions}
-    funcs = _state_functions(problem, state, problem.space())
-    assert _excess_certificate(problem, funcs, 2.0) is None
+    space = problem.space()
+    funcs = _state_functions(problem, state, space)
+    assert _excess_certificate(problem, Instance(space, funcs), 2.0) is None
 
 
 _LORENTZ = LorentzLambda(ConcaveWeight(((0, 0), (Fraction(1, 2), Fraction(3, 4)),

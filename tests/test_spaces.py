@@ -14,9 +14,8 @@ from rearrange_lab.oscillation import bilinear_form, lemma31_bound
 from rearrange_lab.rearrange import nonexpansive_moments
 from rearrange_lab.scalars import (_type_family, binary_context,
                                    over_common_denominator, to_binary)
-from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, center,
-                                  common_space, equal_space,
-                                  instance_from_json, instance_to_json,
+from rearrange_lab.spaces import (DiscreteSpace, Instance, SimpleFunction,
+                                  center, common_space, equal_space,
                                   integrate, multiply, support,
                                   to_binary_function, to_binary_space)
 from rearrange_lab.verify import thm43_sides
@@ -120,12 +119,18 @@ def test_center_idempotent_and_kills_constants(f):
     assert center(const).values == (0,) * f.space.n
 
 
-@given(functions())
-def test_instance_json_roundtrip(f):
-    doc = instance_to_json(f.space, {"f": f})
-    space, funcs = instance_from_json(doc)
-    assert space.weights == f.space.weights
-    assert funcs["f"].values == f.values
+@given(functions(), st.none() | st.integers(0, 10**6))
+def test_instance_json_roundtrip(f, trial_index):
+    """to_json writes "trial_index" only when it is set; from_json reads
+    back the rest and not the index."""
+    doc = Instance(f.space, {"f": f}, trial_index).to_json()
+    assert doc.get("trial_index", None) == trial_index
+    assert ("trial_index" in doc) == (trial_index is not None)
+    back = Instance.from_json(doc)
+    assert back.space.weights == f.space.weights
+    assert back.functions["f"].values == f.values
+    assert back.trial_index is None
+    assert back.to_json() == Instance(f.space, {"f": f}).to_json()
 
 
 def test_multiply_pointwise():
@@ -178,9 +183,10 @@ def test_weight_sum_guard_at_113_bits(weights):
 
 def test_non_string_literals_are_input_errors():
     with pytest.raises(InputError):
-        instance_from_json({"space": {"weights": [1]}})
+        Instance.from_json({"space": {"weights": [1]}})
     with pytest.raises(InputError):
-        instance_from_json({"space": {"weights": ["1"]}, "functions": {"f": [1]}})
+        Instance.from_json({"space": {"weights": ["1"]},
+                            "functions": {"f": [1]}})
 
 
 def integral_reference(f):

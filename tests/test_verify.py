@@ -25,7 +25,7 @@ from rearrange_lab.search import SearchProblem, search
 from rearrange_lab.spaces import (DiscreteSpace, SimpleFunction, equal_space,
                                   integrate)
 from rearrange_lab.verify import (QUAD_CERTIFY_RTOL, SUITE_IDS, Instance,
-                                  TrialConfig, _binary_instance, _certify,
+                                  TrialConfig, _certify,
                                   _evaluate, _keyed_rng, _lattice_function,
                                   canonical_hash, canonical_json,
                                   generate_instance, judge, run_suite,
@@ -399,6 +399,29 @@ def test_judge_takes_an_instance_it_did_not_draw(name, monkeypatch):
                     "rhs": format_scalar(sides * 3 / 4)}}
 
 
+def test_judge_converts_a_double_instance_to_the_exact_run(monkeypatch):
+    """An exact run judges a double instance in exact rationals: the gap
+    of the equal-atom thm32 witness is the Fraction 0, and under the
+    planted RHS of 3/4 it is a violation that the exact recheck
+    certifies.  A drawn exact instance is converted to itself."""
+    space = DiscreteSpace((0.5, 0.5))
+    inst = Instance(space, {n: SimpleFunction(v, space) for n, v in zip(
+        "fgh", ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)))})
+    cfg = TrialConfig(suite="thm32", mode="exact", atoms=2, trials=1)
+    out = judge(cfg, inst)
+    assert type(out.gap) is F and out.gap == 0
+    assert out.violation is None and not out.graze
+    drawn = generate_instance(cfg, 200)
+    assert drawn.to_binary(None) is drawn
+
+    bug, plant = BUGS["thm32-rhs-3/4"][:2]
+    monkeypatch.setattr(verify_mod, bug, plant(getattr(verify_mod, bug)))
+    out = judge(cfg, inst)
+    assert type(out.gap) is F and out.gap == F(-1, 2)
+    assert out.violation["recheck"] == {"mode": "exact", "lhs": "2",
+                                        "rhs": "1.5"}
+
+
 def test_float_gaps_are_taken_at_the_working_precision():
     """At 80 bits a form's gap RHS - LHS is rounded to 80 bits, not to
     the 53 bits of mpmath's default context."""
@@ -550,11 +573,11 @@ def test_thm43_sides_at_113_bits_match_double(X, atoms):
     cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms, norm=X,
                       trials=1)
     inst = generate_instance(cfg, 0)
-    quad = _binary_instance(inst, QUAD_PRECISION)
+    quad = inst.to_binary(QUAD_PRECISION)
     with binary_context(QUAD_PRECISION):
         high = thm43_sides(quad.functions["f"], quad.functions["g"], X,
                            precision=QUAD_PRECISION)
-    double = _binary_instance(inst, 53)
+    double = inst.to_binary(53)
     low = thm43_sides(double.functions["f"], double.functions["g"], X,
                       precision=53)
     for label, sides in high.items():
@@ -571,7 +594,7 @@ def test_thm43_associate_form_is_certified_at_113_bits(atoms):
     for index in range(40):
         inst = generate_instance(cfg, index)
         exact = _evaluate(cfg, inst.functions, None)["associate_form"]
-        quad = _evaluate(cfg, _binary_instance(inst, QUAD_PRECISION).functions,
+        quad = _evaluate(cfg, inst.to_binary(QUAD_PRECISION).functions,
                          QUAD_PRECISION)["associate_form"]
         for q, e in zip(quad, exact):
             assert isinstance(q, mpmath.mpf)
@@ -584,7 +607,7 @@ def test_forced_float_graze_is_rechecked_at_113_bits(atoms, monkeypatch):
     113-bit recheck and comes out a graze."""
     cfg = TrialConfig(suite="thm43", mode="float", atoms=atoms,
                       norm=LORENTZ_ASSOCIATE, trials=1)
-    work = _binary_instance(generate_instance(cfg, 0), 53)
+    work = generate_instance(cfg, 0).to_binary(53)
     _, rhs = thm43_sides(work.functions["f"], work.functions["g"], cfg.norm,
                          precision=53)["norm_form"]
     _force_sides(monkeypatch, "thm43", {"norm_form": (rhs + 1.0, rhs)})
@@ -624,8 +647,7 @@ def test_exact_double_and_quad_gaps_agree(suite, kwargs, atoms):
     for index in range(200, 240):  # past the thm32 fixtures
         inst = generate_instance(cfg, index)
         sides = {precision: _evaluate(
-            cfg, (inst if precision is None
-                  else _binary_instance(inst, precision)).functions, precision)
+            cfg, inst.to_binary(precision).functions, precision)
             for precision in (None, 53, QUAD_PRECISION)}
         for label, (e_lhs, e_rhs) in sides[None].items():
             lhs, rhs = sides[53][label]
@@ -660,7 +682,7 @@ def test_recheck_of_one_form_is_that_form_of_all(suite, kwargs, labels,
     monkeypatch.setattr(verify_mod, "_certified", spy)
     for index in range(12):
         inst = generate_instance(cfg, index)
-        every = _evaluate(cfg, _binary_instance(inst, QUAD_PRECISION).functions,
+        every = _evaluate(cfg, inst.to_binary(QUAD_PRECISION).functions,
                           QUAD_PRECISION)
         assert tuple(every) == labels
         for label in labels:
@@ -678,7 +700,7 @@ def test_thm43_sides_evaluates_only_the_requested_forms():
     search problem carries such a norm, which no TrialConfig accepts."""
     cfg = TrialConfig(suite="thm43", mode="float", atoms=4, trials=1)
     problem = SearchProblem("thm43-ratio", norm=Generated(L1, 2))
-    fns = _binary_instance(generate_instance(cfg, 3), 53).functions
+    fns = generate_instance(cfg, 3).to_binary(53).functions
     only = thm43_sides(fns["f"], fns["g"], problem.norm, precision=53,
                        labels=("norm_form",))
     assert tuple(only) == ("norm_form",)
