@@ -255,9 +255,6 @@ def _root(x, X, precision):
     p = X.p
     if p == 1:
         return x
-    if precision is None and isinstance(x, (int, Fraction)):
-        # reached by the int 0 that sums no segment, an empty binary profile
-        raise ExactUnavailable(f"{p}-th root has no exact value")
     if type(x) is not float or precision not in (None, DOUBLE_PRECISION):
         x = _as_binary(x, precision or DOUBLE_PRECISION)
         if is_mpf(x):
@@ -286,18 +283,20 @@ def norm(X, f, *, precision=None):
     """Evaluate the norm described by X on a SimpleFunction or a
     StepProfile.
 
-    ``precision=None`` demands exact arithmetic and raises
-    ExactUnavailable when a fractional root is involved; an integer
-    selects the binary significand width for those steps.
+    ``precision=None`` refuses a root of exact input with
+    ExactUnavailable, and binary input computes in its own arithmetic; an
+    integer selects the binary significand width of fractional powers
+    and roots.
     """
     with binary_context(precision or DOUBLE_PRECISION):
         return _norm(kept(X, "_simple", _simplify, X) if isinstance(
-            X, (Associate, Generated)) else X, f, precision)
+            X, (Associate, Generated)) else X, f, precision,
+            precision is None and _is_exact(f))
 
 
-def _norm(X, f, precision):
-    if precision is None and getattr(X, "p", 1) not in (1, INF) \
-            and _is_exact(f):
+def _norm(X, f, precision, exact):
+    """``exact``: the caller's f is exact and no precision was given."""
+    if exact and getattr(X, "p", 1) not in (1, INF):
         raise ExactUnavailable(
             f"{format_exponent(X.p)}-th root has no exact value")
     if isinstance(X, Lp):
@@ -309,7 +308,7 @@ def _norm(X, f, precision):
         powered = make_profile(zip(
             _powers([v for v, _ in segments], X.p, precision),
             (l for _, l in segments)))
-        return _root(_norm(X.base, powered, precision), X, precision)
+        return _root(_norm(X.base, powered, precision, exact), X, precision)
     if isinstance(X, Associate):
         base = X.base  # already simplified: not an Lp, not Associate(Lorentz)
         if isinstance(base, LorentzLambda):

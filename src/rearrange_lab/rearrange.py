@@ -321,20 +321,18 @@ def nonexpansive_moments(f: SimpleFunction, g: SimpleFunction, p):
 def equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:
     """mu({|f| > t}) equals |{profile > t}| for every t >= 0.
 
-    Both distribution functions are right-continuous steps, so it is
-    enough to test the finitely many candidate levels: every distinct
-    value on either side, midpoints between consecutive levels, and 0
-    (in the values' own arithmetic: mpf does not compare with Fraction).
+    Both distribution functions are right-continuous steps that change
+    only at a value on their side, so it is enough to test every distinct
+    value on either side and 0 (in the values' own arithmetic: mpf does
+    not compare with Fraction).  For consecutive levels a < t < b the
+    sets {|f| > t} and {profile > t} are those at a, so a threshold
+    between levels repeats the test at the level below it.
     """
-    levels = sorted({abs(v) for v in f.values}
-                    | {v for v, _ in profile.segments}
-                    | {0 * abs(f.values[0])})
-    candidates = list(levels)
-    for a, b in zip(levels, levels[1:]):
-        candidates.append((a + b) / 2)
+    levels = ({abs(v) for v in f.values} | {v for v, _ in profile.segments}
+              | {0 * abs(f.values[0])})
     return all(
         distribution_measure(f, t) == profile_level_measure(profile, t)
-        for t in candidates
+        for t in levels
     )
 
 

@@ -503,15 +503,12 @@ def _run_rearrange_trial(cfg, inst):
     passed["layer_roundtrip"] = \
         layer_reconstruct(layer_decompose(f)).values == f.values
 
-    levels = sorted({abs(v) for v in f.values}) + [Fraction(0)]
-    thresholds = set(levels)
-    thresholds.update((a + b) / 2 for a, b in zip(levels, levels[1:]))
+    # between consecutive levels a < t < b, {f > t} and {-f > t} are the
+    # sets at a, so the levels of |f| and 0 decide the identity for all t
     passed["indicator_identity"] = all(
-        left == right
-        for left, right in (
-            indicator_difference_rearrangement(f, t) for t in sorted(thresholds)
-        )
-    )
+        left == right for left, right in (
+            indicator_difference_rearrangement(f, t)
+            for t in {abs(v) for v in f.values} | {Fraction(0)}))
 
     passed["nonexpansiveness"] = all(
         lhs <= rhs for lhs, rhs in

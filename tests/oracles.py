@@ -15,9 +15,10 @@ differential tests; ``reference_draw_values`` draws instance values the
 way verify did with random.randint.  The ``former_*`` functions are the
 package's own code as it was before exact objects scaled their scalars
 back on first read, before instances were drawn as ints, before
-`bilinear_form` summed in `map`/`reduce` and before `multiply` multiplied
-numerators, kept verbatim as the reference of bit-for-bit differential
-tests; ``former_to_binary`` is the rounding as callers did it before
+`bilinear_form` summed in `map`/`reduce`, before `multiply` multiplied
+numerators and before `equimeasurable` tested only the levels, kept
+verbatim as the reference of bit-for-bit differential tests;
+``former_to_binary`` is the rounding as callers did it before
 `to_binary` converted floats itself.
 
 ``product_identity_check`` and the first-order difference calculus on the
@@ -50,7 +51,9 @@ from rearrange_lab.norms import (ConcaveWeight, Generated, LorentzLambda, Lp,
                                  _simplify, norm)
 from rearrange_lab.oscillation import BlockDecomposition, ZeroMeanBlock
 from rearrange_lab.rearrange import (StepProfile, _check_family, align,
-                                     decreasing_rearrangement, make_profile)
+                                     decreasing_rearrangement,
+                                     distribution_measure, make_profile,
+                                     profile_level_measure)
 from rearrange_lab.scalars import (DOUBLE_PRECISION, INF,
                                    from_common_denominator, in_family,
                                    in_lowest_terms, parse_scalar)
@@ -495,6 +498,21 @@ def former_bilinear_form(A, B, f, g, h):
         + over(B, gv) * over(A, fv, hv)
         - over(B) * over(A, fv, gv, hv)
     ) * (f_unit * g_unit * h_unit * w_unit * w_unit)
+
+
+def former_equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:
+    """equimeasurable as it was: the distribution functions compared at
+    every level, at 0 and at the midpoint between consecutive levels."""
+    levels = sorted({abs(v) for v in f.values}
+                    | {v for v, _ in profile.segments}
+                    | {0 * abs(f.values[0])})
+    candidates = list(levels)
+    for a, b in zip(levels, levels[1:]):
+        candidates.append((a + b) / 2)
+    return all(
+        distribution_measure(f, t) == profile_level_measure(profile, t)
+        for t in candidates
+    )
 
 
 def former_to_binary(q, precision):

@@ -66,6 +66,35 @@ def test_exact_mode_refuses_roots():
     assert norm(LAMBDA, f) == 4 * PHI(F(1, 2)) + 3 * (1 - PHI(F(1, 2)))
 
 
+#: id -> (kind, whether it takes a root)
+ZERO_KINDS = {
+    "L2": (L2, True), "Lp4": (Lp(4), True), "Linf": (LINF, False),
+    "gen-L1-2": (Generated(L1, 2), True), "gen-L2-2": (Generated(L2, 2), True),
+    "gen-L2-1": (Generated(L2, 1), True),
+    "gen-lorentz-2": (Generated(LAMBDA, 2), True),
+    "lorentz": (LAMBDA, False), "lorentz-associate": (Associate(LAMBDA), False),
+}
+
+
+@pytest.mark.parametrize("precision", [None, 53])
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+def test_the_zero_function_has_one_answer(kind, precision):
+    """The zero double function has norm 0 in every kind, and the zero
+    exact function is refused a root exactly where a nonzero one is:
+    exactness is decided on the caller's function, not on the empty
+    profile that a zero function has."""
+    X, rooted = ZERO_KINDS[kind]
+    zero = SimpleFunction((0.0, 0.0), DiscreteSpace((0.5, 0.5)))
+    assert norm(X, zero, precision=precision) == 0
+    for values in ((0, 0), (3, -4)):
+        f = SimpleFunction(tuple(map(F, values)), equal_space(2))
+        if precision is None and rooted:
+            with pytest.raises(ExactUnavailable):
+                norm(X, f)
+        else:
+            norm(X, f, precision=precision)
+
+
 def test_generated_norm_of_lp_associate_accepts_weighted_spaces():
     sp = DiscreteSpace((F(1, 4), F(3, 4)))
     f = SimpleFunction((1, 2), sp)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 
 from conftest import (function_pairs, functions, off_lattice_functions,
                       off_lattice_scalars, off_lattice_spaces, same_bits)
-from oracles import (former_profile_from_numerators, profile_add,
-                     profile_from_json, scalar_difference_moment,
+from oracles import (former_equimeasurable, former_profile_from_numerators,
+                     profile_add, profile_from_json, scalar_difference_moment,
                      scalar_difference_sup, scalar_profile_leq)
 from rearrange_lab.errors import InputError
 from rearrange_lab.rearrange import (StepProfile, align,
@@ -189,8 +189,7 @@ def test_equimeasurability(f):
 def test_equimeasurable_refuses_a_profile_of_the_wrong_length():
     """f = (1, 1) on two equal atoms has |f| > t on measure 1 for t < 1.
     A profile with the right value but length 1/2 differs from it only
-    below 1, so only the candidate level 0 (and the midpoint it makes)
-    can refuse it."""
+    below 1, so only the candidate level 0 can refuse it."""
     f = SimpleFunction((F(1), F(1)), equal_space(2))
     assert equimeasurable(f, make_profile([(F(1), F(1))]))
     assert not equimeasurable(f, make_profile([(F(1), F(1, 2))]))
@@ -232,11 +231,17 @@ def test_sublinearity_at_zero(pair):
 
 @given(functions())
 def test_indicator_difference_all_levels(f):
+    """The identity holds at every level of |f| and 0, and at each
+    threshold that the rearrange suite once tested besides (the midpoints
+    of consecutive levels and half the largest) the pair is the one at
+    the largest level below it."""
     levels = sorted({abs(v) for v in f.values} | {F(0)})
-    candidates = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
-    for t in candidates:
+    midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    for t in levels + midpoints + [levels[-1] / 2]:
         left, right = indicator_difference_rearrangement(f, t)
         assert left == right
+        below = max(level for level in levels if level <= t)
+        assert (left, right) == indicator_difference_rearrangement(f, below)
 
 
 @given(functions())
@@ -528,6 +533,37 @@ def test_equimeasurable_and_layer_cake_in_binary(precision):
             rebuilt = layer_reconstruct(cake)
             assert rebuilt == f
             assert all(type(v) is kind for v in rebuilt.values)
+
+
+@given(functions(), st.sampled_from([None, 53, 113]),
+       st.sampled_from(["own", "unweighted", "unrelated"]),
+       off_lattice_profiles())
+@settings(max_examples=150, deadline=None)
+def test_equimeasurable_on_the_levels_is_the_former_test(f, precision, kind,
+                                                         unrelated):
+    """Testing the levels and 0 gives the verdict that testing the
+    midpoints too gave, for f on equal or random-rational weights in
+    exact rationals, doubles or 113 bits, against its own rearrangement,
+    the rearrangement that ignores the weights (test_power's plant) or
+    an unrelated off-lattice profile.  Binary sums of the weights in
+    another order can round f's own rearrangement off its distribution."""
+    with binary_context(precision or 53):
+        if precision is not None:
+            f = to_binary_function(f, to_binary_space(f.space, precision),
+                                   precision)
+            unrelated = _binary_profile(unrelated, precision)
+        if kind == "own":
+            profile = decreasing_rearrangement(f)
+        elif kind == "unweighted":
+            equal = equal_space(f.space.n)
+            if precision is not None:
+                equal = to_binary_space(equal, precision)
+            profile = decreasing_rearrangement(SimpleFunction(f.values, equal))
+        else:
+            profile = unrelated
+        verdict = equimeasurable(f, profile)
+        assert verdict == former_equimeasurable(f, profile)
+        assert verdict or kind != "own" or precision is not None
 
 
 def test_exact_layer_cake_stays_fraction():

@@ -422,6 +422,23 @@ def test_judge_converts_a_double_instance_to_the_exact_run(monkeypatch):
                                         "rhs": "1.5"}
 
 
+def test_hardy_littlewood_upper_bound_catches_a_doubled_rhs(monkeypatch):
+    """f = g = (1/4, 0) on two equal atoms: the integrals of |fg| and
+    f*g* are both 1/32, which is also sup g* times |f|_1.  So the planted
+    RHS of 1/16 passes the lower bound and fails only the upper one; a
+    sum sup g* + |f|_1 = 3/8 in its place would let it pass."""
+    space = equal_space(2)
+    f = SimpleFunction((F(1, 4), F(0)), space)
+    inst = Instance(space, {"f": f, "g": f})
+    cfg = TrialConfig(suite="rearrange", atoms=2, trials=1)
+    assert judge(cfg, inst).violation is None
+
+    bug, plant = BUGS["rearrange-hardy-littlewood-rhs-x2"][:2]
+    monkeypatch.setattr(verify_mod, bug, plant(getattr(verify_mod, bug)))
+    out = judge(cfg, inst)
+    assert out.violation["failed_properties"] == ["hardy_littlewood"]
+
+
 def test_float_gaps_are_taken_at_the_working_precision():
     """At 80 bits a form's gap RHS - LHS is rounded to 80 bits, not to
     the 53 bits of mpmath's default context."""
