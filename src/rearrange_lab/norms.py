@@ -271,9 +271,15 @@ def _is_exact(f) -> bool:
 
 
 def _profile_of(f) -> StepProfile:
+    """A profile itself, or the decreasing rearrangement of a function,
+    kept on the function (as `verify._kept` keeps its centred function),
+    so that the norms of one function rearrange it once; made anew for
+    mpf values, whose lengths add up at the working precision."""
     if isinstance(f, StepProfile):
         return f
-    return decreasing_rearrangement(f)
+    if "mpf" in f.space.families:
+        return decreasing_rearrangement(f)
+    return kept(f, "_profile", decreasing_rearrangement, f)
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,17 @@ def decreasing_rearrangement(f: SimpleFunction) -> StepProfile:
 
 
 def distribution_measure(f: SimpleFunction, t):
-    """mu({|f| > t})."""
-    return f.space.measure(i for i, v in enumerate(f.values) if abs(v) > t)
+    """mu({|f| > t}), added as `decreasing_rearrangement` adds f's
+    lengths: the weights of each magnitude above t in atom order, then
+    those sums from the largest magnitude down.  So f and its own
+    rearrangement give the same binary sum, which the weights added in
+    atom order need not."""
+    sums = {}
+    for v, w in zip(f.values, f.space.weights):
+        v = abs(v)
+        if v > t:
+            sums[v] = sums[v] + w if v in sums else w
+    return dot(map(sums.__getitem__, sorted(sums, reverse=True)))
 
 
 def profile_level_measure(profile: StepProfile, t):
@@ -298,7 +307,8 @@ def indicator_difference_rearrangement(f: SimpleFunction, t):
         1 if v > t else (-1 if -v > t else 0) for v in f.values
     )
     left = decreasing_rearrangement(SimpleFunction(indicator, f.space))
-    width = distribution_measure(f, t)
+    # mu({|f| > t}) in atom order, as left adds its one length
+    width = f.space.measure(i for i, v in enumerate(indicator) if v)
     right = make_profile([(Fraction(1), width)] if width > 0 else [])
     return left, right
 

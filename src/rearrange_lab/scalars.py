@@ -7,12 +7,12 @@ not involve a fractional root.  Float mode is binary floating point with a
 configurable significand width: 53 bits means the native machine double,
 anything else is evaluated through mpmath.  mpmath is imported on first
 use, inside the functions that need it: `binary_context` at any other
-width, `to_binary` and `in_family` above 53 bits, and `approximate_scalar`,
-whose exact renderings only error messages ask for.  A run in exact or
-double arithmetic never loads it.  Until it is loaded no mpf exists, so
-the type tests read it from `sys.modules` (`is_mpf`).  Mixed-mode
-arithmetic is rejected at construction time by the container types in
-`spaces`.
+width, `to_binary`, `to_binary_pair` and `in_family` above 53 bits, and
+`approximate_scalar`, whose exact renderings only error messages ask
+for.  A run in exact or double arithmetic never loads it.  Until it is
+loaded no mpf exists, so the type tests read it from `sys.modules`
+(`is_mpf`).  Mixed-mode arithmetic is rejected at construction time by
+the container types in `spaces`.
 
 All JSON interfaces carry numbers as strings: "p/q" rational literals or
 plain decimal literals, both of which parse to exact rationals without
@@ -33,7 +33,9 @@ the pair that object keeps.  A kernel that makes a new object from
 numerators keeps them in ints with `in_lowest_terms`, `shifted` and
 `over_one_unit`.  An exact object built from numerators scales its
 scalars back with `from_common_denominator` on first read, so a kernel
-that reads only numerators makes no `Fraction` per value.
+that reads only numerators makes no `Fraction` per value; and
+`to_binary_pair` rounds a pair to a float mode from its ints, so the
+conversion of an instance makes none either.
 
 `dot` is the one way the package adds up scalars, so every float sum is
 the same left fold on every Python version.
@@ -164,6 +166,25 @@ def to_binary(q, precision):
     if precision == DOUBLE_PRECISION:
         return float(q)
     return _rounded_mpf(*q.as_integer_ratio(), precision)
+
+
+def to_binary_pair(numerators, unit, precision):
+    """The (numerators, unit) pair of the scalars numerators[i] * unit in
+    the arithmetic of `precision`, as `to_binary` rounds each scalar.  An
+    exact pair n / D is read as it is: None keeps it, 53 bits is the int
+    true division n / D, which is correctly rounded as float(Fraction(n,
+    D)) is, and any other width rounds it once with `_rounded_mpf`; no
+    Fraction is made.  Binary numerators, the scalars themselves, are
+    rounded one by one with `to_binary`."""
+    if type(unit) is int:
+        return over_common_denominator(
+            tuple([to_binary(x, precision) for x in numerators]))
+    if precision is None:
+        return numerators, unit
+    den = unit.denominator
+    if precision == DOUBLE_PRECISION:
+        return tuple([n / den for n in numerators]), 1
+    return tuple([_rounded_mpf(n, den, precision) for n in numerators]), 1
 
 
 def in_family(q, x):

@@ -19,7 +19,12 @@ no `Fraction` is made.  `equal_space` builds and validates one space per
 atom count.  `common_space` is the one check that functions combined
 pointwise share their space.  An `Instance`, named functions on a space,
 is what each inequality is about: it writes and reads the instance JSON
-and has the one conversion to a run's arithmetic, `to_binary`.
+and has the one conversion to a run's arithmetic, `to_binary`.  That
+conversion reads the pairs too (`to_binary_space`, `to_binary_function`,
+both through `scalars.to_binary_pair`): an exact value n / D rounds from
+its two ints, with no `Fraction` made, and a space converts once per
+precision and keeps its twin, so every trial on one `equal_space` shares
+one binary space.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from typing import Iterable
 from .errors import InputError
 from .scalars import (approximate_scalar, check_one_family, dot,
                       format_scalar, from_common_denominator, in_family,
-                      in_lowest_terms, over_common_denominator, parse_scalar,
-                      shifted, to_binary, unit_product)
+                      in_lowest_terms, kept, over_common_denominator,
+                      parse_scalar, shifted, to_binary_pair, unit_product)
 
 #: relative slack allowed on the weight sum for binary-float inputs
 WEIGHT_SUM_TOLERANCE = Fraction(1, 2**40)
@@ -212,12 +217,26 @@ def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 
 
 def to_binary_space(space: DiscreteSpace, precision: int) -> DiscreteSpace:
-    return DiscreteSpace(tuple(to_binary(w, precision) for w in space.weights))
+    """The space with its weights in the arithmetic of `precision` (None:
+    exact), converted from the (numerators, unit) pair it keeps by
+    `to_binary_pair` and validated on the first call for each precision;
+    the space keeps that twin, so each later call returns the same
+    object."""
+    twins = kept(space, "_binary", dict)
+    twin = twins.get(precision)
+    if twin is None:
+        twin = twins[precision] = DiscreteSpace(from_common_denominator(
+            *to_binary_pair(space.numerators, space.unit, precision)))
+    return twin
 
 
 def to_binary_function(f: SimpleFunction, space: DiscreteSpace, precision: int) -> SimpleFunction:
-    return SimpleFunction(tuple(to_binary(v, precision) for v in f.values),
-                          space)
+    """f with its values in the arithmetic of `precision` (None: exact) on
+    `space`, its converted space: `to_binary_pair` of the pair f keeps,
+    checked by `SimpleFunction.from_numerators`, so an exact f makes no
+    Fraction on the way."""
+    return SimpleFunction.from_numerators(
+        *to_binary_pair(f.numerators, f.unit, precision), space)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +292,8 @@ class Instance:
 
     def to_binary(self, precision) -> Instance:
         """The instance in binary floats of `precision` bits, or in exact
-        rationals for None, which returns an exact instance itself."""
+        rationals for None, which returns an exact instance itself; the
+        space's kept twin and functions converted from their pairs."""
         if precision is None and self.space.families == {"exact"}:
             return self
         space = to_binary_space(self.space, precision)

@@ -502,7 +502,8 @@ def former_bilinear_form(A, B, f, g, h):
 
 def former_equimeasurable(f: SimpleFunction, profile: StepProfile) -> bool:
     """equimeasurable as it was: the distribution functions compared at
-    every level, at 0 and at the midpoint between consecutive levels."""
+    every level, at 0 and at the midpoint between consecutive levels
+    (both read as the package reads them today)."""
     levels = sorted({abs(v) for v in f.values}
                     | {v for v, _ in profile.segments}
                     | {0 * abs(f.values[0])})

@@ -656,3 +656,26 @@ def test_phi_ends_as_doubles_change_no_bit(phi, prof):
                              norm(X(former), h, precision=53)), (X, h)
     assert same_bits(phi(0.0), 0.0) and same_bits(phi(1.0), 1.0)
     assert same_bits(former(0.0), F(0)) and same_bits(former(1.0), F(1))
+
+
+@pytest.mark.parametrize("precision", [None, 53, 113])
+def test_a_functions_profile_is_kept_but_not_an_mpf_ones(precision):
+    """The norms of one exact or double function rearrange it once and
+    keep the profile on it, equal to a fresh rearrangement; an mpf
+    function's profile, whose lengths add up at the working precision,
+    is made anew for each norm and not kept."""
+    space = DiscreteSpace((F(1, 6), F(1, 6), F(1, 6), F(1, 2)))
+    f = SimpleFunction((F(1, 4), F(1, 4), F(1, 2), F(-1, 4)), space)
+    if precision is not None:
+        f = to_binary_function(f, to_binary_space(space, precision),
+                               precision)
+    with binary_context(precision or 53):
+        norms = [norm(X, f, precision=precision or 53)
+                 for X in (LAMBDA, Associate(LAMBDA), Generated(LAMBDA, 2))]
+        assert norms == [norm(X, f, precision=precision or 53)
+                         for X in (LAMBDA, Associate(LAMBDA),
+                                   Generated(LAMBDA, 2))]
+        if precision == 113:
+            assert "_profile" not in f.__dict__
+        else:
+            assert f.__dict__["_profile"] == decreasing_rearrangement(f)

@@ -138,8 +138,10 @@ def _fingerprint(obj):
 
 
 def test_what_the_kernel_keeps_is_invisible():
-    """Evaluating keeps memos on functions, descriptors and configs, and
-    none of them changes their equality, hash, repr or fields."""
+    """Evaluating keeps memos on functions, descriptors, configs and
+    spaces (the binary twin of an exact space, the profile of a
+    function), and none of them changes their equality, hash, repr or
+    fields."""
     X = Associate(LORENTZ)
     cfg = TrialConfig(suite="thm43", atoms=5, trials=3, norm=X)
     fresh_cfg = TrialConfig(suite="thm43", atoms=5, trials=3,
@@ -148,16 +150,21 @@ def test_what_the_kernel_keeps_is_invisible():
     space = to_binary_space(inst.space, 53)
     f, g = (to_binary_function(inst.functions[n], space, 53) for n in "fg")
     twins = [to_binary_function(inst.functions[n], space, 53) for n in "fg"]
-    objects = (f, g, X, cfg, Lp(F(3, 2)), Generated(L2, 3))
+    objects = (f, g, X, cfg, Lp(F(3, 2)), Generated(L2, 3), inst.space,
+               space)
     before = [_fingerprint(o) for o in objects]
     run_suite(cfg)
     _product_rule(f, g, _norm_table("thm41", (F(3, 2), 3, 3, 3, 3)), 53)
     _product_rule(f, g, _norm_table("thm43", X=Generated(L2, 3),
                                    labels=("norm_form",)), 53)
     norm(objects[4], f, precision=53)
+    norm(LORENTZ, g, precision=53)
     assert "_kernel" in f.__dict__ and "_norm_tables" in cfg.__dict__
+    assert "_profile" in g.__dict__ and "_binary" in inst.space.__dict__
     assert [_fingerprint(o) for o in objects] == before
     assert [f, g] == twins and [hash(f), hash(g)] == list(map(hash, twins))
+    assert inst.space == DiscreteSpace(inst.space.weights)
+    assert hash(inst.space) == hash(DiscreteSpace(inst.space.weights))
     assert X == Associate(LORENTZ) and hash(X) == hash(Associate(LORENTZ))
     assert cfg == fresh_cfg and hash(cfg) == hash(fresh_cfg)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 
 from conftest import (functions, lattice_values, off_lattice_functions,
                       off_lattice_spaces, same_bits, spaces)
-from oracles import former_function_from_numerators, former_multiply
+from oracles import (former_function_from_numerators, former_multiply,
+                     former_to_binary)
 from rearrange_lab.errors import InputError
 from rearrange_lab.norms import L2, hardy_littlewood_check
 from rearrange_lab.oscillation import bilinear_form, lemma31_bound
@@ -381,3 +382,80 @@ def test_values_from_numerators_are_checked_on_the_pair(values, weights):
     with pytest.raises(former.type) as raised:
         SimpleFunction.from_numerators(*pair, space)
     assert str(raised.value) == str(former.value)
+
+
+def _wide_scalars():
+    """Exact scalars with numerators and denominators up to 10^30, zero
+    and negatives included."""
+    return st.one_of(st.just(F(0)), st.builds(
+        F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)))
+
+
+@st.composite
+def _wide_spaces(draw, max_atoms=7):
+    """Random-rational weights k_i / sum(k) for k_i up to 10^29, so that
+    numerators and denominators stay below 10^30: former_to_binary rounds
+    an int wider than 113 bits before it divides, so it rounds once only
+    on ints that fit."""
+    raw = draw(st.lists(st.integers(1, 10**29), min_size=1,
+                        max_size=max_atoms))
+    total = sum(raw)
+    return DiscreteSpace(tuple(F(k, total) for k in raw))
+
+
+@given(st.one_of(spaces(max_atoms=7), _wide_spaces()).flatmap(
+    lambda space: st.tuples(st.just(space), st.lists(
+        _wide_scalars(), min_size=space.n, max_size=space.n))))
+@settings(max_examples=150, deadline=None)
+def test_conversion_from_the_pair_is_the_former_rounding(case):
+    """to_binary_space and to_binary_function read the exact pair, and
+    give each weight and value as former_to_binary rounds it, bit for
+    bit and in type, at 53 and 113 bits and exactly; the result is what
+    the constructor builds of those scalars, pair included.  A double
+    space and function, converted once more, round value by value with
+    `to_binary`."""
+    space, values = case
+    f = SimpleFunction(tuple(values), space)
+    for precision in (None, 53, 113):
+        binary = to_binary_space(space, precision)
+        fb = to_binary_function(f, binary, precision)
+        expected = SimpleFunction(tuple(former_to_binary(v, precision)
+                                        for v in values), binary)
+        assert all(map(same_bits, binary.weights,
+                       (former_to_binary(w, precision)
+                        for w in space.weights)))
+        assert all(map(same_bits, fb.values, expected.values))
+        assert (fb.numerators, fb.unit) == (expected.numerators, expected.unit)
+        assert fb == expected and fb.space is binary
+        for again in (None, 53, 113) if precision == 53 else ():
+            twin = to_binary_space(binary, again)
+            assert all(map(same_bits, twin.weights,
+                           (to_binary(w, again) for w in binary.weights)))
+            assert all(map(same_bits,
+                           to_binary_function(fb, twin, again).values,
+                           (to_binary(v, again) for v in fb.values)))
+
+
+def test_a_space_converts_once_per_precision():
+    """A second conversion at one precision returns the twin the space
+    keeps, and another precision another object; an instance converts
+    its space through it, and the kept twins change no equality, hash,
+    repr or field of the space."""
+    weights = (F(1, 3), F(1, 6), F(1, 2))
+    space = DiscreteSpace(weights)
+    fingerprint = (repr(space), hash(space), space.numerators, space.unit,
+                   space.families)
+    twins = {p: to_binary_space(space, p) for p in (None, 53, 113)}
+    for precision, twin in twins.items():
+        assert to_binary_space(space, precision) is twin
+        assert [other for other in twins.values() if other is twin] == [twin]
+    f = SimpleFunction((F(1), F(-2), F(0)), space)
+    inst = Instance(space, {"f": f, "g": f})
+    for precision in (53, 113):
+        work = inst.to_binary(precision)
+        assert work.space is twins[precision]
+        assert all(g.space is twins[precision] for g in work.functions.values())
+    assert inst.to_binary(None) is inst
+    assert space == DiscreteSpace(weights)
+    assert (repr(space), hash(space), space.numerators, space.unit,
+            space.families) == fingerprint
